@@ -4,6 +4,9 @@ Twelve categories (CAT1..CAT12) with names, descriptions and response
 priorities, plus the extraction cascade that turns free-form model replies
 back into category codes. UNPARSED is a sentinel for replies from which no
 category could be recovered; it never appears in the taxonomy itself.
+
+The name-matching regexes and the prompt block are built once per Taxonomy
+instance, on first use, and cached on it; parsing a reply compiles nothing.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 
@@ -55,8 +59,10 @@ class Category:
     def __post_init__(self) -> None:
         if self.code is CategoryCode.UNPARSED:
             raise TaxonomyError("UNPARSED is not a taxonomy category")
-        if not self.name:
-            raise TaxonomyError(f"{self.code.value}: empty category name")
+        # A blank name would compile to a pattern that matches between any
+        # two non-word characters.
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise TaxonomyError(f"{self.code.value}: blank category name")
         if not 1 <= self.priority <= 5:
             raise TaxonomyError(
                 f"{self.code.value}: priority {self.priority} outside 1..5"
@@ -75,14 +81,53 @@ class Taxonomy:
                 "taxonomy must contain exactly CAT1..CAT12 in order, "
                 f"got {[c.value for c in codes]}"
             )
-        names = [c.name for c in self.categories]
-        if len(set(n.casefold() for n in names)) != len(names):
-            raise TaxonomyError("category names must be unique")
+        # The parser matches names ignoring case and whitespace runs, so it
+        # could not tell apart names that differ only in those.
+        names = [" ".join(c.name.split()).casefold() for c in self.categories]
+        if len(set(names)) != len(names):
+            raise TaxonomyError(
+                "category names must be unique ignoring case and whitespace"
+            )
 
     def by_code(self, code: CategoryCode) -> Category:
         if code is CategoryCode.UNPARSED:
             raise TaxonomyError("no category for sentinel UNPARSED")
         return self.categories[int(code.value[3:]) - 1]
+
+    @cached_property
+    def _prompt_block(self) -> str:
+        return "\n".join(
+            f"{c.code.value} — {c.name}: {c.description}" for c in self.categories
+        )
+
+    @cached_property
+    def _name_scan(
+        self,
+    ) -> tuple[re.Pattern, tuple[tuple[re.Pattern, CategoryCode], ...]]:
+        """(any-name prefilter, per-category patterns in table order).
+
+        Each name matches in full, case-insensitively, tolerant of whitespace
+        runs; the lookarounds stop "Malware" from matching inside e.g.
+        "Malwarebytes". The prefilter is the alternation of all names under
+        the same lookarounds; since the regex engine backtracks into every
+        alternative, it finds a match exactly when some single pattern does.
+        A leading lookahead on the names' first characters lets the scan skip
+        cheaply the positions where no name can start; it changes no result.
+        """
+        bodies = [
+            r"\s+".join(map(re.escape, c.name.split())) for c in self.categories
+        ]
+        firsts = sorted({c.name.lstrip()[0] for c in self.categories})
+        prefilter = re.compile(
+            "(?=[" + "".join(map(re.escape, firsts)) + "])"
+            r"(?<!\w)(?:" + "|".join(bodies) + r")(?!\w)",
+            re.IGNORECASE,
+        )
+        patterns = tuple(
+            (re.compile(r"(?<!\w)" + body + r"(?!\w)", re.IGNORECASE), c.code)
+            for body, c in zip(bodies, self.categories)
+        )
+        return prefilter, patterns
 
 
 _BUILTIN_ROWS: tuple[tuple[str, str, str, int], ...] = (
@@ -162,9 +207,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 def render_prompt_block(taxonomy: Taxonomy) -> str:
     """One line per category, "CODE — Name: Description", for system prompts."""
-    return "\n".join(
-        f"{c.code.value} — {c.name}: {c.description}" for c in taxonomy.categories
-    )
+    return taxonomy._prompt_block
 
 
 def priority_of(code: CategoryCode, taxonomy: Taxonomy | None = None) -> int:
@@ -187,19 +230,15 @@ def _last_valid(matches: list[re.Match]) -> CategoryCode | None:
     return None
 
 
-def _name_pattern(name: str) -> re.Pattern:
-    # Full-name match, case-insensitive, tolerant of whitespace runs; the
-    # lookarounds stop "Malware" from matching inside e.g. "Malwarebytes".
-    parts = [re.escape(p) for p in name.split()]
-    return re.compile(r"(?<!\w)" + r"\s+".join(parts) + r"(?!\w)", re.IGNORECASE)
-
-
 def parse_category(reply: str, taxonomy: Taxonomy | None = None) -> CategoryCode:
     """Extract a category code from a model reply.
 
     Cascade, first hit wins: (1) last "FINAL: CATk" contract line,
     (2) last standalone CATk token, (3) last full category-name occurrence,
-    (4) UNPARSED. Total over arbitrary text; never raises.
+    (4) UNPARSED. Total over arbitrary text; never raises. Among name
+    occurrences the one ending last wins, then the longer one, then the
+    category earlier in the table. Rule (3) first runs one combined scan for
+    any name and returns UNPARSED at once when it finds none.
     """
     taxonomy = taxonomy or _BUILTIN
     if not reply:
@@ -213,10 +252,14 @@ def parse_category(reply: str, taxonomy: Taxonomy | None = None) -> CategoryCode
     if code is not None:
         return code
 
+    prefilter, patterns = taxonomy._name_scan
+    if prefilter.search(reply) is None:
+        return CategoryCode.UNPARSED
+
     best: tuple[int, int, CategoryCode] | None = None
-    for cat in taxonomy.categories:
-        for m in _name_pattern(cat.name).finditer(reply):
-            key = (m.end(), m.end() - m.start(), cat.code)
+    for pattern, code in patterns:
+        for m in pattern.finditer(reply):
+            key = (m.end(), m.end() - m.start(), code)
             if best is None or key[:2] > best[:2]:
                 best = key
     if best is not None:

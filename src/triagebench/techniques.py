@@ -16,6 +16,7 @@ exact wording it used.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -72,7 +73,8 @@ class TemplateError(ValueError):
     """Missing or malformed prompt template files."""
 
 
-_ROUND_FILE_RE = re.compile(r"^round(\d+)\.txt$")
+# Canonical numerals only, so each round number names exactly one file.
+_ROUND_FILE_RE = re.compile(r"^round(0|[1-9][0-9]*)\.txt$")
 
 
 class TemplateSet:
@@ -80,40 +82,47 @@ class TemplateSet:
 
     Rounds past the highest numbered file reuse the last one (PHP and PRP
     send the same hint wording every extra round). The hash covers every
-    file's path and content.
+    file's path and content. Each technique's table of round files is built
+    once at construction, and each (technique, taxonomy) system prompt is
+    rendered once and then returned as the same string.
     """
 
     def __init__(self, files: dict[str, str]) -> None:
-        self._files = files
+        self._files = dict(files)
         self.template_hash = sha256_hex(
             "".join(f"{name}\n{files[name]}\n" for name in sorted(files))
         )
+        # technique -> (sorted round numbers, their texts in the same order)
+        self._rounds: dict[TechniqueId, tuple[tuple[int, ...], tuple[str, ...]]] = {}
         for tech in TechniqueId:
-            key = f"{tech.value.lower()}/system.txt"
-            if key not in files:
-                raise TemplateError(f"missing template {key}")
-            if not self._round_indexes(tech):
+            prefix = f"{tech.value.lower()}/"
+            if f"{prefix}system.txt" not in files:
+                raise TemplateError(f"missing template {prefix}system.txt")
+            rounds = sorted(
+                (int(m.group(1)), text)
+                for name, text in files.items()
+                if name.startswith(prefix)
+                and (m := _ROUND_FILE_RE.match(name[len(prefix):]))
+            )
+            if not rounds:
                 raise TemplateError(f"no round templates for {tech.value}")
+            indexes, texts = zip(*rounds)
+            self._rounds[tech] = (indexes, texts)
+        self._systems: dict[tuple[TechniqueId, Taxonomy], str] = {}
 
     def files(self) -> dict[str, str]:
         """Copy of the raw file map, e.g. for building modified sets."""
         return dict(self._files)
 
-    def _round_indexes(self, tech: TechniqueId) -> list[int]:
-        prefix = f"{tech.value.lower()}/"
-        out = []
-        for name in self._files:
-            if name.startswith(prefix):
-                m = _ROUND_FILE_RE.match(name[len(prefix):])
-                if m:
-                    out.append(int(m.group(1)))
-        return sorted(out)
-
     def system(self, tech: TechniqueId, taxonomy: Taxonomy) -> str:
-        text = self._files[f"{tech.value.lower()}/system.txt"]
-        return text.format(
-            taxonomy=render_prompt_block(taxonomy), contract=ANSWER_CONTRACT
-        ).rstrip("\n")
+        key = (tech, taxonomy)
+        text = self._systems.get(key)
+        if text is None:
+            text = self._files[f"{tech.value.lower()}/system.txt"].format(
+                taxonomy=render_prompt_block(taxonomy), contract=ANSWER_CONTRACT
+            ).rstrip("\n")
+            self._systems[key] = text
+        return text
 
     def round(
         self,
@@ -124,10 +133,9 @@ class TemplateSet:
         hints: str = "",
         previous_answers: str = "",
     ) -> str:
-        indexes = self._round_indexes(tech)
-        eligible = [i for i in indexes if i <= round_no]
-        chosen = eligible[-1] if eligible else indexes[0]
-        text = self._files[f"{tech.value.lower()}/round{chosen}.txt"]
+        indexes, texts = self._rounds[tech]
+        # The highest file numbered <= round_no, else the lowest file.
+        text = texts[max(bisect_right(indexes, round_no) - 1, 0)]
         return text.format(
             incident=incident, hints=hints, previous_answers=previous_answers
         ).rstrip("\n")

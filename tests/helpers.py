@@ -6,7 +6,7 @@ from pathlib import Path
 
 from triagebench.backend import ModelGroup
 from triagebench.runner import RunRecord
-from triagebench.taxonomy import CategoryCode
+from triagebench.taxonomy import Category, CategoryCode, Taxonomy, builtin_taxonomy
 from triagebench.techniques import (
     ClassificationTrace,
     TechniqueId,
@@ -16,6 +16,16 @@ from triagebench.techniques import (
 from triagebench.util import canonical_dumps
 
 CODES = list(CategoryCode.taxonomy_codes())
+
+
+def renamed(names: list[str]) -> Taxonomy:
+    """The builtin table with the 12 names replaced, in code order."""
+    return Taxonomy(
+        categories=tuple(
+            Category(c.code, name, c.description, c.priority)
+            for c, name in zip(builtin_taxonomy().categories, names)
+        )
+    )
 
 
 def make_trace(

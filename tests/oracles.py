@@ -1,13 +1,17 @@
-"""Independent brute-force recomputation of every metric from a run file.
+"""Independent brute-force references: every metric from a run file, and
+the reply parser.
 
-Deliberately shares no aggregation code with the package: plain loops over
-the raw JSON lines, Decimal for the percentage and fsum for the means (the
-documented output contracts). Used to cross-check compute_metrics exactly.
+Deliberately shares no code with the package: plain loops over the raw JSON
+lines, Decimal for the percentage and fsum for the means (the documented
+output contracts). Used to cross-check compute_metrics exactly. The parser
+reference is the straightforward cascade that compiles one pattern per
+category name on every call.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -137,3 +141,46 @@ def assert_report_matches_oracle(report, path: Path) -> None:
         assert cell.mean_latency_ms == want["mean_latency_ms"], key
         assert cell.mean_response_chars == want["mean_response_chars"], key
         assert cell.total_turns == want["total_turns"], key
+
+
+_FINAL_RE = re.compile(r"FINAL\s*:\s*\[?CAT\s?(\d{1,2})\]?", re.IGNORECASE)
+_TOKEN_RE = re.compile(r"\bCAT(\d{1,2})\b", re.IGNORECASE)
+
+
+def _last_valid(matches: list[re.Match]) -> str | None:
+    for m in reversed(matches):
+        k = int(m.group(1))
+        if 1 <= k <= 12:
+            return f"CAT{k}"
+    return None
+
+
+def _name_pattern(name: str) -> re.Pattern:
+    parts = [re.escape(p) for p in name.split()]
+    return re.compile(r"(?<!\w)" + r"\s+".join(parts) + r"(?!\w)", re.IGNORECASE)
+
+
+def oracle_parse_category(reply: str, names: list[str]) -> str:
+    """The parser cascade over the 12 category names in code order; returns
+    "CAT1".."CAT12" or "UNPARSED"."""
+    if not reply:
+        return "UNPARSED"
+
+    code = _last_valid(list(_FINAL_RE.finditer(reply)))
+    if code is not None:
+        return code
+
+    code = _last_valid(list(_TOKEN_RE.finditer(reply)))
+    if code is not None:
+        return code
+
+    best: tuple[int, int, str] | None = None
+    for code, name in zip(TAXONOMY_CODES, names):
+        for m in _name_pattern(name).finditer(reply):
+            key = (m.end(), m.end() - m.start(), code)
+            if best is None or key[:2] > best[:2]:
+                best = key
+    if best is not None:
+        return best[2]
+
+    return "UNPARSED"

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triagebench.taxonomy import (
@@ -15,7 +15,25 @@ from triagebench.taxonomy import (
     render_prompt_block,
 )
 
+from helpers import renamed
+from oracles import oracle_parse_category
+
 CODES = list(CategoryCode.taxonomy_codes())
+
+
+def write_override(path, taxonomy, renames: dict[int, object]):
+    """An override file of the given table with some names (by number) replaced."""
+    rows = [
+        {
+            "code": c.code.value,
+            "name": renames.get(k, c.name),
+            "description": c.description,
+            "priority": c.priority,
+        }
+        for k, c in enumerate(taxonomy.categories, start=1)
+    ]
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    return path
 
 
 class TestBuiltinTaxonomy:
@@ -112,6 +130,40 @@ class TestLoadTaxonomy:
         with pytest.raises(TaxonomyError):
             load_taxonomy(path)
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\t\n", "\u00a0"])
+    def test_rejects_blank_name(self, tmp_path, taxonomy, blank):
+        # A blank CAT12 used to match between any two non-word characters:
+        # "no idea... really" parsed as CAT12.
+        path = write_override(tmp_path / "tax.json", taxonomy, {12: blank})
+        with pytest.raises(TaxonomyError, match="CAT12: blank"):
+            load_taxonomy(path)
+
+    def test_rejects_non_string_name(self, tmp_path, taxonomy):
+        path = write_override(tmp_path / "tax.json", taxonomy, {3: 42})
+        with pytest.raises(TaxonomyError, match="CAT3"):
+            load_taxonomy(path)
+
+    @pytest.mark.parametrize(
+        "clash", ["Social  Engineering", "social\nengineering", " SOCIAL ENGINEERING "]
+    )
+    def test_rejects_names_equal_up_to_case_and_whitespace(
+        self, tmp_path, taxonomy, clash
+    ):
+        # The parser matches "Social Engineering" and the clash on the same
+        # text, so the earlier one would silently win every time.
+        path = write_override(tmp_path / "tax.json", taxonomy, {12: clash})
+        with pytest.raises(TaxonomyError, match="unique"):
+            load_taxonomy(path)
+
+    def test_override_parses_with_its_own_names(self, tmp_path, taxonomy):
+        path = write_override(tmp_path / "tax.json", taxonomy, {2: "Ransomware"})
+        override = load_taxonomy(path)
+        # Each table matches only its own names.
+        assert parse_category("Malware, surely", taxonomy) is CategoryCode.CAT2
+        assert parse_category("Malware, surely", override) is CategoryCode.UNPARSED
+        assert parse_category("ransomware", override) is CategoryCode.CAT2
+        assert parse_category("ransomware", taxonomy) is CategoryCode.UNPARSED
+
 
 class TestParseContractLine:
     @pytest.mark.parametrize("code", CODES)
@@ -172,6 +224,23 @@ class TestParseFallbacks:
         for text in ("", "no category here", "CATASTROPHE", "cat food"):
             assert parse_category(text) is CategoryCode.UNPARSED
 
+    def test_equal_end_longer_name_wins(self):
+        names = [f"name {k}" for k in range(1, 13)]
+        names[1], names[7] = "Leak", "Data Leak"
+        assert parse_category("a data leak", renamed(names)) is CategoryCode.CAT8
+        names[1], names[7] = "Data Leak", "Leak"
+        assert parse_category("a data leak", renamed(names)) is CategoryCode.CAT2
+
+    def test_equal_end_and_length_lower_code_wins(self):
+        # Dotless i matches i under IGNORECASE but casefolds apart from it,
+        # so both names are valid and match the very same span.
+        names = [f"name {k}" for k in range(1, 13)]
+        names[4], names[8] = "File Leak", "F\u0131le Leak"
+        tx = renamed(names)
+        assert parse_category("a FILE leak", tx) is CategoryCode.CAT5
+        names[4], names[8] = names[8], names[4]
+        assert parse_category("a FILE leak", renamed(names)) is CategoryCode.CAT5
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=400))
@@ -189,3 +258,72 @@ def test_parse_contract_survives_noise_suffix(code, noise):
     # The appended line is the last contract match, so it must win.
     text = f"{noise}\nFINAL: {code.value}"
     assert parse_category(text) is code
+
+
+# Words for generated override names: prefixes of one another ("Malware" /
+# "Malware Attack"), repeats ("a a" inside "a a a", where finditer's
+# non-overlapping scan decides), and tokens that begin or end with
+# punctuation, so the lookarounds meet non-word edges.
+_NAME_WORDS = ["a", "b", "Malware", "Attack", "(DoS/DDoS)", ".Ünï"]
+_WHITESPACE = [" ", "  ", "\n", "\t ", " \n\t "]
+_NOISE = [
+    "CAT3", "cat11", "cat 5", "CAT13", "CAT0", "concat7", "FINAL: CAT4",
+    "final : [cat 12]", "FINAL: CAT99", "Malwarebytes", "aa", "...", "(", ")",
+]
+_CASES = [str, str.lower, str.upper, str.swapcase, str.title]
+
+
+def _normalized(name: str) -> str:
+    return " ".join(name.split()).casefold()
+
+
+@st.composite
+def _taxonomy_and_reply(draw):
+    names = draw(
+        st.lists(
+            st.lists(st.sampled_from(_NAME_WORDS), min_size=1, max_size=2).map(
+                " ".join
+            ),
+            min_size=12,
+            max_size=12,
+            unique_by=_normalized,
+        )
+    )
+    mention = st.builds(
+        lambda name, case, ws: case(ws.join(name.split())),
+        st.sampled_from(names),
+        st.sampled_from(_CASES),
+        st.sampled_from(_WHITESPACE),
+    )
+    repeat = st.builds(
+        lambda word, k, ws: ws.join([word] * k),
+        st.sampled_from(_NAME_WORDS),
+        st.integers(2, 4),
+        st.sampled_from(_WHITESPACE),
+    )
+    fragment = st.one_of(mention, mention, repeat, st.sampled_from(_NOISE))
+    separator = st.sampled_from(["", *_WHITESPACE, ", "])
+    parts = draw(st.lists(st.tuples(fragment, separator), max_size=8))
+    return names, "".join(f + sep for f, sep in parts)
+
+
+_FILLER_NAMES = [f"filler {k}" for k in range(3, 13)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_taxonomy_and_reply())
+# Non-overlapping scan: "a a" matches "a a a" once, ending before "a" does.
+@example((["a a", "a", *_FILLER_NAMES], "so: a A\na"))
+@example((["Malware", "Malware Attack", *_FILLER_NAMES], "malware  attack."))
+def test_parse_equals_oracle_on_override_names(case):
+    names, reply = case
+    assert parse_category(reply, renamed(names)).value == (
+        oracle_parse_category(reply, names)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=300))
+def test_parse_equals_oracle_on_arbitrary_text(text):
+    names = [c.name for c in builtin_taxonomy().categories]
+    assert parse_category(text).value == oracle_parse_category(text, names)

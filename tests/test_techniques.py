@@ -29,6 +29,8 @@ from triagebench.techniques import (
 )
 from triagebench.util import canonical_dumps
 
+from helpers import renamed
+
 MODEL = resolve_model("demo")
 INCIDENT = IncidentRecord(
     id="t-001",
@@ -110,6 +112,71 @@ class TestTemplates:
         files = dict(default_templates().files())
         files["zsl/round1.txt"] += " tweaked"
         assert TemplateSet(files).template_hash != default_templates().template_hash
+
+    def test_system_equals_uncached_render(self, taxonomy):
+        templates = default_templates()
+        files = templates.files()
+        override = renamed([f"Renamed {c.name}" for c in taxonomy.categories])
+        for tech in TechniqueId:
+            rendered = {}
+            for tx in (taxonomy, override):
+                want = files[f"{tech.value.lower()}/system.txt"].format(
+                    taxonomy=render_prompt_block(tx), contract=ANSWER_CONTRACT
+                ).rstrip("\n")
+                assert templates.system(tech, tx) == want, tech
+                assert templates.system(tech, tx) is templates.system(tech, tx)
+                rendered[tx] = want
+            assert rendered[taxonomy] != rendered[override], tech
+
+    def test_system_cache_keyed_by_taxonomy_value(self, taxonomy):
+        # Short-lived taxonomies may reuse one another's id(); each must
+        # still get a prompt with its own names.
+        templates = TemplateSet(default_templates().files())
+        for k in range(20):
+            tx = renamed([f"Variant{k} {c.name}" for c in taxonomy.categories])
+            text = templates.system(TechniqueId.ZSL, tx)
+            assert f"Variant{k} Malware" in text
+        equal = renamed([f"Variant3 {c.name}" for c in taxonomy.categories])
+        assert "Variant3 Malware" in templates.system(TechniqueId.ZSL, equal)
+
+    @pytest.mark.parametrize("numbers", [(1, 2), (1, 3), (2, 5), (1, 2, 3)])
+    def test_round_picks_highest_file_not_above_round(self, numbers):
+        files = dict(default_templates().files())
+        for name in [n for n in files if n.startswith("php/round")]:
+            del files[name]
+        for n in numbers:
+            files[f"php/round{n}.txt"] = f"wording {n} {{incident}}"
+        templates = TemplateSet(files)
+        for round_no in range(0, max(numbers) + 4):
+            eligible = [n for n in numbers if n <= round_no]
+            chosen = eligible[-1] if eligible else numbers[0]
+            assert templates.round(
+                TechniqueId.PHP, round_no, incident="x"
+            ) == f"wording {chosen} x", round_no
+
+    @pytest.mark.parametrize("tech", list(TechniqueId))
+    def test_missing_all_round_files_rejected(self, tech):
+        files = {
+            name: text
+            for name, text in default_templates().files().items()
+            if not name.startswith(f"{tech.value.lower()}/round")
+        }
+        with pytest.raises(TemplateError, match=f"no round templates for {tech.value}"):
+            TemplateSet(files)
+
+    def test_round_file_needs_canonical_number(self):
+        files = dict(default_templates().files())
+        files["zsl/round01.txt"] = files.pop("zsl/round1.txt")
+        with pytest.raises(TemplateError, match="ZSL"):
+            TemplateSet(files)
+
+    def test_later_edits_to_file_map_ignored(self):
+        files = dict(default_templates().files())
+        templates = TemplateSet(files)
+        before = templates.round(TechniqueId.ZSL, 1, incident="x")
+        files["zsl/round1.txt"] = "changed {incident}"
+        assert templates.round(TechniqueId.ZSL, 1, incident="x") == before
+        assert templates.files()["zsl/round1.txt"] != "changed {incident}"
 
 
 class TestZsl:
