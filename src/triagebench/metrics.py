@@ -19,9 +19,9 @@ import tempfile
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .backend import ModelGroup, ModelSpec, builtin_model_registry
+from .backend import ModelGroup
 from .runner import RunRecord
 from .taxonomy import CategoryCode
 
@@ -135,26 +135,6 @@ class MetricsReport:
         }
 
 
-def registry_group_mapping(
-    extra: Iterable[ModelSpec] = (),
-) -> dict[str, ModelGroup]:
-    mapping = {spec.name: spec.group for spec in builtin_model_registry()}
-    for spec in extra:
-        mapping[spec.name] = spec.group
-    return mapping
-
-
-def _resolve_group(
-    record: RunRecord, registry: Mapping[str, ModelGroup] | None
-) -> ModelGroup:
-    group = record.trace.model_group
-    if group is not None:
-        return group
-    if registry and record.trace.model in registry:
-        return registry[record.trace.model]
-    raise MetricsError(f"no group mapping for model {record.trace.model!r}")
-
-
 def _accuracy_cells(
     scope_type: str, grouped: dict[str, list[RunRecord]]
 ) -> tuple[AccuracyCell, ...]:
@@ -175,15 +155,11 @@ def _accuracy_cells(
     return tuple(cells)
 
 
-def compute_metrics(
-    records: Sequence[RunRecord],
-    registry: Mapping[str, ModelGroup] | None = None,
-) -> MetricsReport:
+def compute_metrics(records: Sequence[RunRecord]) -> MetricsReport:
     """Aggregate run records into the full metrics report.
 
     Pure function of its inputs; scopes with no records are simply absent,
-    never zero-filled. The registry argument is only consulted for records
-    whose trace does not already carry its model group.
+    never zero-filled.
     """
     if not records:
         raise MetricsError("no records to compute metrics from")
@@ -202,7 +178,7 @@ def compute_metrics(
     for record in records:
         technique = record.trace.technique.value
         model = record.trace.model
-        group = _resolve_group(record, registry).value
+        group = record.trace.model_group.value
         by_technique.setdefault(technique, []).append(record)
         by_model_technique.setdefault(f"{model}|{technique}", []).append(record)
         by_group_technique.setdefault(f"{group}|{technique}", []).append(record)

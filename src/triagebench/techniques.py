@@ -1,12 +1,15 @@
-"""The five prompt-engineering strategies as explicit multi-turn state machines.
+"""The five prompt-engineering techniques, run by one round loop in classify.
 
-ZSL asks once. PHP re-asks with all previous answers as hints until two
-consecutive answers agree. SHP first has the model extract its own indicator
-hints, then classifies from them. HTP proposes two candidate categories,
-tests both, then keeps the survivor. PRP asks the model to verify its
-previous answer until it confirms. Every engine produces a full
-ClassificationTrace: each turn's outgoing message delta, the completion, the
-parsed answer, and summed telemetry.
+The techniques differ only in how many rounds they run and which template
+fields each round gets. FIXED_ROUNDS gives ZSL 1 round, SHP 2 and HTP 3.
+PHP and PRP run up to max_rounds and stop early once the last two answers
+agree and are not UNPARSED. Round 1 gets only the incident. Later PHP rounds
+get all previous answers as hints, PRP rounds the last answer to verify,
+and SHP's round 2 gets the model's own round-1 reply as indicator hints;
+HTP's three rounds (propose two candidates, test both, keep the survivor)
+differ only in their wording. Every run produces a full ClassificationTrace:
+each turn's outgoing message delta, the completion, the parsed answer, and
+summed telemetry.
 
 The full conversation is resent each round (the chat endpoint is stateless)
 after passing through truncate_to_budget. Prompt text lives in external
@@ -64,8 +67,8 @@ class TechniqueId(str, Enum):
             raise ValueError(f"unknown technique {value!r}; valid: {valid}") from None
 
 
-# Fixed round structure: ZSL always 1 turn, SHP always 2, HTP always 3;
-# PHP and PRP iterate up to max_rounds.
+# Rounds per technique. PHP and PRP are absent: they run up to
+# TechniqueConfig.max_rounds and stop early once two answers agree.
 FIXED_ROUNDS = {TechniqueId.ZSL: 1, TechniqueId.SHP: 2, TechniqueId.HTP: 3}
 
 
@@ -83,8 +86,8 @@ class TemplateSet:
     Rounds past the highest numbered file reuse the last one (PHP and PRP
     send the same hint wording every extra round). The hash covers every
     file's path and content. Each technique's table of round files is built
-    once at construction, and each (technique, taxonomy) system prompt is
-    rendered once and then returned as the same string.
+    once at construction. Each system prompt is rendered once per technique
+    and taxonomy prompt block, then returned as the same string.
     """
 
     def __init__(self, files: dict[str, str]) -> None:
@@ -108,18 +111,22 @@ class TemplateSet:
                 raise TemplateError(f"no round templates for {tech.value}")
             indexes, texts = zip(*rounds)
             self._rounds[tech] = (indexes, texts)
-        self._systems: dict[tuple[TechniqueId, Taxonomy], str] = {}
+        self._systems: dict[tuple[TechniqueId, str], str] = {}
 
     def files(self) -> dict[str, str]:
         """Copy of the raw file map, e.g. for building modified sets."""
         return dict(self._files)
 
     def system(self, tech: TechniqueId, taxonomy: Taxonomy) -> str:
-        key = (tech, taxonomy)
+        # The prompt block is the taxonomy's only input to the prompt, and a
+        # cached string whose hash is cached too; hashing the Taxonomy would
+        # walk all its categories on every call.
+        block = render_prompt_block(taxonomy)
+        key = (tech, block)
         text = self._systems.get(key)
         if text is None:
             text = self._files[f"{tech.value.lower()}/system.txt"].format(
-                taxonomy=render_prompt_block(taxonomy), contract=ANSWER_CONTRACT
+                taxonomy=block, contract=ANSWER_CONTRACT
             ).rstrip("\n")
             self._systems[key] = text
         return text
@@ -172,14 +179,11 @@ def default_templates() -> TemplateSet:
 @dataclass(frozen=True)
 class TechniqueConfig:
     max_rounds: int = 3
-    convergence_window: int = 2
     templates: TemplateSet = field(default_factory=default_templates)
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.convergence_window != 2:
-            raise ValueError("convergence window is fixed at 2 consecutive answers")
 
 
 @dataclass(frozen=True)
@@ -284,133 +288,17 @@ class ClassificationError(Exception):
         self.partial_trace = partial_trace
 
 
-class _Session:
-    """One classification conversation: history, turns, telemetry."""
-
-    def __init__(
-        self,
-        incident: IncidentRecord,
-        technique: TechniqueId,
-        model: ModelSpec,
-        backend: Backend,
-        taxonomy: Taxonomy,
-        params: GenerationParams,
-        config: TechniqueConfig,
-    ) -> None:
-        self.incident = incident
-        self.technique = technique
-        self.model = model
-        self.backend = backend
-        self.taxonomy = taxonomy
-        self.params = params
-        self.config = config
-        self.system = ChatMessage(
-            Role.SYSTEM, config.templates.system(technique, taxonomy)
-        )
-        self.history: list[ChatMessage] = []
-        self.turns: list[TraceTurn] = []
-        self.parsed: list[CategoryCode] = []
-
-    def ask(self, round_no: int, **ctx: str) -> CategoryCode:
-        user = ChatMessage(
-            Role.USER,
-            self.config.templates.round(
-                self.technique, round_no, incident=self.incident.text, **ctx
-            ),
-        )
-        outgoing = truncate_to_budget(
-            [self.system, *self.history, user], self.params.input_token_budget
-        )
-        completion = self.backend.complete(self.model, outgoing, self.params)
-        parsed = parse_category(completion.text, self.taxonomy)
-        delta = outgoing if not self.history else outgoing[-1:]
-        self.turns.append(
-            TraceTurn(sent=tuple(delta), completion=completion, parsed=parsed)
-        )
-        self.parsed.append(parsed)
-        self.history.extend([outgoing[-1], ChatMessage(Role.ASSISTANT, completion.text)])
-        return parsed
-
-    def last_reply(self) -> str:
-        return self.turns[-1].completion.text
-
-    def converged_pair(self) -> bool:
-        return (
-            len(self.parsed) >= 2
-            and self.parsed[-1] == self.parsed[-2]
-            and self.parsed[-1] is not CategoryCode.UNPARSED
-        )
-
-    def build_trace(self, final: CategoryCode, converged: bool) -> ClassificationTrace:
-        totals = TraceTotals(
-            total_latency_ms=sum(
-                t.completion.telemetry.latency_ms for t in self.turns
-            ),
-            total_response_chars=sum(
-                t.completion.telemetry.response_chars for t in self.turns
-            ),
-        )
-        return ClassificationTrace(
-            incident_id=self.incident.id,
-            model=self.model.name,
-            model_group=self.model.group,
-            technique=self.technique,
-            turns=tuple(self.turns),
-            final=final,
-            rounds_used=len(self.turns),
-            converged=converged,
-            telemetry_totals=totals,
-            template_hash=self.config.templates.template_hash,
-        )
-
-
-def _answers_listing(parsed: list[CategoryCode]) -> str:
-    return ", ".join(p.value for p in parsed)
-
-
-def run_zsl(s: _Session) -> tuple[CategoryCode, bool]:
-    final = s.ask(1)
-    return final, True
-
-
-def run_php(s: _Session) -> tuple[CategoryCode, bool]:
-    s.ask(1)
-    for r in range(2, s.config.max_rounds + 1):
-        if s.converged_pair():
-            break
-        s.ask(r, previous_answers=_answers_listing(s.parsed))
-    return s.parsed[-1], s.converged_pair()
-
-
-def run_shp(s: _Session) -> tuple[CategoryCode, bool]:
-    s.ask(1)
-    final = s.ask(2, hints=s.last_reply())
-    return final, True
-
-
-def run_htp(s: _Session) -> tuple[CategoryCode, bool]:
-    s.ask(1)
-    s.ask(2)
-    final = s.ask(3)
-    return final, True
-
-
-def run_prp(s: _Session) -> tuple[CategoryCode, bool]:
-    s.ask(1)
-    for r in range(2, s.config.max_rounds + 1):
-        if s.converged_pair():
-            break
-        s.ask(r, previous_answers=s.parsed[-1].value)
-    return s.parsed[-1], s.converged_pair()
-
-
-_ENGINES = {
-    TechniqueId.ZSL: run_zsl,
-    TechniqueId.PHP: run_php,
-    TechniqueId.SHP: run_shp,
-    TechniqueId.HTP: run_htp,
-    TechniqueId.PRP: run_prp,
-}
+def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> dict[str, str]:
+    """Template fields for the next round, from the turns so far."""
+    if not turns:
+        return {}
+    if technique is TechniqueId.PHP:
+        return {"previous_answers": ", ".join(t.parsed.value for t in turns)}
+    if technique is TechniqueId.PRP:
+        return {"previous_answers": turns[-1].parsed.value}
+    if technique is TechniqueId.SHP:
+        return {"hints": turns[-1].completion.text}
+    return {}
 
 
 def classify(
@@ -427,10 +315,62 @@ def classify(
     Deterministic given a scripted backend. Backend failures raise
     ClassificationError with the partial trace attached.
     """
-    session = _Session(incident, technique, model, backend, taxonomy, params, config)
+    templates = config.templates
+    system = ChatMessage(Role.SYSTEM, templates.system(technique, taxonomy))
+    iterative = technique not in FIXED_ROUNDS
+    rounds = FIXED_ROUNDS.get(technique, config.max_rounds)
+    history: list[ChatMessage] = []
+    turns: list[TraceTurn] = []
+    agreed = False
+
+    def trace(final: CategoryCode, converged: bool) -> ClassificationTrace:
+        return ClassificationTrace(
+            incident_id=incident.id,
+            model=model.name,
+            model_group=model.group,
+            technique=technique,
+            turns=tuple(turns),
+            final=final,
+            rounds_used=len(turns),
+            converged=converged,
+            telemetry_totals=TraceTotals(
+                total_latency_ms=sum(t.completion.telemetry.latency_ms for t in turns),
+                total_response_chars=sum(
+                    t.completion.telemetry.response_chars for t in turns
+                ),
+            ),
+            template_hash=templates.template_hash,
+        )
+
     try:
-        final, converged = _ENGINES[technique](session)
+        for round_no in range(1, rounds + 1):
+            if iterative and agreed:
+                break
+            user = ChatMessage(
+                Role.USER,
+                templates.round(
+                    technique,
+                    round_no,
+                    incident=incident.text,
+                    **_round_fields(technique, turns),
+                ),
+            )
+            outgoing = truncate_to_budget(
+                [system, *history, user], params.input_token_budget
+            )
+            completion = backend.complete(model, outgoing, params)
+            parsed = parse_category(completion.text, taxonomy)
+            # A turn records what it added to the transcript: all of it in
+            # round 1, then only the new user message.
+            sent = tuple(outgoing if not history else outgoing[-1:])
+            turns.append(TraceTurn(sent=sent, completion=completion, parsed=parsed))
+            history += (outgoing[-1], ChatMessage(Role.ASSISTANT, completion.text))
+            agreed = (
+                len(turns) >= 2
+                and parsed == turns[-2].parsed
+                and parsed is not CategoryCode.UNPARSED
+            )
     except BackendError as exc:
-        partial = session.build_trace(CategoryCode.UNPARSED, converged=False)
+        partial = trace(CategoryCode.UNPARSED, converged=False)
         raise ClassificationError(str(exc), partial_trace=partial) from exc
-    return session.build_trace(final, converged)
+    return trace(turns[-1].parsed, converged=agreed or not iterative)

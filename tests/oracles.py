@@ -1,11 +1,14 @@
-"""Independent brute-force references: every metric from a run file, and
-the reply parser.
+"""Independent references: every metric from a run file, the reply parser,
+and classify.
 
-Deliberately shares no code with the package: plain loops over the raw JSON
-lines, Decimal for the percentage and fsum for the means (the documented
-output contracts). Used to cross-check compute_metrics exactly. The parser
-reference is the straightforward cascade that compiles one pattern per
-category name on every call.
+The metric reference deliberately shares no code with the package: plain
+loops over the raw JSON lines, Decimal for the percentage and fsum for the
+means (the documented output contracts). Used to cross-check
+compute_metrics exactly. The parser reference is the straightforward
+cascade that compiles one pattern per category name on every call. The
+classify reference is the engine code it replaced: a session object and one
+function per technique, over the package's own data types, templates,
+truncation and parser.
 """
 from __future__ import annotations
 
@@ -14,6 +17,26 @@ import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+
+from triagebench.backend import (
+    Backend,
+    BackendError,
+    ChatMessage,
+    GenerationParams,
+    ModelSpec,
+    Role,
+    truncate_to_budget,
+)
+from triagebench.corpus import IncidentRecord
+from triagebench.taxonomy import CategoryCode, Taxonomy, parse_category
+from triagebench.techniques import (
+    ClassificationError,
+    ClassificationTrace,
+    TechniqueConfig,
+    TechniqueId,
+    TraceTotals,
+    TraceTurn,
+)
 
 TAXONOMY_CODES = [f"CAT{k}" for k in range(1, 13)]
 
@@ -184,3 +207,155 @@ def oracle_parse_category(reply: str, names: list[str]) -> str:
         return best[2]
 
     return "UNPARSED"
+
+
+# The technique engines in their earlier form, kept unchanged as the
+# reference for classify's single round loop.
+
+
+class _Session:
+    """One classification conversation: history, turns, telemetry."""
+
+    def __init__(
+        self,
+        incident: IncidentRecord,
+        technique: TechniqueId,
+        model: ModelSpec,
+        backend: Backend,
+        taxonomy: Taxonomy,
+        params: GenerationParams,
+        config: TechniqueConfig,
+    ) -> None:
+        self.incident = incident
+        self.technique = technique
+        self.model = model
+        self.backend = backend
+        self.taxonomy = taxonomy
+        self.params = params
+        self.config = config
+        self.system = ChatMessage(
+            Role.SYSTEM, config.templates.system(technique, taxonomy)
+        )
+        self.history: list[ChatMessage] = []
+        self.turns: list[TraceTurn] = []
+        self.parsed: list[CategoryCode] = []
+
+    def ask(self, round_no: int, **ctx: str) -> CategoryCode:
+        user = ChatMessage(
+            Role.USER,
+            self.config.templates.round(
+                self.technique, round_no, incident=self.incident.text, **ctx
+            ),
+        )
+        outgoing = truncate_to_budget(
+            [self.system, *self.history, user], self.params.input_token_budget
+        )
+        completion = self.backend.complete(self.model, outgoing, self.params)
+        parsed = parse_category(completion.text, self.taxonomy)
+        delta = outgoing if not self.history else outgoing[-1:]
+        self.turns.append(
+            TraceTurn(sent=tuple(delta), completion=completion, parsed=parsed)
+        )
+        self.parsed.append(parsed)
+        self.history.extend([outgoing[-1], ChatMessage(Role.ASSISTANT, completion.text)])
+        return parsed
+
+    def last_reply(self) -> str:
+        return self.turns[-1].completion.text
+
+    def converged_pair(self) -> bool:
+        return (
+            len(self.parsed) >= 2
+            and self.parsed[-1] == self.parsed[-2]
+            and self.parsed[-1] is not CategoryCode.UNPARSED
+        )
+
+    def build_trace(self, final: CategoryCode, converged: bool) -> ClassificationTrace:
+        totals = TraceTotals(
+            total_latency_ms=sum(
+                t.completion.telemetry.latency_ms for t in self.turns
+            ),
+            total_response_chars=sum(
+                t.completion.telemetry.response_chars for t in self.turns
+            ),
+        )
+        return ClassificationTrace(
+            incident_id=self.incident.id,
+            model=self.model.name,
+            model_group=self.model.group,
+            technique=self.technique,
+            turns=tuple(self.turns),
+            final=final,
+            rounds_used=len(self.turns),
+            converged=converged,
+            telemetry_totals=totals,
+            template_hash=self.config.templates.template_hash,
+        )
+
+
+def _answers_listing(parsed: list[CategoryCode]) -> str:
+    return ", ".join(p.value for p in parsed)
+
+
+def run_zsl(s: _Session) -> tuple[CategoryCode, bool]:
+    final = s.ask(1)
+    return final, True
+
+
+def run_php(s: _Session) -> tuple[CategoryCode, bool]:
+    s.ask(1)
+    for r in range(2, s.config.max_rounds + 1):
+        if s.converged_pair():
+            break
+        s.ask(r, previous_answers=_answers_listing(s.parsed))
+    return s.parsed[-1], s.converged_pair()
+
+
+def run_shp(s: _Session) -> tuple[CategoryCode, bool]:
+    s.ask(1)
+    final = s.ask(2, hints=s.last_reply())
+    return final, True
+
+
+def run_htp(s: _Session) -> tuple[CategoryCode, bool]:
+    s.ask(1)
+    s.ask(2)
+    final = s.ask(3)
+    return final, True
+
+
+def run_prp(s: _Session) -> tuple[CategoryCode, bool]:
+    s.ask(1)
+    for r in range(2, s.config.max_rounds + 1):
+        if s.converged_pair():
+            break
+        s.ask(r, previous_answers=s.parsed[-1].value)
+    return s.parsed[-1], s.converged_pair()
+
+
+_ENGINES = {
+    TechniqueId.ZSL: run_zsl,
+    TechniqueId.PHP: run_php,
+    TechniqueId.SHP: run_shp,
+    TechniqueId.HTP: run_htp,
+    TechniqueId.PRP: run_prp,
+}
+
+
+def oracle_classify(
+    incident: IncidentRecord,
+    technique: TechniqueId,
+    model: ModelSpec,
+    backend: Backend,
+    taxonomy: Taxonomy,
+    params: GenerationParams,
+    config: TechniqueConfig,
+) -> ClassificationTrace:
+    """classify as one engine function per technique over a _Session."""
+    session = _Session(incident, technique, model, backend, taxonomy, params, config)
+    try:
+        final, converged = _ENGINES[technique](session)
+    except BackendError as exc:
+        partial = session.build_trace(CategoryCode.UNPARSED, converged=False)
+        raise ClassificationError(str(exc), partial_trace=partial) from exc
+    return session.build_trace(final, converged)

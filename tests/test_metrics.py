@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import random
 
@@ -12,7 +11,6 @@ from triagebench.metrics import (
     compare_to_reference,
     compute_metrics,
     mean,
-    registry_group_mapping,
     render_comparison_markdown,
     render_csv,
     render_markdown,
@@ -133,25 +131,6 @@ class TestAggregation:
         report = compute_metrics(single_scope_records(3, 4))
         assert [c.scope_key for c in report.by_technique] == ["PHP"]
         assert [c.scope_key for c in report.by_model] == ["m-pin"]
-
-    def test_registry_fallback_for_groupless_trace(self):
-        record = make_record(model="Qwen3 8B")
-        record = dataclasses.replace(
-            record, trace=dataclasses.replace(record.trace, model_group=None)
-        )
-        report = compute_metrics([record], registry=registry_group_mapping())
-        assert report.by_group_technique[0].scope_key == "G2|ZSL"
-        with pytest.raises(MetricsError, match="never-heard-of-it"):
-            compute_metrics(
-                [
-                    dataclasses.replace(
-                        record,
-                        trace=dataclasses.replace(
-                            record.trace, model="never-heard-of-it", model_group=None
-                        ),
-                    )
-                ]
-            )
 
 
 class TestReferenceComparison:

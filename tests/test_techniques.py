@@ -1,11 +1,17 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triagebench.backend import (
     BackendUnavailableError,
     ChatMessage,
+    Completion,
     GenerationParams,
     Role,
     ScriptedBackend,
+    Telemetry,
     estimate_tokens,
     resolve_model,
 )
@@ -13,6 +19,7 @@ from triagebench.corpus import IncidentRecord
 from triagebench.taxonomy import (
     ANSWER_CONTRACT,
     CategoryCode,
+    Taxonomy,
     builtin_taxonomy,
     render_prompt_block,
 )
@@ -30,6 +37,7 @@ from triagebench.techniques import (
 from triagebench.util import canonical_dumps
 
 from helpers import renamed
+from oracles import oracle_classify
 
 MODEL = resolve_model("demo")
 INCIDENT = IncidentRecord(
@@ -138,6 +146,17 @@ class TestTemplates:
             assert f"Variant{k} Malware" in text
         equal = renamed([f"Variant3 {c.name}" for c in taxonomy.categories])
         assert "Variant3 Malware" in templates.system(TechniqueId.ZSL, equal)
+        # Priorities are not in the prompt, so they do not split the cache.
+        reprioritized = Taxonomy(
+            tuple(
+                dataclasses.replace(c, priority=c.priority % 5 + 1)
+                for c in taxonomy.categories
+            )
+        )
+        assert reprioritized != taxonomy
+        assert templates.system(TechniqueId.ZSL, reprioritized) is templates.system(
+            TechniqueId.ZSL, taxonomy
+        )
 
     @pytest.mark.parametrize("numbers", [(1, 2), (1, 3), (2, 5), (1, 2, 3)])
     def test_round_picks_highest_file_not_above_round(self, numbers):
@@ -407,6 +426,14 @@ class TestTraces:
         trace, _ = run(TechniqueId.ZSL, ["FINAL: CAT2"])
         assert trace.model_group.value == "G2"
 
+    def test_model_group_required_on_load(self):
+        d = run(TechniqueId.ZSL, ["FINAL: CAT2"])[0].to_dict()
+        with pytest.raises(ValueError):
+            ClassificationTrace.from_dict({**d, "model_group": None})
+        del d["model_group"]
+        with pytest.raises(KeyError):
+            ClassificationTrace.from_dict(d)
+
     def test_serialization_round_trip(self):
         trace, _ = run(TechniqueId.PHP, ["FINAL: CAT1", "FINAL: CAT1"])
         rebuilt = ClassificationTrace.from_dict(trace.to_dict())
@@ -445,3 +472,74 @@ class TestClassificationError:
             )
         assert err.value.partial_trace.rounds_used == 0
         assert err.value.partial_trace.final is CategoryCode.UNPARSED
+
+
+class _FailingBackend:
+    """Replies from a list and raises at call fail_at (1-based, or never);
+    records every outgoing message list."""
+
+    def __init__(self, replies, fail_at):
+        self.replies = replies
+        self.fail_at = fail_at
+        self.calls = []
+
+    def complete(self, model, messages, params):
+        self.calls.append(tuple(messages))
+        if len(self.calls) == self.fail_at:
+            raise BackendUnavailableError(f"down at call {self.fail_at}")
+        reply = self.replies[len(self.calls) - 1]
+        return Completion(
+            text=reply,
+            telemetry=Telemetry(
+                latency_ms=float(len(self.calls)), response_chars=len(reply)
+            ),
+        )
+
+
+# Few codes, so consecutive answers often repeat.
+_CODE = st.sampled_from(["CAT2", "CAT5", "CAT12"])
+_REPLY = st.one_of(
+    _CODE.map(lambda c: f"Reasoning.\nFINAL: {c}"),
+    _CODE.map(lambda c: f"probably {c}"),
+    st.sampled_from([c.name for c in builtin_taxonomy().categories]).map(
+        lambda name: f"Looks like {name} to me."
+    ),
+    st.sampled_from(["", "I cannot tell.", "FINAL: CAT99"]),
+)
+
+
+@pytest.mark.parametrize("max_rounds", range(1, 6))
+@pytest.mark.parametrize("technique", list(TechniqueId))
+@settings(max_examples=40, deadline=None)
+@given(
+    replies=st.lists(_REPLY, min_size=5, max_size=5),
+    fail_at=st.none() | st.integers(1, 5),
+    slack=st.sampled_from([None, 60, 25]),
+)
+def test_classify_matches_engine_oracle(technique, max_rounds, replies, fail_at, slack):
+    system = ChatMessage(
+        Role.SYSTEM, default_templates().system(technique, builtin_taxonomy())
+    )
+    # 60 tokens past the system prompt drops history on later rounds; 25
+    # also cuts the newest user message.
+    budget = 8192 if slack is None else estimate_tokens([system]) + slack
+    outcomes = []
+    for fn in (classify, oracle_classify):
+        backend = _FailingBackend(replies, fail_at)
+        try:
+            trace = fn(
+                INCIDENT,
+                technique,
+                MODEL,
+                backend,
+                builtin_taxonomy(),
+                GenerationParams(input_token_budget=budget),
+                TechniqueConfig(max_rounds=max_rounds),
+            )
+            outcome = ("trace", trace.to_dict())
+        except ClassificationError as err:
+            outcome = ("error", str(err), err.partial_trace.to_dict())
+        outcomes.append((outcome, backend.calls))
+    (got, got_calls), (want, want_calls) = outcomes
+    assert got == want
+    assert got_calls == want_calls
