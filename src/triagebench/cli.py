@@ -329,9 +329,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.run_file)
-    if not path.exists():
-        raise CliError(f"run file not found: {path}")
-    records = load_run_records(path)
+    try:
+        records = load_run_records(path)
+    except RunError as exc:
+        raise CliError(str(exc))
     if not records:
         raise CliError(f"run file {path} has no records", code=EXIT_FAILURE)
 

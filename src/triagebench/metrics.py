@@ -188,7 +188,7 @@ def compute_metrics(records: Sequence[RunRecord]) -> MetricsReport:
     efficiency = []
     for key in sorted(by_model_technique):
         recs = by_model_technique[key]
-        model, technique = key.split("|", 1)
+        model, technique = key.rsplit("|", 1)
         efficiency.append(
             EfficiencyCell(
                 model=model,
@@ -363,7 +363,7 @@ def render_markdown(
     lines.append("| Model | Technique | n | Correct | Accuracy % | Unparsed % |")
     lines.append("| --- | --- | --- | --- | --- | --- |")
     for cell in report.by_model_technique:
-        model, technique = cell.scope_key.split("|", 1)
+        model, technique = cell.scope_key.rsplit("|", 1)
         lines.append(
             f"| {model} | {technique} | {cell.n_total} | {cell.n_correct} "
             f"| {cell.accuracy_percent:.1f} | {cell.unparsed_percent:.1f} |"
@@ -376,7 +376,7 @@ def render_markdown(
         lines.append("| Group | Technique | n | Correct | Accuracy % |")
         lines.append("| --- | --- | --- | --- | --- |")
         for cell in report.by_group_technique:
-            group, technique = cell.scope_key.split("|", 1)
+            group, technique = cell.scope_key.rsplit("|", 1)
             lines.append(
                 f"| {group} | {technique} | {cell.n_total} | {cell.n_correct} "
                 f"| {cell.accuracy_percent:.1f} |"

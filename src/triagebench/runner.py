@@ -3,8 +3,9 @@
 Tasks are ordered incident-outer, technique-middle, model-inner so a partial
 run covers every technique early. Records are appended to the run file as
 each task completes; one writer (the calling thread) owns the file, workers
-only compute. A crash mid-write leaves at most one torn trailing line, which
-resume_scan ignores.
+only compute. A crash mid-write leaves at most one torn trailing line.
+resume_scan and load_run_records share one line reader, so every task that
+resume skips is one that load_run_records returns or refuses by line.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from json import JSONDecodeError, loads
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 from .backend import Backend, GenerationParams, ModelSpec
 from .corpus import Corpus
@@ -107,70 +108,65 @@ def grade(trace: ClassificationTrace, truth: CategoryCode) -> RunRecord:
     return RunRecord(trace=trace, ground_truth=truth, correct=trace.final == truth)
 
 
-def _record_key(d: dict) -> TaskKey:
-    trace = d["trace"]
-    return (trace["model"], trace["technique"], trace["incident_id"])
+def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
+    """(line number, task key, decoded line) for each line whose key decodes.
 
-
-def resume_scan(output_path: str | Path) -> set[TaskKey]:
-    """Keys of well-formed records already in the run file.
-
-    A malformed trailing line is the expected artifact of a killed run and
-    is skipped with a warning, as are duplicates (later line wins).
+    Other lines are skipped with a warning (on the last line, the torn
+    artifact of a killed run). A repeated key is yielded again, with a
+    warning; callers keep the later line.
     """
-    path = Path(output_path)
-    if not path.exists():
-        return set()
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RunError(f"cannot read run file {path}: {exc}") from exc
 
-    keys: set[TaskKey] = set()
+    seen: set[TaskKey] = set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             d = loads(line)
-            key = _record_key(d)
+            trace = d["trace"]
+            key = (trace["model"], trace["technique"], trace["incident_id"])
+            duplicate = key in seen  # TypeError if a key part is unhashable
         except (JSONDecodeError, KeyError, TypeError):
-            if lineno == len(lines):
-                logger.warning(
-                    "%s:%d: ignoring torn trailing line (crash artifact)",
-                    path.name, lineno,
-                )
-                continue
-            logger.warning("%s:%d: skipping malformed record line", path.name, lineno)
+            logger.warning(
+                "%s:%d: %s", path.name, lineno,
+                "ignoring torn trailing line (crash artifact)"
+                if lineno == len(lines) else "skipping malformed record line",
+            )
             continue
-        if key in keys:
+        if duplicate:
             logger.warning(
                 "%s:%d: duplicate record for %s; later line wins", path.name, lineno, key
             )
-        keys.add(key)
-    return keys
+        seen.add(key)
+        yield lineno, key, d
+
+
+def resume_scan(output_path: str | Path) -> set[TaskKey]:
+    """Keys of the records already in the run file; empty if there is none."""
+    path = Path(output_path)
+    if not path.exists():
+        return set()
+    return {key for _, key, _ in _read_run_file(path)}
 
 
 def load_run_records(path: str | Path) -> list[RunRecord]:
-    """Read back a run file, resolving duplicate keys to the latest line."""
+    """Read back a run file, resolving duplicate keys to the latest line.
+
+    A line whose key decodes but whose record does not raises RunError:
+    resume would skip that task, so dropping it would lose it for good.
+    """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
     by_key: dict[TaskKey, RunRecord] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, key, d in _read_run_file(path):
         try:
-            d = loads(line)
-            record = RunRecord.from_dict(d)
-        except (JSONDecodeError, KeyError, TypeError, ValueError):
-            if lineno == len(lines):
-                logger.warning(
-                    "%s:%d: ignoring torn trailing line (crash artifact)",
-                    path.name, lineno,
-                )
-                continue
-            logger.warning("%s:%d: skipping malformed record line", path.name, lineno)
-            continue
-        by_key[record.key] = record
+            by_key[key] = RunRecord.from_dict(d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RunError(
+                f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}"
+            ) from exc
     return list(by_key.values())
 
 

@@ -88,6 +88,15 @@ class Taxonomy:
             raise TaxonomyError(
                 "category names must be unique ignoring case and whitespace"
             )
+        # Some letters match under IGNORECASE yet casefold apart (i and
+        # dotless ı), so compare what the parser compares: its patterns.
+        for (pattern, _), named in zip(self._name_scan[1], self.categories):
+            for other in self.categories:
+                if other is not named and pattern.fullmatch(" ".join(other.name.split())):
+                    raise TaxonomyError(
+                        f"{named.code.value} and {other.code.value}: the parser "
+                        f"cannot tell {named.name!r} from {other.name!r}"
+                    )
 
     def by_code(self, code: CategoryCode) -> Category:
         if code is CategoryCode.UNPARSED:
@@ -182,7 +191,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
     Each object needs code, name, description and priority; the result must
     satisfy the same invariants as the builtin table (12 codes in order,
-    unique names, priorities 1..5).
+    names the parser can tell apart, priorities 1..5).
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):

@@ -25,6 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .backend import (
     Backend,
@@ -47,6 +48,9 @@ from .taxonomy import (
     render_prompt_block,
 )
 from .util import sha256_hex
+
+if TYPE_CHECKING:
+    from importlib.abc import Traversable
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -148,32 +152,27 @@ class TemplateSet:
         ).rstrip("\n")
 
 
-def load_templates(directory: str | Path) -> TemplateSet:
-    directory = Path(directory)
+def load_templates(directory: str | Path | Traversable) -> TemplateSet:
+    """The set under directory/<technique>/, a path or package resource."""
+    if isinstance(directory, str):
+        directory = Path(directory)
     files: dict[str, str] = {}
     for tech in TechniqueId:
         sub = directory / tech.value.lower()
         if not sub.is_dir():
             raise TemplateError(f"missing template directory {sub}")
-        for p in sorted(sub.iterdir()):
-            if p.suffix == ".txt":
-                files[f"{tech.value.lower()}/{p.name}"] = p.read_text(encoding="utf-8")
-    return TemplateSet(files)
-
-
-@lru_cache(maxsize=1)
-def default_templates() -> TemplateSet:
-    """The template set shipped as package data."""
-    root = resources.files(__package__) / "templates"
-    files: dict[str, str] = {}
-    for tech in TechniqueId:
-        sub = root / tech.value.lower()
         for entry in sub.iterdir():
             if entry.name.endswith(".txt"):
                 files[f"{tech.value.lower()}/{entry.name}"] = entry.read_text(
                     encoding="utf-8"
                 )
     return TemplateSet(files)
+
+
+@lru_cache(maxsize=1)
+def default_templates() -> TemplateSet:
+    """The template set shipped as package data."""
+    return load_templates(resources.files(__package__) / "templates")
 
 
 @dataclass(frozen=True)

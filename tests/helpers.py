@@ -1,6 +1,7 @@
 """Shared builders for tests: synthetic traces, records and run files."""
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -111,4 +112,15 @@ def write_run_file(path: Path, records) -> Path:
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(canonical_dumps(record.to_dict()) + "\n")
+    return path
+
+
+def corrupt_lines_2_and_3(path: Path) -> Path:
+    """Rewrite a run file of 3+ records so that lines 2 and 3 keep their task
+    key but no longer decode as records: line 2's final is CAT99, line 3's
+    first sent message has role "bogus"."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rows[1]["trace"]["final"] = "CAT99"
+    rows[2]["trace"]["turns"][0]["sent"][0]["role"] = "bogus"
+    path.write_text("".join(canonical_dumps(d) + "\n" for d in rows), encoding="utf-8")
     return path

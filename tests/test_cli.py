@@ -16,6 +16,8 @@ from triagebench.corpus import load_corpus
 from triagebench.demo import diff_against_golden, run_demo
 from triagebench.runner import load_run_records
 
+from helpers import corrupt_lines_2_and_3
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -363,6 +365,31 @@ class TestReport:
             ["report", str(tmp_path / "none.jsonl"), "--out-dir", str(tmp_path)]
         )
         assert rc == EXIT_USAGE
+        assert "cannot read run file" in capsys.readouterr().err
+
+    def test_keyed_invalid_record_exit_two_naming_line(
+        self, scripted_run_file, tmp_path, capsys
+    ):
+        corrupt_lines_2_and_3(scripted_run_file)
+        rc = cli.main(
+            ["report", str(scripted_run_file), "--out-dir", str(tmp_path / "r")]
+        )
+        assert rc == EXIT_USAGE
+        assert f"{scripted_run_file}:2: invalid record" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_run_file_exit_two_one_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe not text\n")
+        rc = cli.main(["report", str(path), "--out-dir", str(tmp_path / "r")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read run file {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_empty_run_file_exit_one(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

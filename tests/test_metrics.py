@@ -127,6 +127,17 @@ class TestAggregation:
             1 for r in records if r.trace.final is CategoryCode.UNPARSED
         )
 
+    def test_model_name_with_pipe(self):
+        # Technique ids never contain "|", so the last one splits the key.
+        records = [
+            make_record(model="ns|m", technique=TechniqueId.ZSL, incident_id=f"i{k}")
+            for k in range(2)
+        ]
+        report = compute_metrics(records)
+        assert [(c.model, c.technique) for c in report.efficiency] == [("ns|m", "ZSL")]
+        assert [c.scope_key for c in report.by_model_technique] == ["ns|m|ZSL"]
+        assert "| ns|m | ZSL | 2 | 2 |" in render_markdown(report)
+
     def test_empty_scopes_absent_not_zero(self):
         report = compute_metrics(single_scope_records(3, 4))
         assert [c.scope_key for c in report.by_technique] == ["PHP"]

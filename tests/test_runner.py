@@ -1,6 +1,10 @@
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triagebench.backend import (
     BackendUnavailableError,
@@ -21,8 +25,9 @@ from triagebench.runner import (
 )
 from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import TechniqueConfig, TechniqueId
+from triagebench.util import canonical_dumps
 
-from helpers import make_trace
+from helpers import CODES, corrupt_lines_2_and_3, make_record, make_trace
 
 CORPUS = Corpus(
     records=tuple(
@@ -209,36 +214,28 @@ class TestResume:
             fh.write('{"half": ')
         assert len(resume_scan(plan.output_path)) == 3
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="resume_scan only decodes the key; load_run_records drops a "
-        "line whose record does not decode (two readers, see ROADMAP item 4)",
-    )
-    def test_resume_scan_agrees_with_load_run_records(self, tmp_path):
-        import json
-
-        from triagebench.util import canonical_dumps
-
+    def test_keyed_invalid_record_refused_naming_its_line(self, tmp_path):
         plan = plan_for(tmp_path)
         execute(plan, ConstantBackend())
-        lines = plan.output_path.read_text(encoding="utf-8").splitlines()
-        rows = [json.loads(line) for line in lines]
-        rows[1]["trace"]["final"] = "CAT99"
-        rows[2]["trace"]["turns"][0]["sent"][0]["role"] = "bogus"
-        plan.output_path.write_text(
-            "".join(canonical_dumps(d) + "\n" for d in rows), encoding="utf-8"
-        )
-        # A task skipped on resume must be one the report can count.
-        assert resume_scan(plan.output_path) == {
-            r.key for r in load_run_records(plan.output_path)
-        }
+        corrupt_lines_2_and_3(plan.output_path)
+        # Resume skips all three tasks, so the report must not drop two.
+        assert len(resume_scan(plan.output_path)) == 3
+        with pytest.raises(RunError, match=r"run\.jsonl:2: invalid record: ValueError"):
+            load_run_records(plan.output_path)
+
+    @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+    def test_resume_on_unreadable_run_file_raises_run_error(self, tmp_path, kind):
+        plan = plan_for(tmp_path)
+        if kind == "directory":
+            plan.output_path.mkdir()
+        else:
+            plan.output_path.write_bytes(b'{"trace": "\xff"}\n')
+        with pytest.raises(RunError, match="cannot read run file"):
+            execute(plan, ConstantBackend(), resume=True)
 
 
 class TestLoadRunRecords:
     def test_duplicate_key_later_line_wins(self, tmp_path):
-        from triagebench.util import canonical_dumps
-        from helpers import make_record
-
         early = make_record(truth=CategoryCode.CAT1, final=CategoryCode.CAT2,
                             incident_id="dup", model="m", technique=TechniqueId.ZSL)
         late = make_record(truth=CategoryCode.CAT1, final=CategoryCode.CAT1,
@@ -252,6 +249,100 @@ class TestLoadRunRecords:
         records = load_run_records(path)
         assert len(records) == 1
         assert records[0].correct is True
+
+    def test_missing_file_raises_run_error(self, tmp_path):
+        with pytest.raises(RunError, match="cannot read run file"):
+            load_run_records(tmp_path / "nope.jsonl")
+
+
+_KEYS = [
+    (model, technique, incident)
+    for model in ("m-a", "m-b")
+    for technique in (TechniqueId.ZSL, TechniqueId.PHP)
+    for incident in ("i1", "i2")
+]
+# Lines without a task key: both readers skip them.
+_UNKEYED = [
+    "not json", "{", "[1, 2]", "null", '"text"', "7", '{"trace": 5}',
+    '{"trace": {"model": "m-a", "technique": "ZSL"}}',
+    '{"trace": {"model": ["m-a"], "technique": "ZSL", "incident_id": "i1"}}',
+]
+
+
+def _break_final(d):
+    d["trace"]["final"] = "CAT99"
+
+
+def _break_group(d):
+    d["trace"]["model_group"] = "G9"
+
+
+def _break_truth(d):
+    del d["ground_truth"]
+
+
+def _break_totals(d):
+    d["trace"]["telemetry_totals"] = []
+
+
+def _break_turns(d):
+    d["trace"]["turns"] = [{"sent": [{"role": "bogus", "content": "x"}]}]
+
+
+# Edits that keep the task key but stop the line decoding as a record.
+_BREAKS = [_break_final, _break_group, _break_truth, _break_totals, _break_turns]
+
+_line = st.one_of(
+    st.tuples(st.just("record"), st.sampled_from(_KEYS), st.sampled_from(CODES)),
+    st.tuples(st.just("blank"), st.sampled_from(["", "  ", "\t"])),
+    st.tuples(st.just("unkeyed"), st.sampled_from(_UNKEYED)),
+    st.tuples(st.just("invalid"), st.sampled_from(_KEYS), st.sampled_from(_BREAKS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_line, max_size=12), st.none() | st.floats(0.0, 0.99))
+def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
+    """Every task that resume skips is counted by the report, or the report
+    refuses the file and names the first line it cannot count."""
+    texts, last_valid, first_invalid = [], {}, None
+    for lineno, (kind, *args) in enumerate(lines, start=1):
+        if kind == "record":
+            (model, technique, incident), final = args
+            record = make_record(
+                final=final, latency_ms=float(lineno),
+                model=model, technique=technique, incident_id=incident,
+            )
+            last_valid[record.key] = record
+            texts.append(canonical_dumps(record.to_dict()))
+        elif kind == "invalid":
+            (model, technique, incident), brk = args
+            d = make_record(
+                model=model, technique=technique, incident_id=incident
+            ).to_dict()
+            brk(d)
+            first_invalid = first_invalid or lineno
+            texts.append(canonical_dumps(d))
+        else:
+            texts.append(args[0])
+    text = "".join(t + "\n" for t in texts)
+    if torn_at is not None:
+        whole = canonical_dumps(make_record(incident_id="torn").to_dict())
+        text += whole[: int(len(whole) * torn_at)]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        path.write_text(text, encoding="utf-8")
+        if first_invalid is not None:
+            refusal = f"run\\.jsonl:{first_invalid}: invalid record"
+            with pytest.raises(RunError, match=refusal):
+                load_run_records(path)
+            return
+        records = load_run_records(path)
+        keys = resume_scan(path)
+    assert keys == {r.key for r in records} == set(last_valid)
+    for r in records:
+        assert r.to_dict() == last_valid[r.key].to_dict()
 
 
 class TestParallel:

@@ -155,6 +155,21 @@ class TestLoadTaxonomy:
         with pytest.raises(TaxonomyError, match="unique"):
             load_taxonomy(path)
 
+    def test_rejects_names_the_parser_cannot_tell_apart(self, tmp_path, taxonomy):
+        # Dotless i matches i under IGNORECASE but casefolds apart from it.
+        # Both names would match the same span of "a FILE leak", and the
+        # lower code would always win.
+        for pair in ({5: "File Leak", 9: "F\u0131le  leak"},
+                     {9: "File Leak", 5: "F\u0131le  leak"}):
+            path = write_override(tmp_path / "tax.json", taxonomy, pair)
+            with pytest.raises(TaxonomyError, match="CAT5 and CAT9: the parser"):
+                load_taxonomy(path)
+            names = [c.name for c in taxonomy.categories]
+            for k, name in pair.items():
+                names[k - 1] = name
+            with pytest.raises(TaxonomyError, match="CAT5 and CAT9: the parser"):
+                renamed(names)
+
     def test_override_parses_with_its_own_names(self, tmp_path, taxonomy):
         path = write_override(tmp_path / "tax.json", taxonomy, {2: "Ransomware"})
         override = load_taxonomy(path)
@@ -230,16 +245,6 @@ class TestParseFallbacks:
         assert parse_category("a data leak", renamed(names)) is CategoryCode.CAT8
         names[1], names[7] = "Data Leak", "Leak"
         assert parse_category("a data leak", renamed(names)) is CategoryCode.CAT2
-
-    def test_equal_end_and_length_lower_code_wins(self):
-        # Dotless i matches i under IGNORECASE but casefolds apart from it,
-        # so both names are valid and match the very same span.
-        names = [f"name {k}" for k in range(1, 13)]
-        names[4], names[8] = "File Leak", "F\u0131le Leak"
-        tx = renamed(names)
-        assert parse_category("a FILE leak", tx) is CategoryCode.CAT5
-        names[4], names[8] = names[8], names[4]
-        assert parse_category("a FILE leak", renamed(names)) is CategoryCode.CAT5
 
 
 @settings(max_examples=200, deadline=None)

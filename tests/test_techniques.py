@@ -33,6 +33,7 @@ from triagebench.techniques import (
     TemplateSet,
     classify,
     default_templates,
+    load_templates,
 )
 from triagebench.util import canonical_dumps
 
@@ -79,6 +80,21 @@ class TestTemplates:
         templates = default_templates()
         assert len(templates.template_hash) == 64
         assert templates.template_hash == default_templates().template_hash
+
+    def test_directory_copy_loads_as_default_set(self, tmp_path):
+        # default_templates walks the package resource with the same code.
+        for name, text in default_templates().files().items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / "zsl" / "notes.md").write_text("ignored", encoding="utf-8")
+        for directory in (tmp_path, str(tmp_path)):
+            loaded = load_templates(directory)
+            assert loaded.files() == default_templates().files()
+            assert loaded.template_hash == default_templates().template_hash
+
+    def test_missing_technique_directory(self, tmp_path):
+        with pytest.raises(TemplateError, match="missing template directory"):
+            load_templates(tmp_path)
 
     def test_system_renders_taxonomy_and_contract_once(self, taxonomy):
         templates = default_templates()
