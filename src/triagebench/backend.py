@@ -2,7 +2,8 @@
 
 The live client speaks POST /api/chat with stream=false and maps the reply's
 message.content plus server counters into a Completion. The scripted backend
-replays a fixed list of replies for deterministic tests and the offline demo.
+replays a fixed list of replies for deterministic tests and the offline demo;
+it only replies and records nothing of what it was sent.
 Token budgeting uses the chars/4 heuristic so the harness never depends on a
 model's tokenizer.
 """
@@ -291,11 +292,11 @@ class OllamaBackend:
 
 
 class ScriptedBackend:
-    """Replays a fixed reply queue; telemetry latency is exactly 0.
+    """Replays a fixed reply queue in call order; telemetry latency is exactly 0.
 
-    Every complete() call is recorded in .calls so tests can assert on the
-    outgoing prompts. Exhausting the script is an error, signalling a test
-    or demo-script bug rather than a model condition.
+    It only replies: the messages sent are not kept. Exhausting the script
+    is an error, signalling a test or demo-script bug rather than a model
+    condition.
     """
 
     def __init__(self, script: Sequence[str]) -> None:
@@ -304,7 +305,6 @@ class ScriptedBackend:
         self._script = list(script)
         self._pos = 0
         self._lock = threading.Lock()
-        self.calls: list[tuple[str, tuple[ChatMessage, ...], GenerationParams]] = []
 
     def remaining(self) -> int:
         with self._lock:
@@ -325,7 +325,6 @@ class ScriptedBackend:
                 )
             reply = self._script[self._pos]
             self._pos += 1
-            self.calls.append((model.name, tuple(messages), params))
         return Completion(
             text=reply,
             telemetry=Telemetry(latency_ms=0.0, response_chars=len(reply)),
@@ -372,12 +371,12 @@ def _normalize_name(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
 
-def resolve_model(name: str, default_group: ModelGroup = ModelGroup.G2) -> ModelSpec:
+def resolve_model(name: str) -> ModelSpec:
     """Map a model identifier to a registry entry, or build an ad-hoc spec.
 
     Matching is lenient ("qwen3:8b" resolves to "Qwen3 8B") but the
     user-supplied name is preserved so run files key on what was actually
-    served. Unrecognized names get the default group.
+    served. Unrecognized names are placed in G2.
     """
     norm = _normalize_name(name)
     for spec in builtin_model_registry():
@@ -385,7 +384,7 @@ def resolve_model(name: str, default_group: ModelGroup = ModelGroup.G2) -> Model
             return replace(spec, name=name) if spec.name != name else spec
     return ModelSpec(
         name=name,
-        group=default_group,
+        group=ModelGroup.G2,
         params_billions=0.0,
         context_window_tokens=8192,
     )

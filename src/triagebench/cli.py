@@ -294,26 +294,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         if parallelism != 1:
             print("scripted backend replays in plan order; forcing --parallelism 1")
             parallelism = 1
-        backend = ScriptedBackend(
-            build_demo_script(corpus, techniques=techniques, n_models=len(models))
-        )
-    else:
-        url = args.backend if args.backend else config.backend_url
-        backend = OllamaBackend(url, retries=config.retries)
-        if not backend.is_reachable():
-            raise CliError(f"backend at {url} is not reachable", code=EXIT_FAILURE)
 
-    plan = RunPlan(
-        models=models,
-        techniques=techniques,
-        corpus=corpus,
-        params=params,
-        technique_config=technique_config,
-        seed=config.seed,
-        output_path=Path(args.out),
-        parallelism=parallelism,
-    )
     try:
+        plan = RunPlan(
+            models=models,
+            techniques=techniques,
+            corpus=corpus,
+            params=params,
+            technique_config=technique_config,
+            seed=config.seed,
+            output_path=Path(args.out),
+            parallelism=parallelism,
+        )
+        if scripted:
+            backend = ScriptedBackend(build_demo_script(corpus, plan.task_keys()))
+        else:
+            url = args.backend if args.backend else config.backend_url
+            backend = OllamaBackend(url, retries=config.retries)
+            if not backend.is_reachable():
+                raise CliError(f"backend at {url} is not reachable", code=EXIT_FAILURE)
         summary = execute(
             plan,
             backend,

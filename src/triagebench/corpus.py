@@ -230,15 +230,6 @@ class ValidationReport:
             lines.append(f"  {f.record_id}: {f.kind} {f.detail}")
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "findings": [
-                {"record_id": f.record_id, "kind": f.kind, "detail": f.detail}
-                for f in self.findings
-            ],
-        }
-
 
 def validate_corpus(
     corpus: Corpus,

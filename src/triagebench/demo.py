@@ -10,7 +10,9 @@ Scripted outcomes are spread so the report is interesting: per technique a
 fixed number of the 24 incidents is answered correctly (PHP 18, SHP 16,
 PRP 15, ZSL 14, HTP 8, with two HTP finals left unparseable). Which
 incidents are correct, and every wrong answer, derive from stable hashes,
-so the script is identical on every machine.
+so the script is identical on every machine. The script is built from the
+run plan's own task keys, so it follows the runner's task order rather
+than a copy of it.
 """
 from __future__ import annotations
 
@@ -18,11 +20,12 @@ import difflib
 import tempfile
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 from .backend import GenerationParams, ModelSpec, ScriptedBackend, resolve_model
-from .corpus import Corpus, load_corpus
+from .corpus import Corpus, IncidentRecord, load_corpus
 from .metrics import MetricsReport, compute_metrics
-from .runner import RunPlan, execute, load_run_records
+from .runner import RunPlan, TaskKey, execute, load_run_records
 from .taxonomy import CategoryCode, builtin_taxonomy
 from .techniques import TechniqueConfig, TechniqueId
 from .util import canonical_dumps, sha256_hex, stable_hash_int
@@ -47,6 +50,9 @@ _TARGET_CORRECT = {
     TechniqueId.PRP: 15,
 }
 _HTP_UNPARSED = 2
+
+# Read once: the script build asks for a wrong answer thousands of times.
+_CODES = CategoryCode.taxonomy_codes()
 
 _INDICATOR_PHRASES = (
     "unusual timing of events",
@@ -101,14 +107,13 @@ def _plan_outcomes(
 
 
 def _wrong_answer(truth: CategoryCode, h: int) -> CategoryCode:
-    codes = list(CategoryCode.taxonomy_codes())
-    shift = 1 + h % (len(codes) - 1)
-    return codes[(codes.index(truth) + shift) % len(codes)]
+    shift = 1 + h % (len(_CODES) - 1)
+    return _CODES[(_CODES.index(truth) + shift) % len(_CODES)]
 
 
 def _others(pred: CategoryCode, h: int) -> tuple[CategoryCode, CategoryCode]:
     """Two categories differing from pred and from each other, hash-picked."""
-    pool = [c for c in CategoryCode.taxonomy_codes() if c is not pred]
+    pool = [c for c in _CODES if c is not pred]
     first = pool[(h >> 4) % len(pool)]
     second = pool[(h >> 8) % len(pool)]
     if second is first:
@@ -193,42 +198,56 @@ def _htp_replies(pred: CategoryCode, unparsed: bool) -> list[str]:
     return replies
 
 
-def build_demo_script(
-    corpus: Corpus,
-    techniques: tuple[TechniqueId, ...] = DEMO_TECHNIQUES,
-    n_models: int = 1,
+def _reply_block(
+    technique: TechniqueId,
+    incident: IncidentRecord,
+    outcomes: tuple[frozenset[str], frozenset[str]],
 ) -> list[str]:
-    """Reply queue matching the exact call order of a serial run.
+    """The replies one model gives for one (technique, incident) task."""
+    correct_ids, unparsed_ids = outcomes
+    h = _tech_hash(technique, incident.id)
+    pred = (
+        incident.ground_truth
+        if incident.id in correct_ids
+        else _wrong_answer(incident.ground_truth, h)
+    )
+    if technique is TechniqueId.ZSL:
+        return _zsl_replies(pred, h)
+    if technique is TechniqueId.PHP:
+        return _iterative_replies(pred, h, verify=False)
+    if technique is TechniqueId.SHP:
+        return _shp_replies(pred, h)
+    if technique is TechniqueId.HTP:
+        return _htp_replies(pred, incident.id in unparsed_ids)
+    return _iterative_replies(pred, h, verify=True)
 
-    Reply blocks nest incident-outer, technique-middle, model-inner, the
-    same order the runner executes in, so replay only works with
-    parallelism 1. Each model gets an identical block per task.
+
+def build_demo_script(corpus: Corpus, task_keys: Sequence[TaskKey]) -> list[str]:
+    """Reply queue for a serial run of exactly these task keys, in their order.
+
+    Pass the plan's own RunPlan.task_keys(), so the script follows whatever
+    order the runner executes in. Every model gets the same block for a
+    (technique, incident) pair, and outcomes are ranked per technique over
+    all corpus ids, so each model keeps the fixed counts for any model
+    order or subset of techniques. The backend still answers in call
+    order, so replay only works with parallelism 1.
     """
     ids = tuple(rec.id for rec in corpus.records)
-    outcomes = {t: _plan_outcomes(t, ids) for t in techniques}
+    incidents = {rec.id: rec for rec in corpus.records}
+    outcomes = {
+        value: _plan_outcomes(TechniqueId(value), ids)
+        for value in {technique for _, technique, _ in task_keys}
+    }
 
+    blocks: dict[tuple[str, str], list[str]] = {}
     script: list[str] = []
-    for incident in corpus.records:
-        for technique in techniques:
-            correct_ids, unparsed_ids = outcomes[technique]
-            h = _tech_hash(technique, incident.id)
-            pred = (
-                incident.ground_truth
-                if incident.id in correct_ids
-                else _wrong_answer(incident.ground_truth, h)
+    for _, technique, incident_id in task_keys:
+        block = blocks.get((technique, incident_id))
+        if block is None:
+            block = blocks[technique, incident_id] = _reply_block(
+                TechniqueId(technique), incidents[incident_id], outcomes[technique]
             )
-            if technique is TechniqueId.ZSL:
-                replies = _zsl_replies(pred, h)
-            elif technique is TechniqueId.PHP:
-                replies = _iterative_replies(pred, h, verify=False)
-            elif technique is TechniqueId.SHP:
-                replies = _shp_replies(pred, h)
-            elif technique is TechniqueId.HTP:
-                replies = _htp_replies(pred, incident.id in unparsed_ids)
-            else:
-                replies = _iterative_replies(pred, h, verify=True)
-            for _ in range(n_models):
-                script.extend(replies)
+        script.extend(block)
     return script
 
 
@@ -241,7 +260,6 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
     taxonomy = builtin_taxonomy()
     corpus = load_demo_corpus()
     config = TechniqueConfig()
-    backend = ScriptedBackend(build_demo_script(corpus))
 
     def _run(path: Path) -> MetricsReport:
         plan = RunPlan(
@@ -254,6 +272,7 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
             output_path=path,
             parallelism=1,
         )
+        backend = ScriptedBackend(build_demo_script(corpus, plan.task_keys()))
         execute(plan, backend, taxonomy)
         if backend.remaining() != 0:
             raise DemoError(

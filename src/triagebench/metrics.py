@@ -245,6 +245,8 @@ class ComparisonRow:
     group: str
     technique: str
     reference: str
+    low: float
+    high: float
     measured: float | None  # None when the run has no data for the scope
 
     @property
@@ -252,22 +254,14 @@ class ComparisonRow:
         """Signed distance to the reference value or band; 0 inside a band."""
         if self.measured is None:
             return None
-        entry = next(
-            e
-            for e in PAPER_REFERENCE
-            if e.group.value == self.group and e.technique == self.technique
-        )
-        if self.measured < entry.low:
-            return round(self.measured - entry.low, 1)
-        if self.measured > entry.high:
-            return round(self.measured - entry.high, 1)
+        if self.measured < self.low:
+            return round(self.measured - self.low, 1)
+        if self.measured > self.high:
+            return round(self.measured - self.high, 1)
         return 0.0
 
 
-def compare_to_reference(
-    report: MetricsReport,
-    reference: Sequence[ReferenceEntry] = PAPER_REFERENCE,
-) -> tuple[ComparisonRow, ...]:
+def compare_to_reference(report: MetricsReport) -> tuple[ComparisonRow, ...]:
     """Side-by-side view of this run's group accuracies against the published
     figures. Purely informational, never a pass/fail gate."""
     measured = {c.scope_key: c.accuracy_percent for c in report.by_group_technique}
@@ -276,29 +270,36 @@ def compare_to_reference(
             group=entry.group.value,
             technique=entry.technique,
             reference=entry.display,
+            low=entry.low,
+            high=entry.high,
             measured=measured.get(f"{entry.group.value}|{entry.technique}"),
         )
-        for entry in reference
+        for entry in PAPER_REFERENCE
     )
 
 
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:
+    """Markdown table lines: header, rule, rows. A "|" in a cell is escaped
+    as "\\|", so a model name cannot add a column."""
+
+    def line(cells: Sequence[object]) -> str:
+        return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+
+    return [line(header), line(["---"] * len(header)), *map(line, rows)]
+
+
 def render_comparison_markdown(rows: Sequence[ComparisonRow]) -> str:
-    lines = [
-        "| Group | Technique | Reference | This run | Delta |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-    for row in rows:
-        if row.measured is None:
-            lines.append(
-                f"| {row.group} | {row.technique} | {row.reference} "
-                f"| no data | no data |"
-            )
-        else:
-            lines.append(
-                f"| {row.group} | {row.technique} | {row.reference} "
-                f"| {row.measured:.1f} | {row.delta:+.1f} |"
-            )
-    return "\n".join(lines) + "\n"
+    header = ["Group", "Technique", "Reference", "This run", "Delta"]
+    cells = (
+        [r.group, r.technique, r.reference]
+        + (
+            ["no data", "no data"]
+            if r.measured is None
+            else [f"{r.measured:.1f}", f"{r.delta:+.1f}"]
+        )
+        for r in rows
+    )
+    return "\n".join(_table(header, cells)) + "\n"
 
 
 CSV_COLUMNS = (
@@ -343,68 +344,56 @@ def render_csv(report: MetricsReport) -> str:
 def render_markdown(
     report: MetricsReport, comparison: Sequence[ComparisonRow] | None = None
 ) -> str:
-    lines = ["# Classification metrics", ""]
-    lines.append(f"Records: {report.n_records}")
-    lines.append("")
+    def accuracy(cell: AccuracyCell) -> list[object]:
+        # A technique key has no "|"; model and group keys split on the last.
+        key = cell.scope_key.rsplit("|", 1)
+        return [*key, cell.n_total, cell.n_correct, f"{cell.accuracy_percent:.1f}"]
 
-    lines.append("## Accuracy by technique")
-    lines.append("")
-    lines.append("| Technique | n | Correct | Accuracy % | Unparsed % |")
-    lines.append("| --- | --- | --- | --- | --- |")
-    for cell in report.by_technique:
-        lines.append(
-            f"| {cell.scope_key} | {cell.n_total} | {cell.n_correct} "
-            f"| {cell.accuracy_percent:.1f} | {cell.unparsed_percent:.1f} |"
-        )
-    lines.append("")
+    def with_unparsed(cell: AccuracyCell) -> list[object]:
+        return [*accuracy(cell), f"{cell.unparsed_percent:.1f}"]
 
-    lines.append("## Accuracy by model and technique")
-    lines.append("")
-    lines.append("| Model | Technique | n | Correct | Accuracy % | Unparsed % |")
-    lines.append("| --- | --- | --- | --- | --- | --- |")
-    for cell in report.by_model_technique:
-        model, technique = cell.scope_key.rsplit("|", 1)
-        lines.append(
-            f"| {model} | {technique} | {cell.n_total} | {cell.n_correct} "
-            f"| {cell.accuracy_percent:.1f} | {cell.unparsed_percent:.1f} |"
-        )
-    lines.append("")
-
-    if report.by_group_technique:
-        lines.append("## Accuracy by model group and technique")
-        lines.append("")
-        lines.append("| Group | Technique | n | Correct | Accuracy % |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        for cell in report.by_group_technique:
-            group, technique = cell.scope_key.rsplit("|", 1)
-            lines.append(
-                f"| {group} | {technique} | {cell.n_total} | {cell.n_correct} "
-                f"| {cell.accuracy_percent:.1f} |"
-            )
-        lines.append("")
-
-    lines.append("## Confusion matrix (true rows, predicted columns)")
-    lines.append("")
     codes = [c.value for c in CategoryCode.taxonomy_codes()]
-    header = ["true\\pred", *codes, "UNPARSED"]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + " --- |" * len(header))
-    for code, row in zip(codes, report.confusion):
-        lines.append("| " + " | ".join([code, *[str(v) for v in row]]) + " |")
-    lines.append("")
+    sections = [
+        (
+            "Accuracy by technique",
+            ["Technique", "n", "Correct", "Accuracy %", "Unparsed %"],
+            [with_unparsed(c) for c in report.by_technique],
+        ),
+        (
+            "Accuracy by model and technique",
+            ["Model", "Technique", "n", "Correct", "Accuracy %", "Unparsed %"],
+            [with_unparsed(c) for c in report.by_model_technique],
+        ),
+        (
+            "Accuracy by model group and technique",
+            ["Group", "Technique", "n", "Correct", "Accuracy %"],
+            [accuracy(c) for c in report.by_group_technique],
+        ),
+        (
+            "Confusion matrix (true rows, predicted columns)",
+            ["true\\pred", *codes, "UNPARSED"],
+            [[code, *row] for code, row in zip(codes, report.confusion)],
+        ),
+        (
+            "Efficiency by model and technique",
+            ["Model", "Technique", "n", "Mean latency ms", "Mean reply chars", "Turns"],
+            [
+                [
+                    e.model,
+                    e.technique,
+                    e.n_records,
+                    f"{e.mean_latency_ms:.3f}",
+                    f"{e.mean_response_chars:.1f}",
+                    e.total_turns,
+                ]
+                for e in report.efficiency
+            ],
+        ),
+    ]
 
-    lines.append("## Efficiency by model and technique")
-    lines.append("")
-    lines.append("| Model | Technique | n | Mean latency ms | Mean reply chars | Turns |")
-    lines.append("| --- | --- | --- | --- | --- | --- |")
-    for eff in report.efficiency:
-        lines.append(
-            f"| {eff.model} | {eff.technique} | {eff.n_records} "
-            f"| {eff.mean_latency_ms:.3f} | {eff.mean_response_chars:.1f} "
-            f"| {eff.total_turns} |"
-        )
-    lines.append("")
-
+    lines = ["# Classification metrics", "", f"Records: {report.n_records}", ""]
+    for title, header, rows in sections:
+        lines += [f"## {title}", "", *_table(header, rows), ""]
     if comparison is not None:
         lines.append("## Comparison with published reference figures")
         lines.append("")

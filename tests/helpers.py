@@ -1,11 +1,20 @@
-"""Shared builders for tests: synthetic traces, records and run files."""
+"""Shared builders for tests: synthetic traces, records, run files and a
+backend wrapper that records calls."""
 from __future__ import annotations
 
 import json
 import random
 from pathlib import Path
+from typing import Sequence
 
-from triagebench.backend import ModelGroup
+from triagebench.backend import (
+    Backend,
+    ChatMessage,
+    Completion,
+    GenerationParams,
+    ModelGroup,
+    ModelSpec,
+)
 from triagebench.runner import RunRecord
 from triagebench.taxonomy import Category, CategoryCode, Taxonomy, builtin_taxonomy
 from triagebench.techniques import (
@@ -17,6 +26,24 @@ from triagebench.techniques import (
 from triagebench.util import canonical_dumps
 
 CODES = list(CategoryCode.taxonomy_codes())
+
+
+class RecordingBackend:
+    """Keeps every call as (model name, messages, params) in .calls, then
+    hands it to the wrapped backend."""
+
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
+        self.calls: list[tuple[str, tuple[ChatMessage, ...], GenerationParams]] = []
+
+    def complete(
+        self,
+        model: ModelSpec,
+        messages: Sequence[ChatMessage],
+        params: GenerationParams,
+    ) -> Completion:
+        self.calls.append((model.name, tuple(messages), params))
+        return self.inner.complete(model, messages, params)
 
 
 def renamed(names: list[str]) -> Taxonomy:

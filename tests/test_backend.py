@@ -258,14 +258,6 @@ class TestScriptedBackend:
         with pytest.raises(ScriptExhaustedError):
             backend.complete(MODEL, MESSAGES, PARAMS)
 
-    def test_records_calls(self):
-        backend = ScriptedBackend(["r"])
-        backend.complete(MODEL, MESSAGES, PARAMS)
-        name, sent, params = backend.calls[0]
-        assert name == "demo"
-        assert sent == tuple(MESSAGES)
-        assert params == PARAMS
-
     def test_thread_safe_consumption(self):
         n = 64
         backend = ScriptedBackend([f"r{i}" for i in range(n)])

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from triagebench import cli
+from triagebench import cli, runner
 from triagebench.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -295,6 +296,41 @@ class TestRunScripted:
         assert cli.main(args) == EXIT_USAGE
         assert "already exists" in capsys.readouterr().err
 
+    def test_script_follows_task_order(self, tmp_path, monkeypatch):
+        def run(out):
+            args = ["run", "--backend", "scripted", "--models", "m1,m2", "--out"]
+            assert cli.main([*args, str(out)]) == EXIT_OK
+            lines = out.read_text(encoding="utf-8").splitlines()
+            assert not any("error" in json.loads(line) for line in lines)
+            return {r.key: r.to_dict() for r in load_run_records(out)}
+
+        plan_order = run(tmp_path / "plan.jsonl")
+
+        def model_outer(plan):
+            return [
+                (model.name, technique.value, incident.id)
+                for model in reversed(plan.models)
+                for technique in reversed(plan.techniques)
+                for incident in reversed(plan.corpus.records)
+            ]
+
+        monkeypatch.setattr(runner.RunPlan, "task_keys", model_outer)
+        reordered = run(tmp_path / "reordered.jsonl")
+
+        assert list(reordered)[0][:2] == ("m2", "PRP")  # the patched order ran
+        assert reordered == plan_order
+        correct, unparsed = Counter(), Counter()
+        for (model, technique, _), d in reordered.items():
+            correct[model, technique] += d["correct"]
+            unparsed[model, technique] += d["trace"]["final"] == "UNPARSED"
+        fixed = {"ZSL": 14, "PHP": 18, "SHP": 16, "HTP": 8, "PRP": 15}
+        for model in ("m1", "m2"):
+            assert {t: correct[model, t] for t in fixed} == fixed
+            assert {t: unparsed[model, t] for t in fixed} == {
+                **dict.fromkeys(fixed, 0),
+                "HTP": 2,
+            }
+
 
 class TestRunRealBackend:
     def test_unreachable_server_exit_one(self, tmp_path, capsys):
@@ -308,6 +344,18 @@ class TestRunRealBackend:
         )
         assert rc == EXIT_FAILURE
         assert "not reachable" in capsys.readouterr().err
+
+    def test_bad_parallelism_exit_two_before_any_request(self, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "run", "--backend", "http://127.0.0.1:9",
+                "--models", "demo",
+                "--parallelism", "0",
+                "--out", str(tmp_path / "run.jsonl"),
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert "parallelism must be >= 1" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 
 import pytest
 
@@ -136,7 +137,13 @@ class TestAggregation:
         report = compute_metrics(records)
         assert [(c.model, c.technique) for c in report.efficiency] == [("ns|m", "ZSL")]
         assert [c.scope_key for c in report.by_model_technique] == ["ns|m|ZSL"]
-        assert "| ns|m | ZSL | 2 | 2 |" in render_markdown(report)
+        text = render_markdown(report, compare_to_reference(report))
+        assert "| ns\\|m | ZSL | 2 | 2 |" in text
+        tables = [b.splitlines() for b in text.split("\n\n") if b.startswith("|")]
+        assert len(tables) == 6
+        for rows in tables:
+            # Every row has as many cells as the header, split on unescaped "|".
+            assert len({len(re.split(r"(?<!\\)\|", row)) for row in rows}) == 1
 
     def test_empty_scopes_absent_not_zero(self):
         report = compute_metrics(single_scope_records(3, 4))

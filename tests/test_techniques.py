@@ -37,7 +37,7 @@ from triagebench.techniques import (
 )
 from triagebench.util import canonical_dumps
 
-from helpers import renamed
+from helpers import RecordingBackend, renamed
 from oracles import oracle_classify
 
 MODEL = resolve_model("demo")
@@ -49,7 +49,7 @@ INCIDENT = IncidentRecord(
 
 
 def run(technique, script, max_rounds=3, budget=8192):
-    backend = ScriptedBackend(script)
+    backend = RecordingBackend(ScriptedBackend(script))
     trace = classify(
         INCIDENT,
         technique,
@@ -227,8 +227,11 @@ class TestZsl:
         assert trace.final is CategoryCode.UNPARSED
 
     def test_incident_text_sent(self):
-        _, backend = run(TechniqueId.ZSL, ["FINAL: CAT2"])
+        trace, backend = run(TechniqueId.ZSL, ["FINAL: CAT2"])
         assert INCIDENT.text in outgoing_texts(backend)[0]
+        assert backend.calls == [
+            (MODEL.name, trace.turns[0].sent, GenerationParams(input_token_budget=8192))
+        ]
 
 
 class TestPhp:

@@ -15,7 +15,12 @@ import re
 import statistics
 import time
 
-from triagebench.demo import build_demo_script, load_demo_corpus
+from triagebench.demo import (
+    DEMO_MODEL_NAME,
+    DEMO_TECHNIQUES,
+    build_demo_script,
+    load_demo_corpus,
+)
 from triagebench.taxonomy import builtin_taxonomy, parse_category
 
 PASSES = 21
@@ -35,7 +40,15 @@ def us_per_reply(replies: list[str]) -> float:
 
 
 def main() -> None:
-    script = build_demo_script(load_demo_corpus())
+    corpus = load_demo_corpus()
+    # One model, every technique and incident; the order of the keys does
+    # not matter here, only the set of replies.
+    keys = [
+        (DEMO_MODEL_NAME, t.value, rec.id)
+        for t in DEMO_TECHNIQUES
+        for rec in corpus.records
+    ]
+    script = build_demo_script(corpus, keys)
     groups = {
         "FINAL": [r for r in script if _FINAL.search(r)],
         "fallback": [r for r in script if not _FINAL.search(r) and not _TOKEN.search(r)],
