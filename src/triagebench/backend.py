@@ -1,9 +1,11 @@
 """Chat-completion backends: a live Ollama-compatible client and a scripted one.
 
 The live client speaks POST /api/chat with stream=false and maps the reply's
-message.content plus server counters into a Completion. The scripted backend
-replays a fixed list of replies for deterministic tests and the offline demo;
-it only replies and records nothing of what it was sent.
+message.content plus server counters into a Completion. It is the only code
+that uses `requests`, and it imports it when built, so offline commands
+(demo, report, validate, anonymize, scripted runs) never load it. The
+scripted backend replays a fixed list of replies for deterministic tests and
+the offline demo; it only replies and records nothing of what it was sent.
 Token budgeting uses the chars/4 heuristic so the harness never depends on a
 model's tokenizer.
 """
@@ -13,9 +15,10 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_BASE_URL = "http://127.0.0.1:11434"
 TRUNCATION_MARKER = "[TRUNCATED]"
@@ -77,10 +80,15 @@ class GenerationParams:
     request_timeout: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # Written so that NaN fails too.
+        if not self.temperature >= 0:
+            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_output_tokens < 1 or self.input_token_budget < 1:
             raise ValueError("token limits must be positive")
+        if not self.request_timeout > 0:
+            raise ValueError(
+                f"request_timeout must be > 0, got {self.request_timeout}"
+            )
 
 
 class ModelGroup(str, Enum):
@@ -202,12 +210,18 @@ class OllamaBackend:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        import requests
+
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
         self.retries = retries
         self._session = session or requests.Session()
         self._sleep = sleep
 
     def is_reachable(self, timeout: float = 5.0) -> bool:
+        import requests
+
         try:
             self._session.get(f"{self.base_url}/api/tags", timeout=timeout)
             return True
@@ -220,6 +234,8 @@ class OllamaBackend:
         messages: Sequence[ChatMessage],
         params: GenerationParams,
     ) -> Completion:
+        import requests
+
         if not messages:
             raise ValueError("messages must be nonempty")
         options: dict = {

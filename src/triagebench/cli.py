@@ -275,16 +275,15 @@ def cmd_run(args: argparse.Namespace) -> int:
                 else TechniqueConfig().templates
             ),
         )
+        params = GenerationParams(
+            temperature=config.temperature,
+            max_output_tokens=config.max_output_tokens,
+            input_token_budget=config.input_token_budget,
+            seed=config.seed,
+            request_timeout=config.request_timeout,
+        )
     except (TemplateError, ValueError) as exc:
         raise CliError(str(exc))
-
-    params = GenerationParams(
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-        input_token_budget=config.input_token_budget,
-        seed=config.seed,
-        request_timeout=config.request_timeout,
-    )
 
     scripted = args.backend == "scripted"
     parallelism = config.parallelism
@@ -310,7 +309,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             backend = ScriptedBackend(build_demo_script(corpus, plan.task_keys()))
         else:
             url = args.backend if args.backend else config.backend_url
-            backend = OllamaBackend(url, retries=config.retries)
+            try:
+                backend = OllamaBackend(url, retries=config.retries)
+            except ValueError as exc:
+                raise CliError(str(exc))
             if not backend.is_reachable():
                 raise CliError(f"backend at {url} is not reachable", code=EXIT_FAILURE)
         summary = execute(

@@ -1,6 +1,5 @@
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -104,48 +103,6 @@ class TestTruncateToBudget:
         assert messages == snapshot
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    """Serves queued (status, body) pairs and records request payloads."""
-
-    responses: list[tuple[int, str]] = []
-    requests_seen: list[dict] = []
-
-    def do_GET(self):  # /api/tags reachability probe
-        self.send_response(200)
-        self.end_headers()
-        self.wfile.write(b"{}")
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        type(self).requests_seen.append(json.loads(self.rfile.read(length)))
-        status, body = (
-            type(self).responses.pop(0) if type(self).responses else (200, "{}")
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(body.encode("utf-8"))
-
-    def log_message(self, *args):  # keep test output quiet
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    class Handler(_StubHandler):
-        responses = []
-        requests_seen = []
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", Handler
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-
-
 def ok_body(
     content: str = "FINAL: CAT1",
     prompt_eval_count: int = 42,
@@ -241,6 +198,11 @@ class TestOllamaBackend:
 
     def test_default_base_url(self):
         assert OllamaBackend().base_url == DEFAULT_BASE_URL
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="retries"):
+            OllamaBackend(retries=-1)
+        assert OllamaBackend(retries=0).retries == 0
 
 
 class TestScriptedBackend:

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import triagebench
 from triagebench import cli, runner
 from triagebench.cli import (
     EXIT_FAILURE,
@@ -356,6 +360,107 @@ class TestRunRealBackend:
         )
         assert rc == EXIT_USAGE
         assert "parallelism must be >= 1" in capsys.readouterr().err
+
+
+class TestRunBadSettings:
+    @pytest.mark.parametrize(
+        "flags, ini, message",
+        [
+            pytest.param(
+                ["--temperature", "-1"], "", "temperature must be >= 0",
+                id="temperature-flag",
+            ),
+            pytest.param(
+                [], "[generation]\ntemperature = nan\n", "temperature must be >= 0",
+                id="temperature-nan",
+            ),
+            pytest.param(
+                [], "[generation]\nmax_output_tokens = 0\n", "token limits",
+                id="max_output_tokens-0",
+            ),
+            pytest.param(
+                [], "[generation]\ninput_token_budget = 0\n", "token limits",
+                id="input_token_budget-0",
+            ),
+            pytest.param(
+                [], "[generation]\nrequest_timeout = 0\n", "request_timeout",
+                id="request_timeout-0",
+            ),
+            pytest.param(
+                [], "[generation]\nrequest_timeout = -5\n", "request_timeout",
+                id="request_timeout-negative",
+            ),
+            pytest.param(
+                [], "[generation]\nrequest_timeout = nan\n", "request_timeout",
+                id="request_timeout-nan",
+            ),
+            pytest.param(
+                [], "[backend]\nretries = -1\n", "retries must be >= 0",
+                id="retries-negative",
+            ),
+        ],
+    )
+    def test_exit_two_before_any_request(
+        self, tmp_path, capsys, stub_server, flags, ini, message
+    ):
+        url, handler = stub_server
+        config = tmp_path / "triage.ini"
+        config.write_text(ini, encoding="utf-8")
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(
+            [
+                "--config", str(config),
+                "run", "--backend", url,
+                "--models", "demo",
+                "--techniques", "ZSL",
+                "--out", str(out),
+                *flags,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+        assert handler.paths_seen == []
+
+
+class TestOfflineWithoutRequests:
+    def test_offline_commands_never_import_requests(self, tmp_path):
+        # A fresh process where `import requests` fails until the live
+        # backend is built.
+        src = str(Path(triagebench.__file__).resolve().parents[1])
+        script = f"""
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["requests"] = None
+from triagebench.cli import main
+run, out = sys.argv[1], sys.argv[2]
+codes = [
+    main(["demo"]),
+    main(["run", "--backend", "scripted", "--models", "demo",
+          "--techniques", "ZSL,PRP", "--out", run]),
+    main(["report", run, "--out-dir", out]),
+    main(["validate"]),
+]
+print("codes", codes)
+del sys.modules["requests"]
+from triagebench import OllamaBackend
+OllamaBackend()
+print("requests loaded:", sys.modules["requests"] is not None)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             str(tmp_path / "run.jsonl"), str(tmp_path / "report")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "demo metrics match golden" in proc.stdout
+        assert "codes [0, 0, 0, 0]" in proc.stdout
+        assert "requests loaded: True" in proc.stdout
+        assert (tmp_path / "report" / "metrics.csv").exists()
 
 
 @pytest.fixture()
