@@ -14,8 +14,9 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from .anonymizer import (
     RedactionRule,
@@ -27,6 +28,7 @@ from .anonymizer import (
 )
 from .backend import (
     DEFAULT_BASE_URL,
+    RETRY_BACKOFF_S,
     GenerationParams,
     OllamaBackend,
     ScriptedBackend,
@@ -72,44 +74,44 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class CliConfig:
+    """Run settings; a default the CLI does not own is read from its owner."""
+
     backend_url: str = DEFAULT_BASE_URL
-    retries: int = 2
+    retries: int = len(RETRY_BACKOFF_S)
     models: tuple[str, ...] = (DEMO_MODEL_NAME,)
     techniques: tuple[str, ...] = ALL_TECHNIQUES
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-    input_token_budget: int = 8192
-    request_timeout: float = 120.0
+    temperature: float = GenerationParams.temperature
+    max_output_tokens: int = GenerationParams.max_output_tokens
+    input_token_budget: int = GenerationParams.input_token_budget
+    request_timeout: float = GenerationParams.request_timeout
     seed: int = 0
-    max_rounds: int = 3
-    parallelism: int = 1
+    max_rounds: int = TechniqueConfig.max_rounds
+    parallelism: int = RunPlan.parallelism
     templates_dir: str | None = None
-
-
-_CONFIG_SCHEMA = {
-    "backend": {"url": str, "retries": int},
-    "generation": {
-        "temperature": float,
-        "max_output_tokens": int,
-        "input_token_budget": int,
-        "request_timeout": float,
-        "seed": int,
-    },
-    "run": {
-        "models": str,
-        "techniques": str,
-        "max_rounds": int,
-        "parallelism": int,
-        "templates_dir": str,
-    },
-}
-
-# config-file key -> CliConfig field, where the names differ
-_KEY_TO_FIELD = {("backend", "url"): "backend_url"}
 
 
 def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# [section] key -> (CliConfig field, parser)
+_CONFIG_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "backend": {"url": ("backend_url", str), "retries": ("retries", int)},
+    "generation": {
+        "temperature": ("temperature", float),
+        "max_output_tokens": ("max_output_tokens", int),
+        "input_token_budget": ("input_token_budget", int),
+        "request_timeout": ("request_timeout", float),
+        "seed": ("seed", int),
+    },
+    "run": {
+        "models": ("models", _split_list),
+        "techniques": ("techniques", _split_list),
+        "max_rounds": ("max_rounds", int),
+        "parallelism": ("parallelism", int),
+        "templates_dir": ("templates_dir", str),
+    },
+}
 
 
 def load_config_file(path: str | Path, base: CliConfig) -> CliConfig:
@@ -124,22 +126,18 @@ def load_config_file(path: str | Path, base: CliConfig) -> CliConfig:
 
     updates: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in _CONFIG_KEYS:
             raise CliError(f"{path}: unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
+            if key not in _CONFIG_KEYS[section]:
                 raise CliError(f"{path}: unknown key {key!r} in [{section}]")
-            field = _KEY_TO_FIELD.get((section, key), key)
-            caster = _CONFIG_SCHEMA[section][key]
+            field, parse = _CONFIG_KEYS[section][key]
             try:
-                value: object = caster(raw)
+                updates[field] = parse(raw)
             except ValueError:
                 raise CliError(
                     f"{path}: bad value for {key!r} in [{section}]: {raw!r}"
                 )
-            if field in ("models", "techniques"):
-                value = _split_list(raw)
-            updates[field] = value
     return replace(base, **updates)
 
 
@@ -155,23 +153,12 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
     if env_url:
         config = replace(config, backend_url=env_url)
 
-    overrides: dict[str, object] = {}
-    for field in (
-        "backend_url",
-        "models",
-        "techniques",
-        "temperature",
-        "max_rounds",
-        "parallelism",
-        "seed",
-        "templates_dir",
-    ):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(CliConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return replace(config, **overrides)
 
 
 def _parse_techniques(names: tuple[str, ...]) -> tuple[TechniqueId, ...]:
@@ -202,7 +189,7 @@ def _load_corpus_arg(path: str | None) -> Corpus:
         raise CliError(f"bad corpus: {exc}")
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, config: CliConfig) -> int:
     corpus = _load_corpus_arg(args.corpus)
     report = validate_corpus(corpus)
     print(report.to_text())
@@ -216,7 +203,7 @@ def _parse_custom_rule(spec: str) -> RedactionRule:
     return RedactionRule(RuleKind.CUSTOM, stem, pattern=pattern)
 
 
-def cmd_anonymize(args: argparse.Namespace) -> int:
+def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
     corpus = _load_corpus_arg(args.corpus)
     rules = list(default_rules()) + [_parse_custom_rule(s) for s in args.custom]
     try:
@@ -258,8 +245,7 @@ def _progress(record: RunRecord, completed: int, total: int) -> None:
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
     techniques = _parse_techniques(config.techniques)
     corpus = _load_corpus_arg(args.corpus)
     if not config.models:
@@ -308,7 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if scripted:
             backend = ScriptedBackend(build_demo_script(corpus, plan.task_keys()))
         else:
-            url = args.backend if args.backend else config.backend_url
+            url = args.backend or config.backend_url
             try:
                 backend = OllamaBackend(url, retries=config.retries)
             except ValueError as exc:
@@ -328,7 +314,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     path = Path(args.run_file)
     try:
         records = load_run_records(path)
@@ -351,7 +337,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(args: argparse.Namespace, config: CliConfig) -> int:
     try:
         load_demo_corpus()
     except (FileNotFoundError, CorpusError) as exc:
@@ -479,12 +465,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A named config file must be readable and well formed for every
-        # subcommand, including the ones that take no settings from it.
-        config_path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
-        if config_path:
-            load_config_file(config_path, CliConfig())
-        return args.func(args)
+        # Resolved for every subcommand, so a named config file must be
+        # readable and well formed even where no setting from it is used.
+        return args.func(args, resolve_config(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

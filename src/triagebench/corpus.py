@@ -93,9 +93,15 @@ def _record_from_mapping(row: dict, where: str) -> IncidentRecord:
         raise CorpusError(f"{where}: unknown ground_truth code {code_raw!r}") from None
     if code is CategoryCode.UNPARSED:
         raise CorpusError(f"{where}: ground_truth may not be UNPARSED")
+    # A JSONL id may be an integer; it is kept as its decimal string.
+    if type(row["id"]) not in (str, int):
+        raise CorpusError(f"{where}: field 'id' must be a string or an integer")
+    for key in ("text", "source", "language"):
+        if row.get(key) is not None and type(row[key]) is not str:
+            raise CorpusError(f"{where}: field {key!r} must be a string")
     return IncidentRecord(
         id=str(row["id"]),
-        text=str(row["text"]),
+        text=row["text"],
         ground_truth=code,
         source=row.get("source") or None,
         language=row.get("language") or None,

@@ -70,12 +70,17 @@ class RunPlan:
 class RunRecord:
     trace: ClassificationTrace
     ground_truth: CategoryCode
-    correct: bool
     error: str | None = None
 
     @property
     def key(self) -> TaskKey:
         return (self.trace.model, self.trace.technique.value, self.trace.incident_id)
+
+    @property
+    def correct(self) -> bool:
+        """The final answer equals the expert label; a failed task's final
+        is UNPARSED, which no label is."""
+        return self.trace.final == self.ground_truth
 
     def to_dict(self) -> dict:
         d = {
@@ -90,22 +95,29 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(
+        """Decode a record; a stored `correct` must be the one it implies."""
+        record = cls(
             trace=ClassificationTrace.from_dict(d["trace"]),
             ground_truth=CategoryCode(d["ground_truth"]),
-            correct=d["correct"],
             error=d.get("error"),
         )
+        if record.ground_truth is CategoryCode.UNPARSED:
+            raise ValueError("ground_truth may not be UNPARSED")
+        if "error" in d and type(record.error) is not str:
+            raise TypeError(f"error must be str, got {record.error!r}")
+        if d["correct"] is not record.correct:
+            raise ValueError(
+                f"correct is {d['correct']!r}, but final {record.trace.final.value}"
+                f" and ground_truth {record.ground_truth.value} give {record.correct}"
+            )
+        return record
 
 
 def grade(trace: ClassificationTrace, truth: CategoryCode) -> RunRecord:
-    """Correct iff the trace's final answer equals the expert label.
-
-    UNPARSED finals are always incorrect (truth is never UNPARSED).
-    """
+    """Grade a trace against the expert label (see RunRecord.correct)."""
     if truth is CategoryCode.UNPARSED:
         raise RunError("ground truth may not be UNPARSED")
-    return RunRecord(trace=trace, ground_truth=truth, correct=trace.final == truth)
+    return RunRecord(trace=trace, ground_truth=truth)
 
 
 def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
@@ -233,7 +245,6 @@ def execute(
             return RunRecord(
                 trace=exc.partial_trace,
                 ground_truth=incident.ground_truth,
-                correct=False,
                 error=str(exc),
             )
 

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .backend import (
     Backend,
@@ -211,6 +211,15 @@ class TraceTotals:
         }
 
 
+def _typed(d: dict, key: str, *types: type) -> Any:
+    """d[key], if its exact type is one of types (so a bool is no int)."""
+    value = d[key]
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ClassificationTrace:
     incident_id: str
@@ -262,20 +271,21 @@ class ClassificationTrace:
             )
             for t in d["turns"]
         )
+        totals = d["telemetry_totals"]
         return cls(
-            incident_id=d["incident_id"],
-            model=d["model"],
+            incident_id=_typed(d, "incident_id", str),
+            model=_typed(d, "model", str),
             model_group=ModelGroup(d["model_group"]),
             technique=TechniqueId(d["technique"]),
             turns=turns,
             final=CategoryCode(d["final"]),
-            rounds_used=d["rounds_used"],
-            converged=d["converged"],
+            rounds_used=_typed(d, "rounds_used", int),
+            converged=_typed(d, "converged", bool),
             telemetry_totals=TraceTotals(
-                total_latency_ms=d["telemetry_totals"]["total_latency_ms"],
-                total_response_chars=d["telemetry_totals"]["total_response_chars"],
+                total_latency_ms=_typed(totals, "total_latency_ms", int, float),
+                total_response_chars=_typed(totals, "total_response_chars", int),
             ),
-            template_hash=d["template_hash"],
+            template_hash=_typed(d, "template_hash", str),
         )
 
 

@@ -87,16 +87,9 @@ def make_trace(
 def make_record(
     truth: CategoryCode = CategoryCode.CAT1,
     final: CategoryCode = CategoryCode.CAT1,
-    error: str | None = None,
     **trace_kwargs,
 ) -> RunRecord:
-    trace = make_trace(final=final, **trace_kwargs)
-    return RunRecord(
-        trace=trace,
-        ground_truth=truth,
-        correct=error is None and final == truth,
-        error=error,
-    )
+    return RunRecord(trace=make_trace(final=final, **trace_kwargs), ground_truth=truth)
 
 
 def random_records(

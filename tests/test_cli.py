@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -8,6 +11,7 @@ import pytest
 
 import triagebench
 from triagebench import cli, runner
+from triagebench.backend import GenerationParams, OllamaBackend
 from triagebench.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -18,8 +22,9 @@ from triagebench.cli import (
     resolve_config,
 )
 from triagebench.corpus import load_corpus
-from triagebench.demo import diff_against_golden, run_demo
-from triagebench.runner import load_run_records
+from triagebench.demo import DEMO_MODEL_NAME, diff_against_golden, run_demo
+from triagebench.runner import RunPlan, load_run_records
+from triagebench.techniques import TechniqueConfig, TechniqueId
 
 from helpers import corrupt_lines_2_and_3
 
@@ -112,6 +117,108 @@ class TestConfigPrecedence:
         assert "cannot read config file" in capsys.readouterr().err
 
 
+# (section, key, raw value, CliConfig field, parsed value), one per config key
+CONFIG_KEYS = [
+    ("backend", "url", "http://filehost:1", "backend_url", "http://filehost:1"),
+    ("backend", "retries", "5", "retries", 5),
+    ("generation", "temperature", "0.7", "temperature", 0.7),
+    ("generation", "max_output_tokens", "64", "max_output_tokens", 64),
+    ("generation", "input_token_budget", "512", "input_token_budget", 512),
+    ("generation", "request_timeout", "2.5", "request_timeout", 2.5),
+    ("generation", "seed", "42", "seed", 42),
+    ("run", "models", "m-a, m-b,", "models", ("m-a", "m-b")),
+    ("run", "techniques", "ZSL,PRP", "techniques", ("ZSL", "PRP")),
+    ("run", "max_rounds", "5", "max_rounds", 5),
+    ("run", "parallelism", "3", "parallelism", 3),
+    ("run", "templates_dir", "my_templates", "templates_dir", "my_templates"),
+]
+
+
+class TestConfigKeys:
+    def test_every_key_is_covered(self):
+        table = {(section, key) for section, keys in cli._CONFIG_KEYS.items()
+                 for key in keys}
+        assert table == {(section, key) for section, key, *_ in CONFIG_KEYS}
+        assert {field for *_, field, _ in CONFIG_KEYS} == {
+            f.name for f in dataclasses.fields(CliConfig)
+        }
+
+    @pytest.mark.parametrize(
+        "section, key, raw, field, value", CONFIG_KEYS, ids=[k[1] for k in CONFIG_KEYS]
+    )
+    def test_key_lands_in_its_field(self, tmp_path, section, key, raw, field, value):
+        ini = tmp_path / "triage.ini"
+        ini.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        config = load_config_file(ini, CliConfig())
+        assert config == dataclasses.replace(CliConfig(), **{field: value})
+
+    def test_defaults_are_their_owners_defaults(self):
+        params = GenerationParams()
+        backend = inspect.signature(OllamaBackend).parameters
+        plan = {f.name: f.default for f in dataclasses.fields(RunPlan)}
+        assert CliConfig() == CliConfig(
+            backend_url=backend["base_url"].default,
+            retries=backend["retries"].default,
+            models=(DEMO_MODEL_NAME,),
+            techniques=tuple(t.value for t in TechniqueId),
+            temperature=params.temperature,
+            max_output_tokens=params.max_output_tokens,
+            input_token_budget=params.input_token_budget,
+            request_timeout=params.request_timeout,
+            seed=0,
+            max_rounds=TechniqueConfig().max_rounds,
+            parallelism=plan["parallelism"],
+            templates_dir=None,
+        )
+
+    def test_backend_flag_beats_env_and_file(self, tmp_path, monkeypatch, stub_server):
+        url, handler = stub_server
+        reply = {"message": {"role": "assistant", "content": "FINAL: CAT2"}}
+        handler.responses.append((200, json.dumps(reply)))
+        dead = "http://127.0.0.1:9"
+        ini = tmp_path / "triage.ini"
+        ini.write_text(f"[backend]\nurl = {dead}\n", encoding="utf-8")
+        monkeypatch.setenv(cli.ENV_BACKEND_URL, dead)
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOOD_ROW])
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(
+            [
+                "--config", str(ini),
+                "run", "--backend", url,
+                "--models", "demo",
+                "--techniques", "ZSL",
+                "--corpus", str(corpus),
+                "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert handler.paths_seen == ["/api/tags", "/api/chat"]
+        assert [r.correct for r in load_run_records(out)] == [True]
+
+    def test_config_file_read_once_per_main(self, tmp_path, monkeypatch):
+        ini = tmp_path / "triage.ini"
+        ini.write_text("[generation]\nseed = 3\n", encoding="utf-8")
+        reads = []
+        read = cli.load_config_file
+
+        def counting(path, base):
+            reads.append(path)
+            return read(path, base)
+
+        monkeypatch.setattr(cli, "load_config_file", counting)
+        rc = cli.main(
+            [
+                "--config", str(ini),
+                "run", "--backend", "scripted",
+                "--models", "demo",
+                "--techniques", "ZSL",
+                "--out", str(tmp_path / "run.jsonl"),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert reads == [str(ini)]
+
+
 class TestValidate:
     def test_bundled_corpus_passes(self, capsys):
         assert cli.main(["validate"]) == EXIT_OK
@@ -136,6 +243,22 @@ class TestValidate:
         rc = cli.main(["validate", str(tmp_path / "missing.jsonl")])
         assert rc == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"id": True}, "id"),
+            ({"text": ["a", "b"]}, "text"),
+            ({"source": 5}, "source"),
+            ({"language": 1}, "language"),
+        ],
+    )
+    def test_wrongly_typed_field_exit_two(self, tmp_path, capsys, fields, field):
+        rows = [GOOD_ROW, {**GOOD_ROW, "id": "a2", **fields}]
+        path = write_corpus(tmp_path / "c.jsonl", rows)
+        assert cli.main(["validate", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"bad corpus: c.jsonl:2: field {field!r} must be a string" in err
 
 
 class TestAnonymize:
@@ -529,6 +652,60 @@ class TestReport:
         )
         assert rc == EXIT_USAGE
         assert f"{scripted_run_file}:2: invalid record" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            pytest.param(("trace", "model"), 5, "model must be str, got 5",
+                         id="model-int"),
+            pytest.param(("trace", "incident_id"), 7, "incident_id must be str",
+                         id="incident_id-int"),
+            pytest.param(("trace", "template_hash"), None, "template_hash must be str",
+                         id="template_hash-null"),
+            pytest.param(("trace", "rounds_used"), "3", "rounds_used must be int",
+                         id="rounds_used-str"),
+            pytest.param(("trace", "rounds_used"), 2.5, "rounds_used must be int",
+                         id="rounds_used-float"),
+            pytest.param(("trace", "rounds_used"), True, "rounds_used must be int",
+                         id="rounds_used-bool"),
+            pytest.param(("trace", "converged"), 1, "converged must be bool",
+                         id="converged-int"),
+            pytest.param(("trace", "telemetry_totals", "total_latency_ms"), "x",
+                         "total_latency_ms must be int or float", id="latency-str"),
+            pytest.param(("trace", "telemetry_totals", "total_response_chars"), "x",
+                         "total_response_chars must be int", id="chars-str"),
+            pytest.param(("trace", "telemetry_totals", "total_response_chars"), "12",
+                         "total_response_chars must be int", id="chars-digits"),
+            pytest.param(("error",), 3, "error must be str, got 3", id="error-int"),
+            pytest.param(("ground_truth",), "UNPARSED",
+                         "ground_truth may not be UNPARSED", id="truth-unparsed"),
+            pytest.param(("correct",), "no", "correct is 'no', but final",
+                         id="correct-str"),
+            pytest.param(("correct",), "flip", "correct is (True|False), but final",
+                         id="correct-flipped"),
+        ],
+    )
+    def test_wrongly_typed_or_contradicting_field_exit_two(
+        self, scripted_run_file, tmp_path, capsys, where, value, message
+    ):
+        lines = scripted_run_file.read_text(encoding="utf-8").splitlines()
+        d = json.loads(lines[1])
+        *parents, key = where
+        target = d
+        for part in parents:
+            target = target[part]
+        target[key] = (not target[key]) if value == "flip" else value
+        lines[1] = json.dumps(d)
+        scripted_run_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = cli.main(
+            ["report", str(scripted_run_file), "--out-dir", str(tmp_path / "r")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith(f"error: {scripted_run_file}:2: invalid record: ")
+        assert re.search(message, err) and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("kind", ["directory", "non-utf8"])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -120,6 +121,36 @@ class TestLoadErrors:
         )
         with pytest.raises(CorpusError, match="bad.jsonl:2"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"id": True}, "'id' must be a string or an integer"),
+            ({"id": 1.5}, "'id' must be a string or an integer"),
+            ({"text": ["a", "b"]}, "'text' must be a string"),
+            ({"source": 5}, "'source' must be a string"),
+            ({"language": False}, "'language' must be a string"),
+        ],
+        ids=["id-bool", "id-float", "text-list", "source-int", "language-bool"],
+    )
+    def test_wrongly_typed_field_names_line(self, tmp_path, fields, message):
+        path = tmp_path / "bad.jsonl"
+        row = {"id": "a", "text": "x", "ground_truth": "CAT1", **fields}
+        path.write_text(
+            '{"id":"ok","text":"y","ground_truth":"CAT2"}\n' + json.dumps(row) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError, match=f"bad.jsonl:2: field {message}"):
+            load_corpus(path)
+
+    def test_integer_id_kept_as_its_string(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        path.write_text(
+            '{"id":7,"text":"x","ground_truth":"CAT1","source":null}\n',
+            encoding="utf-8",
+        )
+        (record,) = load_corpus(path).records
+        assert (record.id, record.source) == ("7", None)
 
     def test_wrong_csv_header(self, tmp_path):
         path = tmp_path / "bad.csv"

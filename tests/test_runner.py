@@ -1,5 +1,6 @@
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from triagebench.corpus import Corpus, IncidentRecord
 from triagebench.runner import (
     RunError,
     RunPlan,
+    RunRecord,
     grade,
     execute,
     load_run_records,
@@ -131,6 +133,17 @@ class TestGrade:
     def test_unparsed_truth_rejected(self):
         with pytest.raises(RunError):
             grade(make_trace(), CategoryCode.UNPARSED)
+
+    def test_correct_is_computed_and_stored_value_must_agree(self):
+        record = grade(make_trace(final=CategoryCode.CAT2), CategoryCode.CAT3)
+        assert record.correct is False
+        assert replace(record, ground_truth=CategoryCode.CAT2).correct is True
+        d = record.to_dict()
+        assert d["correct"] is False
+        assert RunRecord.from_dict(d) == record
+        for stored in (True, 0, "no", None):
+            with pytest.raises(ValueError, match="correct is"):
+                RunRecord.from_dict({**d, "correct": stored})
 
 
 class TestExecuteSerial:
