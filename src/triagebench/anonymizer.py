@@ -171,19 +171,16 @@ def anonymize(
     return text, report
 
 
-def audit(
-    text: str,
-    rules: list[RedactionRule] | tuple[RedactionRule, ...] | None = None,
-) -> list[Finding]:
-    """Report every residual rule match without modifying the text.
+def audit(text: str) -> list[Finding]:
+    """Report every residual default-rule match without modifying the text.
 
     Each rule is matched against the text independently, so overlapping
     findings (a hostname inside an email address) are all reported. Empty
-    result means anonymize would return the text unchanged.
+    result means anonymize with the default rules would return the text
+    unchanged.
     """
-    compiled = compile_rules(rules if rules is not None else default_rules())
     findings = []
-    for rule in compiled:
+    for rule in compile_rules(default_rules()):
         for m in rule.regex.finditer(text):
             findings.append(Finding(rule.kind, m.span(), m.group(0)))
     findings.sort(key=lambda f: (f.span, f.kind.value))

@@ -50,7 +50,6 @@ from .metrics import (
     render_report,
 )
 from .runner import RunError, RunPlan, RunRecord, execute, load_run_records
-from .taxonomy import builtin_taxonomy
 from .techniques import TechniqueConfig, TechniqueId, TemplateError, load_templates
 from .util import canonical_dumps
 
@@ -185,6 +184,8 @@ def _load_corpus_arg(path: str | None) -> Corpus:
         return load_corpus(path)
     except FileNotFoundError:
         raise CliError(f"corpus file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read corpus {path}: {exc.strerror or exc}")
     except CorpusError as exc:
         raise CliError(f"bad corpus: {exc}")
 
@@ -223,11 +224,18 @@ def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
         if keep and report.mapping:
             mappings[rec.id] = report.mapping
 
-    save_corpus(replace(corpus, records=tuple(out_records)), args.out)
-    if keep:
-        Path(args.write_mapping).write_text(
-            canonical_dumps(mappings) + "\n", encoding="utf-8"
+    try:
+        save_corpus(replace(corpus, records=tuple(out_records)), args.out)
+        if keep:
+            Path(args.write_mapping).write_text(
+                canonical_dumps(mappings) + "\n", encoding="utf-8"
+            )
+    except OSError as exc:
+        raise CliError(
+            f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+            code=EXIT_FAILURE,
         )
+    if keep:
         print(f"mapping written to {args.write_mapping} (sensitive, handle with care)")
     summary = ", ".join(f"{k}={v}" for k, v in sorted(totals.items())) or "nothing"
     print(f"anonymized {len(out_records)} records to {args.out}: replaced {summary}")
@@ -301,13 +309,7 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
                 raise CliError(str(exc))
             if not backend.is_reachable():
                 raise CliError(f"backend at {url} is not reachable", code=EXIT_FAILURE)
-        summary = execute(
-            plan,
-            backend,
-            builtin_taxonomy(),
-            resume=args.resume,
-            on_record=_progress,
-        )
+        summary = execute(plan, backend, resume=args.resume, on_record=_progress)
     except RunError as exc:
         raise CliError(str(exc))
     print(summary)

@@ -2,18 +2,20 @@
 
 JSONL is the canonical on-disk form (one UTF-8 object per line with keys
 id, text, ground_truth and optional source, language); CSV is accepted with
-that exact header. Sampling is seeded and fully portable: records are
-chosen by SHA-256-derived priorities, not by any library PRNG, so the same
-(corpus, per_category, seed) reproduces bit-for-bit anywhere.
+that exact header. A .csv suffix picks CSV, any other suffix JSONL; both
+may start with a byte-order mark. Sampling is seeded and fully portable:
+records are chosen by SHA-256-derived priorities, not by any library PRNG,
+so the same (corpus, per_category, seed) reproduces bit-for-bit anywhere.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
-from .anonymizer import RedactionRule, audit
+from .anonymizer import audit
 from .taxonomy import CategoryCode
 from .util import canonical_dumps, stable_hash_int
 
@@ -52,16 +54,8 @@ class IncidentRecord:
 
 
 @dataclass(frozen=True)
-class CorpusMeta:
-    name: str
-    created_at: str | None = None
-    notes: str | None = None
-
-
-@dataclass(frozen=True)
 class Corpus:
     records: tuple[IncidentRecord, ...]
-    metadata: CorpusMeta = field(default_factory=lambda: CorpusMeta(name="corpus"))
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -108,62 +102,60 @@ def _record_from_mapping(row: dict, where: str) -> IncidentRecord:
     )
 
 
-def load_corpus(path: str | Path, fmt: str | None = None) -> Corpus:
-    """Load a corpus from JSONL or CSV; format inferred from the suffix.
+def _jsonl_rows(fh: Iterable[str], name: str) -> Iterator[tuple[str, dict]]:
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        where = f"{name}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(row, dict):
+            raise CorpusError(f"{where}: expected an object")
+        yield where, row
 
-    Order-preserving. Malformed rows, duplicate ids and unknown codes raise
-    CorpusError naming the offending line.
+
+def _csv_rows(fh: Iterable[str], name: str) -> Iterator[tuple[str, dict]]:
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise CorpusError(f"{name}: empty CSV file")
+    if tuple(header) != CSV_HEADER:
+        raise CorpusError(f"{name}: CSV header must be {','.join(CSV_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        where = f"{name}:{lineno}"
+        if len(row) != len(CSV_HEADER):
+            raise CorpusError(f"{where}: expected {len(CSV_HEADER)} columns")
+        yield where, dict(zip(CSV_HEADER, row))
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus from CSV (a .csv suffix, any case) or else JSONL.
+
+    Order-preserving. A leading UTF-8 byte-order mark is skipped. Malformed
+    rows, duplicate ids, unknown codes and non-UTF-8 bytes raise CorpusError
+    naming the file, and the line where there is one.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise CorpusError(f"unsupported corpus format {fmt!r}")
-
+    rows = _csv_rows if path.suffix.lower() == ".csv" else _jsonl_rows
     records: list[IncidentRecord] = []
     seen: set[str] = set()
-
-    if fmt == "jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path.name}:{lineno}"
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(row, dict):
-                    raise CorpusError(f"{where}: expected an object")
+    # newline="" keeps the line breaks inside quoted CSV fields; JSONL lines
+    # split on the same breaks in either mode.
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        try:
+            for where, row in rows(fh, path.name):
                 rec = _record_from_mapping(row, where)
                 if rec.id in seen:
                     raise CorpusError(f"{where}: duplicate record id {rec.id!r}")
                 seen.add(rec.id)
                 records.append(rec)
-    else:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = tuple(next(reader))
-            except StopIteration:
-                raise CorpusError(f"{path.name}: empty CSV file") from None
-            if header != CSV_HEADER:
-                raise CorpusError(
-                    f"{path.name}: CSV header must be {','.join(CSV_HEADER)}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                where = f"{path.name}:{lineno}"
-                if len(row) != len(CSV_HEADER):
-                    raise CorpusError(f"{where}: expected {len(CSV_HEADER)} columns")
-                rec = _record_from_mapping(dict(zip(CSV_HEADER, row)), where)
-                if rec.id in seen:
-                    raise CorpusError(f"{where}: duplicate record id {rec.id!r}")
-                seen.add(rec.id)
-                records.append(rec)
-
-    return Corpus(records=tuple(records), metadata=CorpusMeta(name=path.stem))
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+    return Corpus(records=tuple(records))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -205,12 +197,7 @@ def balanced_sample(corpus: Corpus, per_category: int, seed: int) -> Corpus:
         selected.extend(ranked[:per_category])
 
     selected.sort(key=lambda r: stable_hash_int(f"{seed}:order:{r.id}"))
-    meta = CorpusMeta(
-        name=f"{corpus.metadata.name}-balanced",
-        created_at=corpus.metadata.created_at,
-        notes=f"balanced_sample per_category={per_category} seed={seed}",
-    )
-    return Corpus(records=tuple(selected), metadata=meta)
+    return Corpus(records=tuple(selected))
 
 
 @dataclass(frozen=True)
@@ -237,25 +224,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_corpus(
-    corpus: Corpus,
-    rules: tuple[RedactionRule, ...] | list[RedactionRule] | None = None,
-) -> ValidationReport:
-    """Audit every record for residual PII, empty text and label validity.
+def validate_corpus(corpus: Corpus) -> ValidationReport:
+    """Audit every record for residual PII and blank text.
 
     Findings are report entries, never exceptions; the corpus is untouched.
     """
     findings: list[ValidationFinding] = []
     for rec in corpus.records:
-        # Invariants normally hold by construction; re-checked here because
-        # validation also covers corpora assembled by other tools.
+        # A record refuses empty text but accepts text that is all whitespace.
         if not rec.text.strip():
             findings.append(ValidationFinding(rec.id, "EMPTY_TEXT", "blank text"))
-        if rec.ground_truth is CategoryCode.UNPARSED:
-            findings.append(
-                ValidationFinding(rec.id, "INVALID_LABEL", "UNPARSED ground truth")
-            )
-        for f in audit(rec.text, rules):
+        for f in audit(rec.text):
             findings.append(
                 ValidationFinding(
                     rec.id, f.kind.value,

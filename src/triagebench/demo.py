@@ -26,7 +26,7 @@ from .backend import GenerationParams, ModelSpec, ScriptedBackend, resolve_model
 from .corpus import Corpus, IncidentRecord, load_corpus
 from .metrics import MetricsReport, compute_metrics
 from .runner import RunPlan, TaskKey, execute, load_run_records
-from .taxonomy import CategoryCode, builtin_taxonomy
+from .taxonomy import CategoryCode
 from .techniques import TechniqueConfig, TechniqueId
 from .util import canonical_dumps, sha256_hex, stable_hash_int
 
@@ -257,7 +257,6 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
     The summary embeds the template hash and the corpus digest, so the
     golden comparison covers prompts and data as well as metric values.
     """
-    taxonomy = builtin_taxonomy()
     corpus = load_demo_corpus()
     config = TechniqueConfig()
 
@@ -273,7 +272,7 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
             parallelism=1,
         )
         backend = ScriptedBackend(build_demo_script(corpus, plan.task_keys()))
-        execute(plan, backend, taxonomy)
+        execute(plan, backend)
         if backend.remaining() != 0:
             raise DemoError(
                 f"{backend.remaining()} scripted replies left over; the "

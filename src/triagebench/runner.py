@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from .backend import Backend, GenerationParams, ModelSpec
 from .corpus import Corpus
-from .taxonomy import CategoryCode, Taxonomy, builtin_taxonomy
+from .taxonomy import CategoryCode, builtin_taxonomy
 from .techniques import (
     ClassificationError,
     ClassificationTrace,
@@ -199,18 +199,17 @@ class RunSummary:
 def execute(
     plan: RunPlan,
     backend: Backend,
-    taxonomy: Taxonomy | None = None,
     resume: bool = False,
     on_record: Callable[[RunRecord, int, int], None] | None = None,
 ) -> RunSummary:
     """Run the full plan, appending one RunRecord line per task.
 
-    A task whose backend calls keep failing is recorded as a failed record
-    (final UNPARSED, error note) and the run continues; only run-file I/O
-    failures abort. With resume=True, keys already present in the output
-    file are skipped.
+    Every task is classified against the builtin taxonomy. A task whose
+    backend calls keep failing is recorded as a failed record (final
+    UNPARSED, error note) and the run continues; only run-file I/O failures
+    abort. With resume=True, keys already present in the output file are
+    skipped.
     """
-    taxonomy = taxonomy or builtin_taxonomy()
     path = Path(plan.output_path)
 
     done: set[TaskKey] = set()
@@ -235,7 +234,7 @@ def execute(
                 TechniqueId(technique_value),
                 models[model_name],
                 backend,
-                taxonomy,
+                builtin_taxonomy(),
                 plan.params,
                 plan.technique_config,
             )

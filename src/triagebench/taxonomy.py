@@ -10,12 +10,10 @@ instance, on first use, and cached on it; parsing a reply compiles nothing.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 
 class TaxonomyError(ValueError):
@@ -186,43 +184,9 @@ def builtin_taxonomy() -> Taxonomy:
     return _BUILTIN
 
 
-def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Load a taxonomy override file: a JSON array of category objects.
-
-    Each object needs code, name, description and priority; the result must
-    satisfy the same invariants as the builtin table (12 codes in order,
-    names the parser can tell apart, priorities 1..5).
-    """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise TaxonomyError("taxonomy file must be a JSON array")
-    categories = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise TaxonomyError(f"entry {i}: expected an object")
-        try:
-            code = CategoryCode(entry["code"])
-        except (KeyError, ValueError) as exc:
-            raise TaxonomyError(f"entry {i}: bad or missing code") from exc
-        try:
-            categories.append(
-                Category(code, entry["name"], entry["description"],
-                         int(entry["priority"]))
-            )
-        except KeyError as exc:
-            raise TaxonomyError(f"entry {i}: missing field {exc}") from exc
-    return Taxonomy(categories=tuple(categories))
-
-
 def render_prompt_block(taxonomy: Taxonomy) -> str:
     """One line per category, "CODE — Name: Description", for system prompts."""
     return taxonomy._prompt_block
-
-
-def priority_of(code: CategoryCode, taxonomy: Taxonomy | None = None) -> int:
-    if code is CategoryCode.UNPARSED:
-        raise TaxonomyError("no priority for sentinel UNPARSED")
-    return (taxonomy or _BUILTIN).by_code(code).priority
 
 
 # Rule (1): the declared answer contract, anywhere in a line, last one wins.

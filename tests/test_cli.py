@@ -261,6 +261,29 @@ class TestValidate:
         assert f"bad corpus: c.jsonl:2: field {field!r} must be a string" in err
 
 
+class TestUnreadableCorpus:
+    @pytest.mark.parametrize("command", ["validate", "run", "anonymize"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_exit_two_one_line(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "c.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff" + json.dumps(GOOD_ROW).encode() + b"\n")
+        out = tmp_path / "out.jsonl"
+        argv = {
+            "validate": ["validate", str(path)],
+            "run": ["run", "--backend", "scripted", "--corpus", str(path),
+                    "--out", str(out)],
+            "anonymize": ["anonymize", str(path), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c.jsonl" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestAnonymize:
     def test_redacts_and_reports(self, tmp_path, capsys):
         src = write_corpus(
@@ -352,6 +375,19 @@ class TestAnonymize:
         )
         assert rc == EXIT_USAGE
         assert "rule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unwritable", ["--out", "--write-mapping"])
+    def test_unwritable_output_exit_one(self, tmp_path, capsys, unwritable):
+        src = write_corpus(tmp_path / "raw.jsonl", [GOOD_ROW])
+        paths = {"--out": tmp_path / "c.jsonl", "--write-mapping": tmp_path / "m.json"}
+        paths[unwritable] = tmp_path / "missing" / "x.json"
+        argv = ["anonymize", str(src)]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        assert cli.main(argv) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {paths[unwritable]}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRunScripted:

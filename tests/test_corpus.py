@@ -8,7 +8,6 @@ from triagebench.corpus import (
     CSV_HEADER,
     Corpus,
     CorpusError,
-    CorpusMeta,
     IncidentRecord,
     balanced_sample,
     load_corpus,
@@ -90,6 +89,23 @@ class TestRoundTrip:
         save_corpus(first, out)
         assert load_corpus(out).records == first.records
 
+    @pytest.mark.parametrize("name, body", [
+        ("c.csv", ",".join(CSV_HEADER) + "\nx1,report text,CAT2,,\n"),
+        ("c.jsonl", '{"id":"x1","text":"report text","ground_truth":"CAT2"}\n'),
+    ], ids=["csv", "jsonl"])
+    def test_byte_order_mark_skipped(self, tmp_path, name, body):
+        # Excel's "CSV UTF-8" export starts the file with a BOM.
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        (record,) = load_corpus(path).records
+        assert record == rec("x1", CategoryCode.CAT2, "report text")
+
+    def test_upper_case_csv_suffix_loads_as_csv(self, tmp_path):
+        path = tmp_path / "C.CSV"
+        path.write_text(",".join(CSV_HEADER) + "\nx1,report text,CAT2,,\n",
+                        encoding="utf-8")
+        assert [r.id for r in load_corpus(path).records] == ["x1"]
+
 
 class TestLoadErrors:
     def test_bad_json_names_line(self, tmp_path):
@@ -152,15 +168,26 @@ class TestLoadErrors:
         (record,) = load_corpus(path).records
         assert (record.id, record.source) == ("7", None)
 
+    def test_csv_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            ",".join(CSV_HEADER) + "\na,x,CAT1,,\na,y,CAT2,,\n", encoding="utf-8"
+        )
+        with pytest.raises(CorpusError, match="bad.csv:3: duplicate record id 'a'"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("name", ["bad.jsonl", "bad.csv"])
+    def test_non_utf8_names_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff" + ",".join(CSV_HEADER).encode() + b"\n")
+        with pytest.raises(CorpusError, match=f"{name}: not UTF-8"):
+            load_corpus(path)
+
     def test_wrong_csv_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,body,label\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="header"):
             load_corpus(path)
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(CorpusError, match="format"):
-            load_corpus(tmp_path / "c.jsonl", fmt="parquet")
 
 
 def _oracle_hash(key: str) -> int:
@@ -227,11 +254,6 @@ class TestBalancedSample:
         message = str(err.value)
         assert "CAT12: 0" in message
         assert "CAT1: 1" in message
-
-    def test_notes_record_parameters(self):
-        corpus = uneven_corpus(random.Random(13))
-        sample = balanced_sample(corpus, 2, seed=77)
-        assert sample.metadata.notes == "balanced_sample per_category=2 seed=77"
 
 
 class TestValidateCorpus:

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,11 +5,10 @@ from hypothesis import strategies as st
 from triagebench.taxonomy import (
     ANSWER_CONTRACT,
     CategoryCode,
+    Taxonomy,
     TaxonomyError,
     builtin_taxonomy,
-    load_taxonomy,
     parse_category,
-    priority_of,
     render_prompt_block,
 )
 
@@ -21,19 +18,11 @@ from oracles import oracle_parse_category
 CODES = list(CategoryCode.taxonomy_codes())
 
 
-def write_override(path, taxonomy, renames: dict[int, object]):
-    """An override file of the given table with some names (by number) replaced."""
-    rows = [
-        {
-            "code": c.code.value,
-            "name": renames.get(k, c.name),
-            "description": c.description,
-            "priority": c.priority,
-        }
-        for k, c in enumerate(taxonomy.categories, start=1)
-    ]
-    path.write_text(json.dumps(rows), encoding="utf-8")
-    return path
+def with_names(taxonomy, renames: dict[int, object]):
+    """The given table with some names (by number) replaced."""
+    return renamed(
+        [renames.get(k, c.name) for k, c in enumerate(taxonomy.categories, start=1)]
+    )
 
 
 class TestBuiltinTaxonomy:
@@ -54,11 +43,6 @@ class TestBuiltinTaxonomy:
 
     def test_priorities_in_band(self, taxonomy):
         assert all(1 <= c.priority <= 5 for c in taxonomy.categories)
-
-    def test_priority_lookup(self, taxonomy):
-        assert priority_of(CategoryCode.CAT10, taxonomy) == 2
-        with pytest.raises(TaxonomyError):
-            priority_of(CategoryCode.UNPARSED, taxonomy)
 
     def test_from_number_bounds(self):
         assert CategoryCode.from_number(1) is CategoryCode.CAT1
@@ -86,93 +70,47 @@ class TestPromptBlock:
 
 
 class TestLoadTaxonomy:
-    def test_override_round_trips(self, tmp_path, taxonomy):
-        rows = [
-            {
-                "code": c.code.value,
-                "name": c.name,
-                "description": c.description,
-                "priority": c.priority,
-            }
-            for c in taxonomy.categories
-        ]
-        path = tmp_path / "tax.json"
-        path.write_text(json.dumps(rows), encoding="utf-8")
-        assert load_taxonomy(path) == taxonomy
+    """The checks a Taxonomy makes on the table it is built from."""
 
-    def test_rejects_wrong_count(self, tmp_path, taxonomy):
-        rows = [
-            {
-                "code": c.code.value,
-                "name": c.name,
-                "description": c.description,
-                "priority": c.priority,
-            }
-            for c in taxonomy.categories[:11]
-        ]
-        path = tmp_path / "tax.json"
-        path.write_text(json.dumps(rows), encoding="utf-8")
+    def test_rejects_wrong_count(self, taxonomy):
         with pytest.raises(TaxonomyError):
-            load_taxonomy(path)
+            Taxonomy(categories=taxonomy.categories[:11])
 
-    def test_rejects_duplicate_names(self, tmp_path, taxonomy):
-        rows = [
-            {
-                "code": c.code.value,
-                "name": "Same Name",
-                "description": c.description,
-                "priority": c.priority,
-            }
-            for c in taxonomy.categories
-        ]
-        path = tmp_path / "tax.json"
-        path.write_text(json.dumps(rows), encoding="utf-8")
+    def test_rejects_duplicate_names(self):
         with pytest.raises(TaxonomyError):
-            load_taxonomy(path)
+            renamed(["Same Name"] * 12)
 
     @pytest.mark.parametrize("blank", ["", "   ", "\t\n", "\u00a0"])
-    def test_rejects_blank_name(self, tmp_path, taxonomy, blank):
+    def test_rejects_blank_name(self, taxonomy, blank):
         # A blank CAT12 used to match between any two non-word characters:
         # "no idea... really" parsed as CAT12.
-        path = write_override(tmp_path / "tax.json", taxonomy, {12: blank})
         with pytest.raises(TaxonomyError, match="CAT12: blank"):
-            load_taxonomy(path)
+            with_names(taxonomy, {12: blank})
 
-    def test_rejects_non_string_name(self, tmp_path, taxonomy):
-        path = write_override(tmp_path / "tax.json", taxonomy, {3: 42})
+    def test_rejects_non_string_name(self, taxonomy):
         with pytest.raises(TaxonomyError, match="CAT3"):
-            load_taxonomy(path)
+            with_names(taxonomy, {3: 42})
 
     @pytest.mark.parametrize(
         "clash", ["Social  Engineering", "social\nengineering", " SOCIAL ENGINEERING "]
     )
-    def test_rejects_names_equal_up_to_case_and_whitespace(
-        self, tmp_path, taxonomy, clash
-    ):
+    def test_rejects_names_equal_up_to_case_and_whitespace(self, taxonomy, clash):
         # The parser matches "Social Engineering" and the clash on the same
         # text, so the earlier one would silently win every time.
-        path = write_override(tmp_path / "tax.json", taxonomy, {12: clash})
         with pytest.raises(TaxonomyError, match="unique"):
-            load_taxonomy(path)
+            with_names(taxonomy, {12: clash})
 
-    def test_rejects_names_the_parser_cannot_tell_apart(self, tmp_path, taxonomy):
+    def test_rejects_names_the_parser_cannot_tell_apart(self, taxonomy):
         # Dotless i matches i under IGNORECASE but casefolds apart from it.
         # Both names would match the same span of "a FILE leak", and the
         # lower code would always win.
         for pair in ({5: "File Leak", 9: "F\u0131le  leak"},
                      {9: "File Leak", 5: "F\u0131le  leak"}):
-            path = write_override(tmp_path / "tax.json", taxonomy, pair)
             with pytest.raises(TaxonomyError, match="CAT5 and CAT9: the parser"):
-                load_taxonomy(path)
-            names = [c.name for c in taxonomy.categories]
-            for k, name in pair.items():
-                names[k - 1] = name
-            with pytest.raises(TaxonomyError, match="CAT5 and CAT9: the parser"):
-                renamed(names)
+                with_names(taxonomy, pair)
 
-    def test_override_parses_with_its_own_names(self, tmp_path, taxonomy):
-        path = write_override(tmp_path / "tax.json", taxonomy, {2: "Ransomware"})
-        override = load_taxonomy(path)
+    def test_override_parses_with_its_own_names(self, taxonomy):
+        override = with_names(taxonomy, {2: "Ransomware"})
         # Each table matches only its own names.
         assert parse_category("Malware, surely", taxonomy) is CategoryCode.CAT2
         assert parse_category("Malware, surely", override) is CategoryCode.UNPARSED
