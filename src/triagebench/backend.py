@@ -100,15 +100,6 @@ class ModelGroup(str, Enum):
 class ModelSpec:
     name: str
     group: ModelGroup
-    params_billions: float
-    context_window_tokens: int
-    attention: str = ""
-    activation: str = ""
-    normalization: str = ""
-
-    def __post_init__(self) -> None:
-        if self.context_window_tokens <= 0:
-            raise ValueError("context_window_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,23 +110,11 @@ class Telemetry:
     output_tokens: int | None = None
     server_eval_duration_ms: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "latency_ms": self.latency_ms,
-            "response_chars": self.response_chars,
-            "prompt_tokens": self.prompt_tokens,
-            "output_tokens": self.output_tokens,
-            "server_eval_duration_ms": self.server_eval_duration_ms,
-        }
-
 
 @dataclass(frozen=True)
 class Completion:
     text: str
     telemetry: Telemetry
-
-    def to_dict(self) -> dict:
-        return {"text": self.text, "telemetry": self.telemetry.to_dict()}
 
 
 class Backend(Protocol):
@@ -316,8 +295,6 @@ class ScriptedBackend:
     """
 
     def __init__(self, script: Sequence[str]) -> None:
-        if not script:
-            raise ValueError("script must be nonempty")
         self._script = list(script)
         self._pos = 0
         self._lock = threading.Lock()
@@ -347,60 +324,44 @@ class ScriptedBackend:
         )
 
 
-_REGISTRY_ROWS: tuple[tuple[str, str, float, int, str, str, str], ...] = (
-    # Group 1: larger models (20B-70B class).
-    ("Cogito 70B", "G1", 70, 128_000, "MHA", "SwiGLU", "RMSNorm"),
-    ("DeepSeek R1 70B", "G1", 70, 128_000, "MLA", "SwiGLU", "RMSNorm"),
-    ("Falcon3 10B", "G1", 10, 32_000, "GQA", "ReLU", "LayerNorm"),
-    ("Gemma 2 27B", "G1", 27, 8_192, "GQA", "GeGLU", "RMSNorm"),
-    ("Gemma 3 27B", "G1", 27, 128_000, "GQA", "GeGLU", "RMSNorm"),
-    ("GPT-OSS 20B", "G1", 20, 131_072, "MoE", "SwiGLU", "RMSNorm"),
-    ("Llama 3.3 70B", "G1", 70, 131_072, "GQA", "SwiGLU", "RMSNorm"),
-    ("Mistral Small 24B", "G1", 24, 32_768, "GQA", "SwiGLU", "RMSNorm"),
-    ("Phi-4 14B", "G1", 14, 16_000, "MHA", "GeGLU", "RMSNorm"),
-    ("Qwen2.5 32B", "G1", 32, 131_072, "GQA", "SwiGLU", "RMSNorm"),
-    ("Qwen3 32B", "G1", 32, 131_072, "GQA", "SwiGLU", "RMSNorm"),
-    # Group 2: smaller models (7B-12B class).
-    ("Qwen3 8B", "G2", 8, 262_144, "GQA", "SwiGLU", "RMSNorm"),
-    ("Qwen2.5 7B", "G2", 7, 131_072, "GQA", "SwiGLU", "RMSNorm"),
-    ("Cogito 8B", "G2", 8, 128_000, "MHA", "SwiGLU", "RMSNorm"),
-    ("DeepSeek R1 8B", "G2", 8, 128_000, "MLA", "SwiGLU", "RMSNorm"),
-    ("Falcon3 7B", "G2", 7, 32_000, "GQA", "ReLU", "LayerNorm"),
-    ("Gemma 2 9B", "G2", 9, 8_192, "GQA", "GeGLU", "RMSNorm"),
-    ("Gemma 3 12B", "G2", 12, 128_000, "GQA", "GeGLU", "RMSNorm"),
-    ("Granite3.2 8B", "G2", 8, 131_072, "MHA", "SwiGLU", "RMSNorm"),
-    ("Llama 3.1 8B", "G2", 8, 128_000, "MHA", "SwiGLU", "RMSNorm"),
-    ("Mistral 7B", "G2", 7, 32_768, "GQA, SWA", "SwiGLU", "RMSNorm"),
-    ("Foundation-Sec 8B", "G2", 8, 128_000, "MHA", "SwiGLU", "RMSNorm"),
+_REGISTRY_NAMES = {
+    ModelGroup.G1: (
+        "Cogito 70B", "DeepSeek R1 70B", "Falcon3 10B", "Gemma 2 27B",
+        "Gemma 3 27B", "GPT-OSS 20B", "Llama 3.3 70B", "Mistral Small 24B",
+        "Phi-4 14B", "Qwen2.5 32B", "Qwen3 32B",
+    ),
+    ModelGroup.G2: (
+        "Qwen3 8B", "Qwen2.5 7B", "Cogito 8B", "DeepSeek R1 8B", "Falcon3 7B",
+        "Gemma 2 9B", "Gemma 3 12B", "Granite3.2 8B", "Llama 3.1 8B",
+        "Mistral 7B", "Foundation-Sec 8B",
+    ),
+}
+
+_REGISTRY = tuple(
+    ModelSpec(name, group)
+    for group, names in _REGISTRY_NAMES.items()
+    for name in names
 )
-
-
-def builtin_model_registry() -> tuple[ModelSpec, ...]:
-    """All 22 evaluated models (11 per group) with their published metadata."""
-    return tuple(
-        ModelSpec(name, ModelGroup(group), float(size), ctx, attn, act, norm)
-        for name, group, size, ctx, attn, act, norm in _REGISTRY_ROWS
-    )
 
 
 def _normalize_name(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
 
+_GROUP_BY_NORMALIZED = {_normalize_name(m.name): m.group for m in _REGISTRY}
+
+
+def builtin_model_registry() -> tuple[ModelSpec, ...]:
+    """All 22 evaluated models, 11 per group."""
+    return _REGISTRY
+
+
 def resolve_model(name: str) -> ModelSpec:
-    """Map a model identifier to a registry entry, or build an ad-hoc spec.
+    """The spec for a model identifier, grouped by the registry.
 
     Matching is lenient ("qwen3:8b" resolves to "Qwen3 8B") but the
     user-supplied name is preserved so run files key on what was actually
     served. Unrecognized names are placed in G2.
     """
-    norm = _normalize_name(name)
-    for spec in builtin_model_registry():
-        if _normalize_name(spec.name) == norm:
-            return replace(spec, name=name) if spec.name != name else spec
-    return ModelSpec(
-        name=name,
-        group=ModelGroup.G2,
-        params_billions=0.0,
-        context_window_tokens=8192,
-    )
+    group = _GROUP_BY_NORMALIZED.get(_normalize_name(name), ModelGroup.G2)
+    return ModelSpec(name, group)

@@ -44,12 +44,20 @@ from .demo import (
     run_demo,
 )
 from .metrics import (
+    REPORT_FORMATS,
     MetricsError,
     compare_to_reference,
     compute_metrics,
     render_report,
 )
-from .runner import RunError, RunPlan, RunRecord, execute, load_run_records
+from .runner import (
+    RunError,
+    RunPlan,
+    RunRecord,
+    execute,
+    load_run_records,
+    resume_scan,
+)
 from .techniques import TechniqueConfig, TechniqueId, TemplateError, load_templates
 from .util import canonical_dumps
 
@@ -161,14 +169,10 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
 
 
 def _parse_techniques(names: tuple[str, ...]) -> tuple[TechniqueId, ...]:
-    techs = []
-    for name in names:
-        try:
-            techs.append(TechniqueId.parse(name))
-        except ValueError:
-            raise CliError(
-                f"unknown technique {name!r}; valid: {', '.join(ALL_TECHNIQUES)}"
-            )
+    try:
+        techs = [TechniqueId.parse(name) for name in names]
+    except ValueError as exc:
+        raise CliError(str(exc))
     if not techs:
         raise CliError("no techniques given")
     return tuple(dict.fromkeys(techs))
@@ -281,12 +285,9 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
 
     scripted = args.backend == "scripted"
     parallelism = config.parallelism
-    if scripted:
-        if args.resume:
-            raise CliError("--resume is not supported with the scripted backend")
-        if parallelism != 1:
-            print("scripted backend replays in plan order; forcing --parallelism 1")
-            parallelism = 1
+    if scripted and parallelism != 1:
+        print("scripted backend replays in plan order; forcing --parallelism 1")
+        parallelism = 1
 
     try:
         plan = RunPlan(
@@ -300,7 +301,11 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
             parallelism=parallelism,
         )
         if scripted:
-            backend = ScriptedBackend(build_demo_script(corpus, plan.task_keys()))
+            # Replies depend only on the task key, so resume scripts just the rest.
+            done = resume_scan(plan.output_path) if args.resume else set()
+            backend = ScriptedBackend(
+                build_demo_script(corpus, [k for k in plan.task_keys() if k not in done])
+            )
         else:
             url = args.backend or config.backend_url
             try:
@@ -328,7 +333,7 @@ def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     try:
         report = compute_metrics(records)
         comparison = compare_to_reference(report) if args.compare_paper else None
-        formats = tuple(args.format) if args.format else ("csv", "md", "plot-json")
+        formats = args.format or REPORT_FORMATS
         written = render_report(report, args.out_dir, formats, comparison)
     except MetricsError as exc:
         raise CliError(str(exc), code=EXIT_FAILURE)
@@ -442,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format",
         action="append",
-        choices=["csv", "md", "plot-json"],
+        choices=REPORT_FORMATS,
         help="artifact to write; may repeat (default: all)",
     )
     p.add_argument("--out-dir", required=True, help="directory for report artifacts")

@@ -123,10 +123,13 @@ def _csv_rows(fh: Iterable[str], name: str) -> Iterator[tuple[str, dict]]:
         raise CorpusError(f"{name}: empty CSV file")
     if tuple(header) != CSV_HEADER:
         raise CorpusError(f"{name}: CSV header must be {','.join(CSV_HEADER)}")
-    for lineno, row in enumerate(reader, start=2):
+    # A quoted field may span lines: name a record by the line it starts on.
+    end = reader.line_num
+    for row in reader:
+        start, end = end + 1, reader.line_num
         if not row:
             continue
-        where = f"{name}:{lineno}"
+        where = f"{name}:{start}"
         if len(row) != len(CSV_HEADER):
             raise CorpusError(f"{where}: expected {len(CSV_HEADER)} columns")
         yield where, dict(zip(CSV_HEADER, row))

@@ -33,13 +33,7 @@ from .util import canonical_dumps, sha256_hex, stable_hash_int
 DEMO_SCHEMA_VERSION = 1
 DEMO_MODEL_NAME = "demo"
 
-DEMO_TECHNIQUES = (
-    TechniqueId.ZSL,
-    TechniqueId.PHP,
-    TechniqueId.SHP,
-    TechniqueId.HTP,
-    TechniqueId.PRP,
-)
+DEMO_TECHNIQUES = tuple(TechniqueId)
 
 # Of 24 incidents per technique. HTP additionally leaves 2 finals unparsed.
 _TARGET_CORRECT = {

@@ -32,6 +32,8 @@ SCOPE_MODEL_TECHNIQUE = "model_technique"
 SCOPE_GROUP_TECHNIQUE = "group_technique"
 SCOPE_MODEL = "model"
 
+REPORT_FORMATS = ("csv", "md", "plot-json")
+
 
 class MetricsError(ValueError):
     """Unusable input for metric computation or rendering."""
@@ -424,7 +426,7 @@ def render_plot_data(report: MetricsReport) -> dict:
 def render_report(
     report: MetricsReport,
     out_dir: str | Path,
-    formats: Iterable[str] = ("csv", "md", "plot-json"),
+    formats: Iterable[str] = REPORT_FORMATS,
     comparison: Sequence[ComparisonRow] | None = None,
 ) -> list[Path]:
     """Write the requested artifacts to out_dir; all or nothing.
@@ -436,7 +438,7 @@ def render_report(
 
     out_dir = Path(out_dir)
     wanted = list(formats)
-    unknown = [f for f in wanted if f not in ("csv", "md", "plot-json")]
+    unknown = [f for f in wanted if f not in REPORT_FORMATS]
     if unknown:
         raise MetricsError(f"unknown report format(s): {', '.join(unknown)}")
 

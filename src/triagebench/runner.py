@@ -4,6 +4,8 @@ Tasks are ordered incident-outer, technique-middle, model-inner so a partial
 run covers every technique early. Records are appended to the run file as
 each task completes; one writer (the calling thread) owns the file, workers
 only compute. A crash mid-write leaves at most one torn trailing line.
+An interrupt or a failed write stops a parallel run once the tasks already
+started finish; tasks still queued are never sent to the backend.
 resume_scan and load_run_records share one line reader, so every task that
 resume skips is one that load_run_records returns or refuses by line.
 """
@@ -72,6 +74,10 @@ class RunRecord:
     ground_truth: CategoryCode
     error: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.ground_truth is CategoryCode.UNPARSED:
+            raise ValueError("ground_truth may not be UNPARSED")
+
     @property
     def key(self) -> TaskKey:
         return (self.trace.model, self.trace.technique.value, self.trace.incident_id)
@@ -101,8 +107,6 @@ class RunRecord:
             ground_truth=CategoryCode(d["ground_truth"]),
             error=d.get("error"),
         )
-        if record.ground_truth is CategoryCode.UNPARSED:
-            raise ValueError("ground_truth may not be UNPARSED")
         if "error" in d and type(record.error) is not str:
             raise TypeError(f"error must be str, got {record.error!r}")
         if d["correct"] is not record.correct:
@@ -111,13 +115,6 @@ class RunRecord:
                 f" and ground_truth {record.ground_truth.value} give {record.correct}"
             )
         return record
-
-
-def grade(trace: ClassificationTrace, truth: CategoryCode) -> RunRecord:
-    """Grade a trace against the expert label (see RunRecord.correct)."""
-    if truth is CategoryCode.UNPARSED:
-        raise RunError("ground truth may not be UNPARSED")
-    return RunRecord(trace=trace, ground_truth=truth)
 
 
 def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
@@ -238,14 +235,10 @@ def execute(
                 plan.params,
                 plan.technique_config,
             )
-            return grade(trace, incident.ground_truth)
+            return RunRecord(trace, incident.ground_truth)
         except ClassificationError as exc:
             logger.warning("task %s failed: %s", key, exc)
-            return RunRecord(
-                trace=exc.partial_trace,
-                ground_truth=incident.ground_truth,
-                error=str(exc),
-            )
+            return RunRecord(exc.partial_trace, incident.ground_truth, str(exc))
 
     executed = failed = 0
     completed = len(done)
@@ -277,10 +270,14 @@ def execute(
             for key in tasks:
                 write(work(key))
         else:
-            with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
+            pool = ThreadPoolExecutor(max_workers=plan.parallelism)
+            try:
                 futures = [pool.submit(work, key) for key in tasks]
                 for future in as_completed(futures):
                     write(future.result())
+            finally:
+                # After an exception, queued tasks are dropped, not run and discarded.
+                pool.shutdown(cancel_futures=True)
 
     summary = RunSummary(
         planned=total, skipped=len(done), executed=executed, failed=failed

@@ -96,11 +96,6 @@ class Taxonomy:
                         f"cannot tell {named.name!r} from {other.name!r}"
                     )
 
-    def by_code(self, code: CategoryCode) -> Category:
-        if code is CategoryCode.UNPARSED:
-            raise TaxonomyError("no category for sentinel UNPARSED")
-        return self.categories[int(code.value[3:]) - 1]
-
     @cached_property
     def _prompt_block(self) -> str:
         return "\n".join(

@@ -191,24 +191,11 @@ class TraceTurn:
     completion: Completion
     parsed: CategoryCode
 
-    def to_dict(self) -> dict:
-        return {
-            "sent": [m.to_dict() for m in self.sent],
-            "completion": self.completion.to_dict(),
-            "parsed": self.parsed.value,
-        }
-
 
 @dataclass(frozen=True)
 class TraceTotals:
     total_latency_ms: float
     total_response_chars: int
-
-    def to_dict(self) -> dict:
-        return {
-            "total_latency_ms": self.total_latency_ms,
-            "total_response_chars": self.total_response_chars,
-        }
 
 
 def _typed(d: dict, key: str, *types: type) -> Any:
@@ -234,17 +221,39 @@ class ClassificationTrace:
     template_hash: str
 
     def to_dict(self) -> dict:
+        """The trace as stored in a run file; from_dict reads it back."""
+        totals = self.telemetry_totals
         return {
             "schema_version": TRACE_SCHEMA_VERSION,
             "incident_id": self.incident_id,
             "model": self.model,
             "model_group": self.model_group.value,
             "technique": self.technique.value,
-            "turns": [t.to_dict() for t in self.turns],
+            "turns": [
+                {
+                    "sent": [m.to_dict() for m in t.sent],
+                    "completion": {
+                        "text": t.completion.text,
+                        "telemetry": {
+                            "latency_ms": tm.latency_ms,
+                            "response_chars": tm.response_chars,
+                            "prompt_tokens": tm.prompt_tokens,
+                            "output_tokens": tm.output_tokens,
+                            "server_eval_duration_ms": tm.server_eval_duration_ms,
+                        },
+                    },
+                    "parsed": t.parsed.value,
+                }
+                for t in self.turns
+                for tm in (t.completion.telemetry,)
+            ],
             "final": self.final.value,
             "rounds_used": self.rounds_used,
             "converged": self.converged,
-            "telemetry_totals": self.telemetry_totals.to_dict(),
+            "telemetry_totals": {
+                "total_latency_ms": totals.total_latency_ms,
+                "total_response_chars": totals.total_response_chars,
+            },
             "template_hash": self.template_hash,
         }
 
@@ -258,18 +267,17 @@ class ClassificationTrace:
                 completion=Completion(
                     text=t["completion"]["text"],
                     telemetry=Telemetry(
-                        latency_ms=t["completion"]["telemetry"]["latency_ms"],
-                        response_chars=t["completion"]["telemetry"]["response_chars"],
-                        prompt_tokens=t["completion"]["telemetry"].get("prompt_tokens"),
-                        output_tokens=t["completion"]["telemetry"].get("output_tokens"),
-                        server_eval_duration_ms=t["completion"]["telemetry"].get(
-                            "server_eval_duration_ms"
-                        ),
+                        latency_ms=tm["latency_ms"],
+                        response_chars=tm["response_chars"],
+                        prompt_tokens=tm.get("prompt_tokens"),
+                        output_tokens=tm.get("output_tokens"),
+                        server_eval_duration_ms=tm.get("server_eval_duration_ms"),
                     ),
                 ),
                 parsed=CategoryCode(t["parsed"]),
             )
             for t in d["turns"]
+            for tm in (t["completion"]["telemetry"],)
         )
         totals = d["telemetry_totals"]
         return cls(

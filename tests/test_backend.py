@@ -250,12 +250,8 @@ class TestModelRegistry:
 
     def test_known_rows(self):
         registry = {m.name: m for m in builtin_model_registry()}
-        qwen = registry["Qwen3 8B"]
-        assert qwen.group is ModelGroup.G2
-        assert qwen.context_window_tokens == 262_144
-        gpt_oss = registry["GPT-OSS 20B"]
-        assert gpt_oss.group is ModelGroup.G1
-        assert gpt_oss.attention == "MoE"
+        assert registry["Qwen3 8B"].group is ModelGroup.G2
+        assert registry["GPT-OSS 20B"].group is ModelGroup.G1
 
     def test_resolve_exact_name(self):
         spec = resolve_model("Llama 3.3 70B")

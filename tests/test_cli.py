@@ -407,18 +407,34 @@ class TestRunScripted:
         stdout = capsys.readouterr().out
         assert "[24/24]" in stdout
 
-    def test_resume_rejected(self, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "run", "--backend", "scripted",
-                "--models", "demo",
-                "--techniques", "ZSL",
-                "--out", str(tmp_path / "run.jsonl"),
-                "--resume",
-            ]
-        )
-        assert rc == EXIT_USAGE
-        assert "resume" in capsys.readouterr().err
+    RESUME_ARGS = ["run", "--backend", "scripted", "--models", "demo,m2"]
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path, capsys):
+        full = tmp_path / "full.jsonl"
+        assert cli.main([*self.RESUME_ARGS, "--out", str(full)]) == EXIT_OK
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 240
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(b"".join(lines[:37]))
+        capsys.readouterr()
+        assert cli.main([*self.RESUME_ARGS, "--out", str(cut), "--resume"]) == EXIT_OK
+        assert "203 of 240 tasks executed (37 resumed" in capsys.readouterr().out
+        assert cut.read_bytes() == full.read_bytes()
+        # Nothing left to replay.
+        assert cli.main([*self.RESUME_ARGS, "--out", str(cut), "--resume"]) == EXIT_OK
+        assert "0 of 240 tasks executed" in capsys.readouterr().out
+        assert cut.read_bytes() == full.read_bytes()
+
+    def test_resume_after_torn_tail_matches_uninterrupted_run(self, tmp_path, capsys):
+        full = tmp_path / "full.jsonl"
+        assert cli.main([*self.RESUME_ARGS, "--out", str(full)]) == EXIT_OK
+        lines = full.read_bytes().splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(b"".join(lines[:37]) + lines[37][:100])
+        capsys.readouterr()
+        assert cli.main([*self.RESUME_ARGS, "--out", str(torn), "--resume"]) == EXIT_OK
+        assert "203 of 240 tasks executed" in capsys.readouterr().out
+        assert load_run_records(torn) == load_run_records(full)
 
     def test_parallelism_forced_serial(self, tmp_path, capsys):
         rc = cli.main(

@@ -176,6 +176,16 @@ class TestLoadErrors:
         with pytest.raises(CorpusError, match="bad.csv:3: duplicate record id 'a'"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("rows, where", [
+        ('x1,"multi\nline",CAT5,,\nx2,text,CAT99,,\n', "ml.csv:4"),
+        ('x1,"multi\nline",CAT99,,\nx2,text,CAT5,,\n', "ml.csv:2"),
+    ], ids=["after-multiline", "in-multiline"])
+    def test_csv_error_names_physical_start_line(self, tmp_path, rows, where):
+        path = tmp_path / "ml.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + rows, encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"^{where}: unknown ground_truth"):
+            load_corpus(path)
+
     @pytest.mark.parametrize("name", ["bad.jsonl", "bad.csv"])
     def test_non_utf8_names_file(self, tmp_path, name):
         path = tmp_path / name

@@ -1,5 +1,6 @@
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from triagebench.runner import (
     RunError,
     RunPlan,
     RunRecord,
-    grade,
     execute,
     load_run_records,
     resume_scan,
@@ -123,19 +123,19 @@ class TestRunPlan:
 class TestGrade:
     def test_correct_iff_final_equals_truth(self):
         trace = make_trace(final=CategoryCode.CAT2)
-        assert grade(trace, CategoryCode.CAT2).correct is True
-        assert grade(trace, CategoryCode.CAT3).correct is False
+        assert RunRecord(trace, CategoryCode.CAT2).correct is True
+        assert RunRecord(trace, CategoryCode.CAT3).correct is False
 
     def test_unparsed_final_always_incorrect(self):
         trace = make_trace(final=CategoryCode.UNPARSED)
-        assert grade(trace, CategoryCode.CAT1).correct is False
+        assert RunRecord(trace, CategoryCode.CAT1).correct is False
 
     def test_unparsed_truth_rejected(self):
-        with pytest.raises(RunError):
-            grade(make_trace(), CategoryCode.UNPARSED)
+        with pytest.raises(ValueError, match="ground_truth may not be UNPARSED"):
+            RunRecord(make_trace(), CategoryCode.UNPARSED)
 
     def test_correct_is_computed_and_stored_value_must_agree(self):
-        record = grade(make_trace(final=CategoryCode.CAT2), CategoryCode.CAT3)
+        record = RunRecord(make_trace(final=CategoryCode.CAT2), CategoryCode.CAT3)
         assert record.correct is False
         assert replace(record, ground_truth=CategoryCode.CAT2).correct is True
         d = record.to_dict()
@@ -389,6 +389,37 @@ class TestParallel:
         assert len(lines) == 18
         records = load_run_records(plan.output_path)
         assert len(records) == 18
+
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_failed_write_cancels_queued_tasks(self, tmp_path, parallelism):
+        class SlowBackend(ConstantBackend):
+            def complete(self, model, messages, params):
+                time.sleep(0.02)
+                return super().complete(model, messages, params)
+
+        class WriteFailed(Exception):
+            pass
+
+        def fail_at_third(record, completed, total):
+            if completed == 3:
+                raise WriteFailed
+
+        corpus = Corpus(
+            records=tuple(
+                IncidentRecord(
+                    id=f"i{n}", text=f"report {n}",
+                    ground_truth=CategoryCode.from_number(n % 12 + 1),
+                )
+                for n in range(100)
+            )
+        )
+        plan = plan_for(tmp_path, corpus=corpus, parallelism=parallelism)
+        backend = SlowBackend()
+        with pytest.raises(WriteFailed):
+            execute(plan, backend, on_record=fail_at_third)
+        lines = plan.output_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        assert backend.calls <= 3 + 2 * parallelism
 
 
 class TestScriptedIntegration:

@@ -458,6 +458,40 @@ class TestTraces:
         rebuilt = ClassificationTrace.from_dict(trace.to_dict())
         assert canonical_dumps(rebuilt.to_dict()) == canonical_dumps(trace.to_dict())
 
+        class ServerBackend:
+            def complete(self, model, messages, params):
+                return Completion(
+                    text="FINAL: CAT1",
+                    telemetry=Telemetry(
+                        latency_ms=12.5, response_chars=11, prompt_tokens=40,
+                        output_tokens=3, server_eval_duration_ms=9.25,
+                    ),
+                )
+
+        trace = classify(
+            INCIDENT, TechniqueId.PHP, MODEL, ServerBackend(), builtin_taxonomy(),
+            GenerationParams(), TechniqueConfig(),
+        )
+        d = trace.to_dict()
+        assert ClassificationTrace.from_dict(d) == trace
+        assert d["turns"][1] == {
+            "sent": [{"role": "user", "content": trace.turns[1].sent[0].content}],
+            "completion": {
+                "text": "FINAL: CAT1",
+                "telemetry": {
+                    "latency_ms": 12.5,
+                    "response_chars": 11,
+                    "prompt_tokens": 40,
+                    "output_tokens": 3,
+                    "server_eval_duration_ms": 9.25,
+                },
+            },
+            "parsed": "CAT1",
+        }
+        assert d["telemetry_totals"] == {
+            "total_latency_ms": 25.0, "total_response_chars": 22,
+        }
+
     def test_repeated_runs_byte_identical(self):
         script = ["FINAL: CAT2", "FINAL: CAT5", "FINAL: CAT5"]
         first, _ = run(TechniqueId.PHP, script, max_rounds=4)
