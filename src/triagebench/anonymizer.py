@@ -59,72 +59,56 @@ _HOSTNAME = (
     r"[A-Za-z]{2,63}\b"
 )
 
-_BUILTIN_PATTERNS = {
-    RuleKind.IPV4: _IPV4,
-    RuleKind.IPV6: _IPV6,
-    RuleKind.EMAIL: _EMAIL,
-    RuleKind.HOSTNAME: _HOSTNAME,
-}
-
 _STEM_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
 
 
 @dataclass(frozen=True)
 class RedactionRule:
+    """A redaction rule, checked and compiled when built.
+
+    Raises RuleCompileError for a bad stem or a missing or invalid pattern,
+    so a rule set is refused before any text is touched.
+    """
+
     kind: RuleKind
     placeholder_stem: str
-    pattern: str | None = None  # required for CUSTOM, ignored otherwise
+    pattern: str | None = None
+    regex: re.Pattern = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not _STEM_RE.match(self.placeholder_stem or ""):
+            raise RuleCompileError(
+                f"bad placeholder stem {self.placeholder_stem!r}: "
+                "must be uppercase, nonempty, no whitespace"
+            )
+        if not self.pattern:
+            raise RuleCompileError(f"{self.kind.value} rule requires a pattern")
+        try:
+            regex = re.compile(self.pattern)
+        except re.error as exc:
+            raise RuleCompileError(
+                f"invalid {self.kind.value} pattern {self.pattern!r}: {exc}"
+            ) from exc
+        object.__setattr__(self, "regex", regex)
+
+
+_DEFAULT_RULES = (
+    RedactionRule(RuleKind.IPV4, "IP", _IPV4),
+    RedactionRule(RuleKind.IPV6, "IP6", _IPV6),
+    RedactionRule(RuleKind.EMAIL, "EMAIL", _EMAIL),
+    RedactionRule(RuleKind.HOSTNAME, "HOST", _HOSTNAME),
+)
 
 
 def default_rules() -> tuple[RedactionRule, ...]:
     """Builtin rule set in canonical application order."""
-    return (
-        RedactionRule(RuleKind.IPV4, "IP"),
-        RedactionRule(RuleKind.IPV6, "IP6"),
-        RedactionRule(RuleKind.EMAIL, "EMAIL"),
-        RedactionRule(RuleKind.HOSTNAME, "HOST"),
-    )
-
-
-@dataclass(frozen=True)
-class CompiledRule:
-    kind: RuleKind
-    stem: str
-    regex: re.Pattern
-
-
-def compile_rules(rules: list[RedactionRule] | tuple[RedactionRule, ...]) -> tuple[CompiledRule, ...]:
-    """Validate and compile rules up front, before any text is touched."""
-    compiled = []
-    for rule in rules:
-        if not _STEM_RE.match(rule.placeholder_stem or ""):
-            raise RuleCompileError(
-                f"bad placeholder stem {rule.placeholder_stem!r}: "
-                "must be uppercase, nonempty, no whitespace"
-            )
-        if rule.kind is RuleKind.CUSTOM:
-            if not rule.pattern:
-                raise RuleCompileError("CUSTOM rule requires a pattern")
-            try:
-                regex = re.compile(rule.pattern)
-            except re.error as exc:
-                raise RuleCompileError(
-                    f"invalid CUSTOM pattern {rule.pattern!r}: {exc}"
-                ) from exc
-        else:
-            regex = re.compile(_BUILTIN_PATTERNS[rule.kind])
-        compiled.append(CompiledRule(rule.kind, rule.placeholder_stem, regex))
-    return tuple(compiled)
+    return _DEFAULT_RULES
 
 
 @dataclass
 class RedactionReport:
     counts: dict[str, int] = field(default_factory=dict)  # kind -> replacements
     mapping: dict[str, str] = field(default_factory=dict)  # placeholder -> original
-
-    @property
-    def total_replacements(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -146,20 +130,20 @@ def anonymize(
     byte for byte. The value mapping is only retained when keep_mapping is
     set (it re-identifies the document and is written nowhere by default).
     """
-    compiled = compile_rules(rules if rules is not None else default_rules())
     report = RedactionReport()  # counts only for kinds that actually fired
     assigned: dict[tuple[str, str], str] = {}  # (stem, value) -> placeholder
     next_n: dict[str, int] = {}
 
-    for rule in compiled:
-        def _sub(m: re.Match, rule: CompiledRule = rule) -> str:
+    for rule in default_rules() if rules is None else rules:
+        def _sub(m: re.Match, rule: RedactionRule = rule) -> str:
             value = m.group(0)
-            key = (rule.stem, value)
+            stem = rule.placeholder_stem
+            key = (stem, value)
             placeholder = assigned.get(key)
             if placeholder is None:
-                n = next_n.get(rule.stem, 0) + 1
-                next_n[rule.stem] = n
-                placeholder = f"[{rule.stem}_{n}]"
+                n = next_n.get(stem, 0) + 1
+                next_n[stem] = n
+                placeholder = f"[{stem}_{n}]"
                 assigned[key] = placeholder
                 if keep_mapping:
                     report.mapping[placeholder] = value
@@ -180,7 +164,7 @@ def audit(text: str) -> list[Finding]:
     unchanged.
     """
     findings = []
-    for rule in compile_rules(default_rules()):
+    for rule in default_rules():
         for m in rule.regex.finditer(text):
             findings.append(Finding(rule.kind, m.span(), m.group(0)))
     findings.sort(key=lambda f: (f.span, f.kind.value))

@@ -11,6 +11,7 @@ model's tokenizer.
 """
 from __future__ import annotations
 
+import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -344,6 +345,11 @@ _REGISTRY = tuple(
 )
 
 
+# An Ollama tag's variant suffix after its size ("70b-instruct-q4_K_M")
+# names a quantization or fine-tune of the same model.
+_VARIANT_RE = re.compile(r"(:[0-9.]+b)-.*", re.IGNORECASE)
+
+
 def _normalize_name(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
@@ -356,12 +362,16 @@ def builtin_model_registry() -> tuple[ModelSpec, ...]:
     return _REGISTRY
 
 
+def registry_group(name: str) -> ModelGroup | None:
+    """The group of a model name, leniently matched ("qwen3:8b-q8_0" is
+    "Qwen3 8B"), or None if the registry does not know it."""
+    return _GROUP_BY_NORMALIZED.get(_normalize_name(_VARIANT_RE.sub(r"\1", name)))
+
+
 def resolve_model(name: str) -> ModelSpec:
     """The spec for a model identifier, grouped by the registry.
 
-    Matching is lenient ("qwen3:8b" resolves to "Qwen3 8B") but the
-    user-supplied name is preserved so run files key on what was actually
-    served. Unrecognized names are placed in G2.
+    The user-supplied name is preserved so run files key on what was
+    actually served. Unrecognized names are placed in G2.
     """
-    group = _GROUP_BY_NORMALIZED.get(_normalize_name(name), ModelGroup.G2)
-    return ModelSpec(name, group)
+    return ModelSpec(name, registry_group(name) or ModelGroup.G2)

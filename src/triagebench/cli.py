@@ -23,7 +23,6 @@ from .anonymizer import (
     RuleCompileError,
     RuleKind,
     anonymize,
-    compile_rules,
     default_rules,
 )
 from .backend import (
@@ -32,6 +31,7 @@ from .backend import (
     GenerationParams,
     OllamaBackend,
     ScriptedBackend,
+    registry_group,
     resolve_model,
 )
 from .corpus import Corpus, CorpusError, load_corpus, save_corpus, validate_corpus
@@ -205,16 +205,15 @@ def _parse_custom_rule(spec: str) -> RedactionRule:
     stem, sep, pattern = spec.partition("=")
     if not sep or not stem or not pattern:
         raise CliError(f"bad --custom rule {spec!r}; expected STEM=REGEX")
-    return RedactionRule(RuleKind.CUSTOM, stem, pattern=pattern)
+    try:
+        return RedactionRule(RuleKind.CUSTOM, stem, pattern=pattern)
+    except RuleCompileError as exc:
+        raise CliError(f"bad redaction rule: {exc}")
 
 
 def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
     corpus = _load_corpus_arg(args.corpus)
     rules = list(default_rules()) + [_parse_custom_rule(s) for s in args.custom]
-    try:
-        compile_rules(rules)
-    except RuleCompileError as exc:
-        raise CliError(f"bad redaction rule: {exc}")
 
     keep = args.write_mapping is not None
     out_records = []
@@ -314,6 +313,10 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
                 raise CliError(str(exc))
             if not backend.is_reachable():
                 raise CliError(f"backend at {url} is not reachable", code=EXIT_FAILURE)
+            for name in dict.fromkeys(config.models):
+                if registry_group(name) is None:
+                    note = f"model {name!r} is not in the registry; grouped as G2"
+                    print(f"note: {note}", file=sys.stderr)
         summary = execute(plan, backend, resume=args.resume, on_record=_progress)
     except RunError as exc:
         raise CliError(str(exc))

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .backend import GenerationParams, ModelSpec, ScriptedBackend, resolve_model
+from .backend import GenerationParams, ScriptedBackend, resolve_model
 from .corpus import Corpus, IncidentRecord, load_corpus
 from .metrics import MetricsReport, compute_metrics
 from .runner import RunPlan, TaskKey, execute, load_run_records
@@ -62,16 +62,8 @@ class DemoError(Exception):
     """Internal inconsistency between the reply script and the engines."""
 
 
-def demo_model() -> ModelSpec:
-    return resolve_model(DEMO_MODEL_NAME)
-
-
 def _corpus_resource():
     return resources.files("triagebench").joinpath("data/demo_corpus.jsonl")
-
-
-def demo_corpus_bytes() -> bytes:
-    return _corpus_resource().read_bytes()
 
 
 def load_demo_corpus() -> Corpus:
@@ -256,7 +248,7 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
 
     def _run(path: Path) -> MetricsReport:
         plan = RunPlan(
-            models=(demo_model(),),
+            models=(resolve_model(DEMO_MODEL_NAME),),
             techniques=DEMO_TECHNIQUES,
             corpus=corpus,
             params=GenerationParams(),
@@ -287,7 +279,7 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
     summary = {
         "schema_version": DEMO_SCHEMA_VERSION,
         "template_hash": config.templates.template_hash,
-        "corpus_sha256": sha256_hex(demo_corpus_bytes()),
+        "corpus_sha256": sha256_hex(_corpus_resource().read_bytes()),
         "metrics": report.to_dict(),
     }
     return report, (canonical_dumps(summary) + "\n").encode("utf-8")

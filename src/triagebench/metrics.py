@@ -16,7 +16,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -76,11 +76,7 @@ class AccuracyCell:
 
     def to_dict(self) -> dict:
         return {
-            "scope_type": self.scope_type,
-            "scope_key": self.scope_key,
-            "n_total": self.n_total,
-            "n_correct": self.n_correct,
-            "n_unparsed": self.n_unparsed,
+            **asdict(self),
             "accuracy_percent": self.accuracy_percent,
             "unparsed_percent": self.unparsed_percent,
         }
@@ -95,16 +91,6 @@ class EfficiencyCell:
     mean_response_chars: float
     total_turns: int
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "technique": self.technique,
-            "n_records": self.n_records,
-            "mean_latency_ms": self.mean_latency_ms,
-            "mean_response_chars": self.mean_response_chars,
-            "total_turns": self.total_turns,
-        }
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -116,14 +102,6 @@ class MetricsReport:
     efficiency: tuple[EfficiencyCell, ...]
     n_records: int
 
-    def cells(self) -> tuple[AccuracyCell, ...]:
-        return (
-            self.by_technique
-            + self.by_model_technique
-            + self.by_group_technique
-            + self.by_model
-        )
-
     def to_dict(self) -> dict:
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
@@ -133,7 +111,7 @@ class MetricsReport:
             "by_group_technique": [c.to_dict() for c in self.by_group_technique],
             "by_model": [c.to_dict() for c in self.by_model],
             "confusion": [list(row) for row in self.confusion],
-            "efficiency": [e.to_dict() for e in self.efficiency],
+            "efficiency": [asdict(e) for e in self.efficiency],
         }
 
 
@@ -226,6 +204,18 @@ class ReferenceEntry:
     low: float
     high: float
     display: str
+    measured: float | None = None  # this run's accuracy; None without data
+
+    @property
+    def delta(self) -> float | None:
+        """Signed distance to the reference value or band; 0 inside a band."""
+        if self.measured is None:
+            return None
+        if self.measured < self.low:
+            return round(self.measured - self.low, 1)
+        if self.measured > self.high:
+            return round(self.measured - self.high, 1)
+        return 0.0
 
 
 PAPER_REFERENCE: tuple[ReferenceEntry, ...] = (
@@ -242,40 +232,12 @@ PAPER_REFERENCE: tuple[ReferenceEntry, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    group: str
-    technique: str
-    reference: str
-    low: float
-    high: float
-    measured: float | None  # None when the run has no data for the scope
-
-    @property
-    def delta(self) -> float | None:
-        """Signed distance to the reference value or band; 0 inside a band."""
-        if self.measured is None:
-            return None
-        if self.measured < self.low:
-            return round(self.measured - self.low, 1)
-        if self.measured > self.high:
-            return round(self.measured - self.high, 1)
-        return 0.0
-
-
-def compare_to_reference(report: MetricsReport) -> tuple[ComparisonRow, ...]:
-    """Side-by-side view of this run's group accuracies against the published
-    figures. Purely informational, never a pass/fail gate."""
+def compare_to_reference(report: MetricsReport) -> tuple[ReferenceEntry, ...]:
+    """The published figures, each with this run's group accuracy filled in.
+    Purely informational, never a pass/fail gate."""
     measured = {c.scope_key: c.accuracy_percent for c in report.by_group_technique}
     return tuple(
-        ComparisonRow(
-            group=entry.group.value,
-            technique=entry.technique,
-            reference=entry.display,
-            low=entry.low,
-            high=entry.high,
-            measured=measured.get(f"{entry.group.value}|{entry.technique}"),
-        )
+        replace(entry, measured=measured.get(f"{entry.group.value}|{entry.technique}"))
         for entry in PAPER_REFERENCE
     )
 
@@ -288,20 +250,6 @@ def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]
         return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
 
     return [line(header), line(["---"] * len(header)), *map(line, rows)]
-
-
-def render_comparison_markdown(rows: Sequence[ComparisonRow]) -> str:
-    header = ["Group", "Technique", "Reference", "This run", "Delta"]
-    cells = (
-        [r.group, r.technique, r.reference]
-        + (
-            ["no data", "no data"]
-            if r.measured is None
-            else [f"{r.measured:.1f}", f"{r.delta:+.1f}"]
-        )
-        for r in rows
-    )
-    return "\n".join(_table(header, cells)) + "\n"
 
 
 CSV_COLUMNS = (
@@ -322,7 +270,12 @@ def render_csv(report: MetricsReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for cell in report.cells():
+    for cell in (
+        report.by_technique
+        + report.by_model_technique
+        + report.by_group_technique
+        + report.by_model
+    ):
         eff = (
             efficiency.get(cell.scope_key)
             if cell.scope_type == SCOPE_MODEL_TECHNIQUE
@@ -344,7 +297,7 @@ def render_csv(report: MetricsReport) -> str:
 
 
 def render_markdown(
-    report: MetricsReport, comparison: Sequence[ComparisonRow] | None = None
+    report: MetricsReport, comparison: Sequence[ReferenceEntry] | None = None
 ) -> str:
     def accuracy(cell: AccuracyCell) -> list[object]:
         # A technique key has no "|"; model and group keys split on the last.
@@ -392,16 +345,26 @@ def render_markdown(
             ],
         ),
     ]
+    if comparison is not None:
+        sections.append(
+            (
+                "Comparison with published reference figures",
+                ["Group", "Technique", "Reference", "This run", "Delta"],
+                [
+                    [e.group.value, e.technique, e.display]
+                    + (
+                        ["no data", "no data"]
+                        if e.measured is None
+                        else [f"{e.measured:.1f}", f"{e.delta:+.1f}"]
+                    )
+                    for e in comparison
+                ],
+            )
+        )
 
     lines = ["# Classification metrics", "", f"Records: {report.n_records}", ""]
     for title, header, rows in sections:
         lines += [f"## {title}", "", *_table(header, rows), ""]
-    if comparison is not None:
-        lines.append("## Comparison with published reference figures")
-        lines.append("")
-        lines.append(render_comparison_markdown(comparison).rstrip("\n"))
-        lines.append("")
-
     return "\n".join(lines)
 
 
@@ -427,7 +390,7 @@ def render_report(
     report: MetricsReport,
     out_dir: str | Path,
     formats: Iterable[str] = REPORT_FORMATS,
-    comparison: Sequence[ComparisonRow] | None = None,
+    comparison: Sequence[ReferenceEntry] | None = None,
 ) -> list[Path]:
     """Write the requested artifacts to out_dir; all or nothing.
 

@@ -3,19 +3,22 @@
 Tasks are ordered incident-outer, technique-middle, model-inner so a partial
 run covers every technique early. Records are appended to the run file as
 each task completes; one writer (the calling thread) owns the file, workers
-only compute. A crash mid-write leaves at most one torn trailing line.
-An interrupt or a failed write stops a parallel run once the tasks already
-started finish; tasks still queued are never sent to the backend.
+only compute. A crash mid-write leaves at most one torn trailing line,
+which resume cuts off. An interrupt or a failed write stops a parallel run
+once the tasks already started finish; tasks still queued are never sent
+to the backend. After an interrupt those tasks are written too, so resume
+re-runs only what never finished; after a failed write nothing is.
 resume_scan and load_run_records share one line reader, so every task that
 resume skips is one that load_run_records returns or refuses by line.
 """
 from __future__ import annotations
 
 import logging
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from json import JSONDecodeError, loads
+from json import loads
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -117,35 +120,47 @@ class RunRecord:
         return record
 
 
+def _line_key(raw: bytes) -> tuple[TaskKey, dict]:
+    """The task key and decoded JSON of one run-file line. Raises ValueError
+    (bad UTF-8 or JSON), KeyError or TypeError if it holds no task key."""
+    d = loads(raw.decode("utf-8"))
+    trace = d["trace"]
+    key = (trace["model"], trace["technique"], trace["incident_id"])
+    hash(key)  # TypeError if a key part is unhashable
+    return key, d
+
+
 def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
     """(line number, task key, decoded line) for each line whose key decodes.
 
-    Other lines are skipped with a warning (on the last line, the torn
-    artifact of a killed run). A repeated key is yielded again, with a
-    warning; callers keep the later line.
+    A line ends only at "\n", not at the U+2028, U+2029 or U+0085 that JSON
+    strings hold raw. Other lines are skipped with a warning; an unterminated
+    last line is torn by a killed run. A complete line that is not UTF-8
+    raises RunError. A repeated key is yielded again, with a warning;
+    callers keep the later line.
     """
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = path.read_bytes().split(b"\n")
+    except OSError as exc:
         raise RunError(f"cannot read run file {path}: {exc}") from exc
 
     seen: set[TaskKey] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
             continue
+        torn = lineno == len(lines)
         try:
-            d = loads(line)
-            trace = d["trace"]
-            key = (trace["model"], trace["technique"], trace["incident_id"])
-            duplicate = key in seen  # TypeError if a key part is unhashable
-        except (JSONDecodeError, KeyError, TypeError):
+            key, d = _line_key(raw)
+        except (ValueError, KeyError, TypeError) as exc:
+            if isinstance(exc, UnicodeDecodeError) and not torn:
+                raise RunError(f"cannot read run file {path}: line {lineno}: {exc}")
             logger.warning(
                 "%s:%d: %s", path.name, lineno,
                 "ignoring torn trailing line (crash artifact)"
-                if lineno == len(lines) else "skipping malformed record line",
+                if torn else "skipping malformed record line",
             )
             continue
-        if duplicate:
+        if key in seen:
             logger.warning(
                 "%s:%d: duplicate record for %s; later line wins", path.name, lineno, key
             )
@@ -243,15 +258,23 @@ def execute(
     executed = failed = 0
     completed = len(done)
     path.parent.mkdir(parents=True, exist_ok=True)
-    needs_newline = False
+    seal = False
     if path.exists() and path.stat().st_size > 0:
         with path.open("rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            # A torn trailing line (crash artifact) must not swallow the
-            # next record; seal it off so new lines start clean.
-            needs_newline = fh.read(1) != b"\n"
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                start = mm.rfind(b"\n") + 1
+                tail = mm[start:]
+        # Seal an unterminated last line if resume counted its key as done;
+        # else cut it off, as sealing a line cut inside a character would
+        # leave a complete line that is not UTF-8.
+        try:
+            if tail:
+                _line_key(tail)
+                seal = True
+        except (ValueError, KeyError, TypeError):
+            os.truncate(path, start)
     with path.open("a", encoding="utf-8") as out:
-        if needs_newline:
+        if seal:
             out.write("\n")
 
         def write(record: RunRecord) -> None:
@@ -271,12 +294,22 @@ def execute(
                 write(work(key))
         else:
             pool = ThreadPoolExecutor(max_workers=plan.parallelism)
+            unwritten: dict[Future, None] = {}
             try:
-                futures = [pool.submit(work, key) for key in tasks]
-                for future in as_completed(futures):
+                unwritten = dict.fromkeys(pool.submit(work, key) for key in tasks)
+                for future in as_completed(tuple(unwritten)):
+                    del unwritten[future]
                     write(future.result())
+            except KeyboardInterrupt:
+                # Keep finished work: drop the queue, let running tasks end.
+                pool.shutdown(cancel_futures=True)
+                for future in unwritten:
+                    if not future.cancelled() and future.exception() is None:
+                        write(future.result())
+                raise
             finally:
-                # After an exception, queued tasks are dropped, not run and discarded.
+                # After any other exception, queued tasks are dropped, not
+                # run and discarded, and nothing more is written.
                 pool.shutdown(cancel_futures=True)
 
     summary = RunSummary(

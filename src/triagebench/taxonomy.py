@@ -97,7 +97,8 @@ class Taxonomy:
                     )
 
     @cached_property
-    def _prompt_block(self) -> str:
+    def prompt_block(self) -> str:
+        """One line per category, "CODE — Name: Description", for system prompts."""
         return "\n".join(
             f"{c.code.value} — {c.name}: {c.description}" for c in self.categories
         )
@@ -177,11 +178,6 @@ ANSWER_CONTRACT = (
 def builtin_taxonomy() -> Taxonomy:
     """The 12-category NIST SP 800-61r3 table shipped with the package."""
     return _BUILTIN
-
-
-def render_prompt_block(taxonomy: Taxonomy) -> str:
-    """One line per category, "CODE — Name: Description", for system prompts."""
-    return taxonomy._prompt_block
 
 
 # Rule (1): the declared answer contract, anywhere in a line, last one wins.

@@ -40,13 +40,7 @@ from .backend import (
     truncate_to_budget,
 )
 from .corpus import IncidentRecord
-from .taxonomy import (
-    ANSWER_CONTRACT,
-    CategoryCode,
-    Taxonomy,
-    parse_category,
-    render_prompt_block,
-)
+from .taxonomy import ANSWER_CONTRACT, CategoryCode, Taxonomy, parse_category
 from .util import sha256_hex
 
 if TYPE_CHECKING:
@@ -84,14 +78,24 @@ class TemplateError(ValueError):
 _ROUND_FILE_RE = re.compile(r"^round(0|[1-9][0-9]*)\.txt$")
 
 
+def _check_fields(name: str, text: str, *fields: str) -> None:
+    """Format a template once with its fields; a failure names the file."""
+    try:
+        text.format(**dict.fromkeys(fields, ""))
+    except (KeyError, IndexError, ValueError, AttributeError) as exc:
+        raise TemplateError(f"bad template {name}: {type(exc).__name__}: {exc}") from None
+
+
 class TemplateSet:
     """Prompt templates loaded from templates/<technique>/{system.txt,roundN.txt}.
 
     Rounds past the highest numbered file reuse the last one (PHP and PRP
     send the same hint wording every extra round). The hash covers every
     file's path and content. Each technique's table of round files is built
-    once at construction. Each system prompt is rendered once per technique
-    and taxonomy prompt block, then returned as the same string.
+    once at construction, where each system and round file is formatted
+    once, so a bad template fails before any task. Each system prompt is
+    rendered once per technique and taxonomy prompt block, then returned as
+    the same string.
     """
 
     def __init__(self, files: dict[str, str]) -> None:
@@ -103,8 +107,10 @@ class TemplateSet:
         self._rounds: dict[TechniqueId, tuple[tuple[int, ...], tuple[str, ...]]] = {}
         for tech in TechniqueId:
             prefix = f"{tech.value.lower()}/"
-            if f"{prefix}system.txt" not in files:
-                raise TemplateError(f"missing template {prefix}system.txt")
+            system = f"{prefix}system.txt"
+            if system not in files:
+                raise TemplateError(f"missing template {system}")
+            _check_fields(system, files[system], "taxonomy", "contract")
             rounds = sorted(
                 (int(m.group(1)), text)
                 for name, text in files.items()
@@ -113,6 +119,9 @@ class TemplateSet:
             )
             if not rounds:
                 raise TemplateError(f"no round templates for {tech.value}")
+            for n, text in rounds:
+                name = f"{prefix}round{n}.txt"
+                _check_fields(name, text, "incident", "hints", "previous_answers")
             indexes, texts = zip(*rounds)
             self._rounds[tech] = (indexes, texts)
         self._systems: dict[tuple[TechniqueId, str], str] = {}
@@ -125,7 +134,7 @@ class TemplateSet:
         # The prompt block is the taxonomy's only input to the prompt, and a
         # cached string whose hash is cached too; hashing the Taxonomy would
         # walk all its categories on every call.
-        block = render_prompt_block(taxonomy)
+        block = taxonomy.prompt_block
         key = (tech, block)
         text = self._systems.get(key)
         if text is None:

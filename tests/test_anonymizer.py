@@ -9,7 +9,6 @@ from triagebench.anonymizer import (
     RuleKind,
     anonymize,
     audit,
-    compile_rules,
     default_rules,
 )
 
@@ -79,7 +78,7 @@ class TestBuiltinPatterns:
         sample = "routine patching completed without incident"
         text, report = anonymize(sample)
         assert text == sample
-        assert report.total_replacements == 0
+        assert report.counts == {}
 
 
 class TestPlaceholders:
@@ -108,18 +107,17 @@ class TestCustomRules:
         assert report.counts == {"CUSTOM": 1}
 
     def test_bad_regex_rejected_up_front(self):
-        rules = [RedactionRule(RuleKind.CUSTOM, "X", pattern="(unclosed")]
         with pytest.raises(RuleCompileError):
-            compile_rules(rules)
+            RedactionRule(RuleKind.CUSTOM, "X", pattern="(unclosed")
 
     def test_bad_stem_rejected(self):
         for stem in ("", "lower", "1NUM", "HAS SPACE"):
             with pytest.raises(RuleCompileError):
-                compile_rules([RedactionRule(RuleKind.CUSTOM, stem, pattern="x")])
+                RedactionRule(RuleKind.CUSTOM, stem, pattern="x")
 
     def test_custom_rule_requires_pattern(self):
         with pytest.raises(RuleCompileError):
-            compile_rules([RedactionRule(RuleKind.CUSTOM, "X", pattern=None)])
+            RedactionRule(RuleKind.CUSTOM, "X", pattern=None)
 
 
 class TestAudit:
@@ -146,7 +144,7 @@ class TestIdempotence:
         once, _ = anonymize("10.0.0.5 wrote to admin@example.com on db.example.net")
         twice, report = anonymize(once)
         assert twice == once
-        assert report.total_replacements == 0
+        assert report.counts == {}
 
     def test_audit_empty_after_anonymize_randomized(self):
         rng = random.Random(20260823)
@@ -156,7 +154,7 @@ class TestIdempotence:
             assert audit(redacted) == [], doc
             again, report = anonymize(redacted)
             assert again == redacted
-            assert report.total_replacements == 0
+            assert report.counts == {}
 
     def test_counts_match_distinct_spans(self):
         doc = "10.0.0.5 10.0.0.5 b@c.de"

@@ -12,6 +12,7 @@ from triagebench.backend import (
     ChatMessage,
     GenerationParams,
     ModelGroup,
+    ModelSpec,
     OllamaBackend,
     ProtocolError,
     Role,
@@ -20,6 +21,7 @@ from triagebench.backend import (
     UnknownModelError,
     builtin_model_registry,
     estimate_tokens,
+    registry_group,
     resolve_model,
     truncate_to_budget,
 )
@@ -262,6 +264,32 @@ class TestModelRegistry:
         spec = resolve_model("qwen3:8b")
         assert spec.group is ModelGroup.G2
         assert spec.name == "qwen3:8b"  # run files key on the served name
+
+    @pytest.mark.parametrize(
+        "tag",
+        [
+            "llama3.3:70b-instruct-q4_K_M",
+            "qwen2.5:32b-instruct",
+            "gemma3:27b-it-qat",
+            "deepseek-r1:70b-llama-distill-q4_K_M",
+            "mistral-small:24b-instruct-2501-q4_K_M",
+        ],
+    )
+    def test_variant_suffix_resolves_to_its_group(self, tag):
+        assert resolve_model(tag) == ModelSpec(tag, ModelGroup.G1)
+        assert registry_group(tag) is ModelGroup.G1
+
+    @pytest.mark.parametrize(
+        "tag, group",
+        [
+            ("qwen3:8b-q8_0", ModelGroup.G2),
+            ("qwen2.5:7b", ModelGroup.G2),
+            ("llama3.3", None),
+        ],
+    )
+    def test_registry_group_of_g2_and_unknown_names(self, tag, group):
+        assert registry_group(tag) is group
+        assert resolve_model(tag).group is ModelGroup.G2
 
     def test_resolve_unknown_defaults_to_g2(self):
         spec = resolve_model("mystery-model-99b")

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -435,6 +436,7 @@ class TestRunScripted:
         assert cli.main([*self.RESUME_ARGS, "--out", str(torn), "--resume"]) == EXIT_OK
         assert "203 of 240 tasks executed" in capsys.readouterr().out
         assert load_run_records(torn) == load_run_records(full)
+        assert torn.read_bytes() == full.read_bytes()
 
     def test_parallelism_forced_serial(self, tmp_path, capsys):
         rc = cli.main(
@@ -474,6 +476,23 @@ class TestRunScripted:
         capsys.readouterr()
         assert cli.main(args) == EXIT_USAGE
         assert "already exists" in capsys.readouterr().err
+
+    def test_bad_template_exits_two_before_any_record(self, tmp_path, capsys):
+        templates = tmp_path / "templates"
+        shutil.copytree(Path(triagebench.__file__).parent / "templates", templates)
+        (templates / "htp" / "round2.txt").write_text(
+            'Reply as {"category": "CATk"}.\n', encoding="utf-8"
+        )
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(
+            ["run", "--backend", "scripted", "--templates", str(templates),
+             "--out", str(out)]
+        )
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: bad template htp/round2.txt: KeyError: '\"category\"'\n"
+        )
+        assert not out.exists()
 
     def test_script_follows_task_order(self, tmp_path, monkeypatch):
         def run(out):
@@ -535,6 +554,32 @@ class TestRunRealBackend:
         )
         assert rc == EXIT_USAGE
         assert "parallelism must be >= 1" in capsys.readouterr().err
+
+
+    def test_names_unknown_to_the_registry_noted_on_live_runs(
+        self, tmp_path, capsys, stub_server
+    ):
+        url, handler = stub_server
+        reply = json.dumps({"message": {"content": "FINAL: CAT2"}})
+        handler.responses.extend([(200, reply)] * 2)
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOOD_ROW])
+        args = ["run", "--corpus", str(corpus), "--techniques", "ZSL",
+                "--models", "llama3.3,llama3.3:70b-instruct-q4_K_M"]
+        out = tmp_path / "live.jsonl"
+        assert cli.main([*args, "--backend", url, "--out", str(out)]) == EXIT_OK
+        notes = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("note: ")
+        ]
+        assert notes == [
+            "note: model 'llama3.3' is not in the registry; grouped as G2"
+        ]
+        groups = {r.trace.model: r.trace.model_group.value for r in load_run_records(out)}
+        assert groups == {"llama3.3": "G2", "llama3.3:70b-instruct-q4_K_M": "G1"}
+
+        scripted = tmp_path / "scripted.jsonl"
+        assert cli.main([*args, "--backend", "scripted", "--out", str(scripted)]) == EXIT_OK
+        assert "note: " not in capsys.readouterr().err
 
 
 class TestRunBadSettings:

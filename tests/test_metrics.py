@@ -12,7 +12,6 @@ from triagebench.metrics import (
     compare_to_reference,
     compute_metrics,
     mean,
-    render_comparison_markdown,
     render_csv,
     render_markdown,
     render_plot_data,
@@ -192,7 +191,7 @@ class TestReferenceComparison:
     def test_missing_scopes_render_no_data(self):
         report = compute_metrics(single_scope_records(1, 2))
         rows = compare_to_reference(report)
-        text = render_comparison_markdown(rows)
+        text = render_markdown(report, rows)
         assert text.count("no data") == 2 * 9  # every row except G1|PHP
         assert "| G1 | PHP | 61.7 | 50.0 | -11.7 |" in text
 

@@ -2,6 +2,7 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,18 @@ CORPUS = Corpus(
             id=f"i{n}", text=f"report {n}", ground_truth=CategoryCode.from_number(n)
         )
         for n in (1, 2, 3)
+    )
+)
+
+
+# JSON strings hold these raw; str.splitlines would break a line at each.
+SEPARATED = Corpus(
+    records=tuple(
+        IncidentRecord(
+            id=f"s{n}", text=f"report {n}{sep}Grüße, ä",
+            ground_truth=CategoryCode.from_number(n),
+        )
+        for n, sep in enumerate(("\u2028", "\u2029", "\u0085"), start=1)
     )
 )
 
@@ -217,6 +230,14 @@ class TestResume:
         assert summary.skipped == 3
         assert len(load_run_records(plan.output_path)) == 3
 
+    def test_line_separators_in_text_keep_every_record(self, tmp_path):
+        plan = plan_for(tmp_path, corpus=SEPARATED)
+        execute(plan, ConstantBackend())
+        assert len(load_run_records(plan.output_path)) == 3
+        summary = execute(plan, ConstantBackend(), resume=True)
+        assert (summary.skipped, summary.executed) == (3, 0)
+        assert len(plan.output_path.read_bytes().split(b"\n")) == 4
+
     def test_resume_scan_missing_file_empty(self, tmp_path):
         assert resume_scan(tmp_path / "nope.jsonl") == set()
 
@@ -245,6 +266,51 @@ class TestResume:
             plan.output_path.write_bytes(b'{"trace": "\xff"}\n')
         with pytest.raises(RunError, match="cannot read run file"):
             execute(plan, ConstantBackend(), resume=True)
+
+
+@cache
+def _finished_run(parallelism: int) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = _cut_plan(Path(tmp), parallelism)
+        execute(plan, ConstantBackend())
+        return plan.output_path.read_bytes()
+
+
+def _cut_plan(directory: Path, parallelism: int) -> RunPlan:
+    return plan_for(directory, models=("m-a", "m-b"), parallelism=parallelism,
+                    techniques=(TechniqueId.ZSL, TechniqueId.SHP), corpus=SEPARATED)
+
+
+def _cut_offsets(parallelism: int) -> st.SearchStrategy[int]:
+    """Any offset, or one inside a multi-byte character."""
+    full = _finished_run(parallelism)
+    inside = [i for i, b in enumerate(full) if 0x80 <= b < 0xC0]
+    return st.integers(0, len(full)) | st.sampled_from(inside)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_resume_from_any_cut_matches_uninterrupted_run(parallelism, data):
+    """A run killed at any byte resumes to the run that was never killed:
+    byte for byte when serial, record for record when parallel."""
+    full = _finished_run(parallelism)
+    offset = data.draw(_cut_offsets(parallelism), label="offset")
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = _cut_plan(Path(tmp), parallelism)
+        plan.output_path.write_bytes(full[:offset])
+        assert {r.key for r in load_run_records(plan.output_path)} <= set(plan.task_keys())
+        execute(plan, ConstantBackend(), resume=True)
+        if parallelism == 1:
+            assert plan.output_path.read_bytes() == full
+        else:
+            full_path = Path(tmp) / "full.jsonl"
+            full_path.write_bytes(full)
+            by_key = [
+                {r.key: r for r in load_run_records(p)}
+                for p in (plan.output_path, full_path)
+            ]
+            assert by_key[0] == by_key[1]
 
 
 class TestLoadRunRecords:
@@ -420,6 +486,38 @@ class TestParallel:
         lines = plan.output_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         assert backend.calls <= 3 + 2 * parallelism
+
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_interrupt_keeps_every_finished_task(self, tmp_path, parallelism):
+        class SlowBackend(ConstantBackend):
+            def complete(self, model, messages, params):
+                time.sleep(0.02)
+                return super().complete(model, messages, params)
+
+        def interrupt_at_third(record, completed, total):
+            if completed == 3:
+                raise KeyboardInterrupt
+
+        corpus = Corpus(
+            records=tuple(
+                IncidentRecord(
+                    id=f"i{n}", text=f"report {n}",
+                    ground_truth=CategoryCode.from_number(n % 12 + 1),
+                )
+                for n in range(100)
+            )
+        )
+        plan = plan_for(tmp_path, corpus=corpus, parallelism=parallelism)
+        backend = SlowBackend()
+        with pytest.raises(KeyboardInterrupt):
+            execute(plan, backend, on_record=interrupt_at_third)
+        kept = len(plan.output_path.read_bytes().splitlines())
+        assert kept == backend.calls >= 3
+
+        rest = ConstantBackend()
+        summary = execute(plan, rest, resume=True)
+        assert rest.calls == summary.executed == 100 - kept
+        assert len(load_run_records(plan.output_path)) == 100
 
 
 class TestScriptedIntegration:

@@ -9,7 +9,6 @@ from triagebench.taxonomy import (
     TaxonomyError,
     builtin_taxonomy,
     parse_category,
-    render_prompt_block,
 )
 
 from helpers import renamed
@@ -54,14 +53,14 @@ class TestBuiltinTaxonomy:
 
 class TestPromptBlock:
     def test_each_code_and_name_once(self, taxonomy):
-        block = render_prompt_block(taxonomy)
+        block = taxonomy.prompt_block
         for cat in taxonomy.categories:
             assert block.count(f"{cat.code.value} ") == 1
             assert block.count(cat.name) == 1
             assert cat.description in block
 
     def test_line_per_category(self, taxonomy):
-        lines = render_prompt_block(taxonomy).splitlines()
+        lines = taxonomy.prompt_block.splitlines()
         assert len(lines) == 12
         assert lines[0].startswith("CAT1 ")
 

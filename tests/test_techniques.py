@@ -21,7 +21,6 @@ from triagebench.taxonomy import (
     CategoryCode,
     Taxonomy,
     builtin_taxonomy,
-    render_prompt_block,
 )
 from triagebench.techniques import (
     FIXED_ROUNDS,
@@ -98,7 +97,7 @@ class TestTemplates:
 
     def test_system_renders_taxonomy_and_contract_once(self, taxonomy):
         templates = default_templates()
-        block = render_prompt_block(taxonomy)
+        block = taxonomy.prompt_block
         for tech in TechniqueId:
             text = templates.system(tech, taxonomy)
             assert text.count(block) == 1, tech
@@ -132,6 +131,21 @@ class TestTemplates:
         with pytest.raises(TemplateError, match="ZSL"):
             TemplateSet(files)
 
+    @pytest.mark.parametrize(
+        "name, text, error",
+        [
+            ("htp/round2.txt", 'Answer as {"category": "CATk"}.', "KeyError"),
+            ("php/round3.txt", "Stray } brace {incident}", "ValueError"),
+            ("prp/system.txt", "{taxonomy}\n{contract}\n{incident}", "KeyError"),
+            ("zsl/round1.txt", "{incident.body}", "AttributeError"),
+        ],
+    )
+    def test_bad_field_or_brace_rejected_at_load(self, name, text, error):
+        files = dict(default_templates().files())
+        files[name] = text
+        with pytest.raises(TemplateError, match=f"bad template {name}: {error}"):
+            TemplateSet(files)
+
     def test_hash_changes_with_content(self):
         files = dict(default_templates().files())
         files["zsl/round1.txt"] += " tweaked"
@@ -145,7 +159,7 @@ class TestTemplates:
             rendered = {}
             for tx in (taxonomy, override):
                 want = files[f"{tech.value.lower()}/system.txt"].format(
-                    taxonomy=render_prompt_block(tx), contract=ANSWER_CONTRACT
+                    taxonomy=tx.prompt_block, contract=ANSWER_CONTRACT
                 ).rstrip("\n")
                 assert templates.system(tech, tx) == want, tech
                 assert templates.system(tech, tx) is templates.system(tech, tx)
@@ -395,7 +409,7 @@ class TestPromptHygiene:
     )
     def test_taxonomy_and_contract_once_per_round(self, technique, script, taxonomy):
         _, backend = run(technique, script)
-        block = render_prompt_block(taxonomy)
+        block = taxonomy.prompt_block
         for text in outgoing_texts(backend):
             assert text.count(block) == 1
             assert text.count(ANSWER_CONTRACT) == 1
@@ -414,7 +428,7 @@ class TestPromptHygiene:
             ["FINAL: CAT1", "FINAL: CAT2", "FINAL: CAT3"],
             budget=budget,
         )
-        block = render_prompt_block(taxonomy)
+        block = taxonomy.prompt_block
         for _, sent, _ in backend.calls:
             assert sent[0].role is Role.SYSTEM
             text = "\n".join(m.content for m in sent)
