@@ -1,28 +1,31 @@
 """Chat-completion backends: a live Ollama-compatible client and a scripted one.
 
 The live client speaks POST /api/chat with stream=false and maps the reply's
-message.content plus server counters into a Completion. It is the only code
-that uses `requests`, and it imports it when built, so offline commands
-(demo, report, validate, anonymize, scripted runs) never load it. The
-scripted backend replays a fixed list of replies for deterministic tests and
-the offline demo; it only replies and records nothing of what it was sent.
-Token budgeting uses the chars/4 heuristic so the harness never depends on a
-model's tokenizer.
+message.content plus server counters into a Completion. It talks HTTP/1.1
+through the standard library's http.client, over one keep-alive connection
+per worker thread, and imports http.client only when built, so offline
+commands (demo, report, validate, anonymize, scripted runs) never load it.
+The scripted backend replays a fixed list of replies for deterministic tests
+and the offline demo; it only replies and records nothing of what it was
+sent. Token budgeting uses the chars/4 heuristic so the harness never
+depends on a model's tokenizer.
 """
 from __future__ import annotations
 
+import functools
+import json
 import re
 import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
-
-if TYPE_CHECKING:
-    import requests
+from typing import Any, Callable, Protocol, Sequence
 
 DEFAULT_BASE_URL = "http://127.0.0.1:11434"
 TRUNCATION_MARKER = "[TRUNCATED]"
+
+# requests' body for json=: the same bytes as json.dumps(obj, allow_nan=False).
+_encode_json = json.JSONEncoder(allow_nan=False).encode
 
 # Transient-failure policy for local servers that drop requests during model
 # load: 2 retries after the first attempt, 1s then 4s.
@@ -175,37 +178,139 @@ def truncate_to_budget(
     return out
 
 
+class _Session(Protocol):
+    """What OllamaBackend calls on its transport: the shape of requests.Session."""
+
+    def get(self, url: str, *, timeout: float) -> Any: ...
+
+    def post(self, url: str, *, json: Any, timeout: float) -> Any: ...
+
+
+@dataclass(frozen=True)
+class _Reply:
+    """The part of a requests.Response that OllamaBackend reads."""
+
+    status_code: int
+    text: str
+
+    def json(self) -> Any:
+        return json.loads(self.text)
+
+
+class _HTTPClient:
+    """A stdlib HTTP/1.1 client with one keep-alive connection per thread.
+
+    Built for one base URL (http or https, with an optional path prefix); it
+    answers get and post like a requests.Session. A reused connection that
+    the server dropped while it sat idle is reopened and the request sent
+    once more; any other failure is raised to the caller.
+    """
+
+    def __init__(self, base_url: str) -> None:
+        import http.client
+        from urllib.parse import urlsplit
+
+        parts = urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(
+                f"backend URL {base_url!r} is not http(s)://host[:port][/path]"
+            )
+        self._connect = functools.partial(
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection,
+            parts.hostname,
+            parts.port,  # raises ValueError on a bad port
+        )
+        self._base_url = base_url.rstrip("/")
+        self._prefix = parts.path.rstrip("/")
+        self._local = threading.local()
+
+    def get(self, url: str, *, timeout: float) -> _Reply:
+        return self._request("GET", url, None, timeout)
+
+    def post(self, url: str, *, json: Any, timeout: float) -> _Reply:
+        body = _encode_json(json).encode("utf-8")
+        return self._request("POST", url, body, timeout)
+
+    def _request(
+        self, method: str, url: str, body: bytes | None, timeout: float
+    ) -> _Reply:
+        import http.client
+
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+        path = self._prefix + url[len(self._base_url):]
+        idle = conn.sock is not None
+        try:
+            return self._exchange(conn, method, path, body, timeout)
+        except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+            if not idle:
+                raise
+        # The server closed the kept-alive connection; the closed connection
+        # opens a fresh socket on its next request.
+        return self._exchange(conn, method, path, body, timeout)
+
+    @staticmethod
+    def _exchange(
+        conn, method: str, path: str, body: bytes | None, timeout: float
+    ) -> _Reply:
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        headers = {"Content-Type": "application/json"} if body is not None else {}
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        return _Reply(resp.status, data.decode("utf-8", "replace"))
+
+
+def _measure(value: Any) -> int | float | None:
+    """A server counter if it is a number, else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    return None
+
+
 class OllamaBackend:
     """Live client for an Ollama-compatible /api/chat endpoint.
 
-    Stateless per request and shareable across worker threads. Transient
-    failures (connection errors, timeouts, 5xx) are retried with the fixed
-    backoff schedule before surfacing BackendUnavailableError.
+    Shareable across worker threads: each thread keeps one keep-alive
+    connection of its own. Transient failures (connection errors, timeouts,
+    5xx) are retried with the fixed backoff schedule before surfacing
+    BackendUnavailableError. A base URL that is not http(s)://host[...]
+    raises ValueError when the backend is built.
+
+    session replaces the stdlib transport with any object that has
+    requests.Session's get and post; it exists for the benchmark's tracer
+    (perfbench/tracing.py), which counts HTTP attempts through it.
     """
 
     def __init__(
         self,
         base_url: str = DEFAULT_BASE_URL,
         retries: int = len(RETRY_BACKOFF_S),
-        session: requests.Session | None = None,
+        session: _Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        import requests
-
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
         self.retries = retries
-        self._session = session or requests.Session()
+        self._session = session or _HTTPClient(base_url)
         self._sleep = sleep
 
     def is_reachable(self, timeout: float = 5.0) -> bool:
-        import requests
+        import http.client
 
         try:
             self._session.get(f"{self.base_url}/api/tags", timeout=timeout)
             return True
-        except requests.RequestException:
+        except (OSError, http.client.HTTPException):
             return False
 
     def complete(
@@ -214,7 +319,7 @@ class OllamaBackend:
         messages: Sequence[ChatMessage],
         params: GenerationParams,
     ) -> Completion:
-        import requests
+        import http.client
 
         if not messages:
             raise ValueError("messages must be nonempty")
@@ -242,7 +347,7 @@ class OllamaBackend:
                     json=payload,
                     timeout=params.request_timeout,
                 )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_exc = exc
                 continue
             latency_ms = (time.monotonic() - start) * 1000.0
@@ -264,20 +369,18 @@ class OllamaBackend:
             try:
                 body = resp.json()
                 text = body["message"]["content"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ProtocolError(
-                    f"malformed server reply: {resp.text[:200]!r}"
-                ) from exc
+            except (ValueError, KeyError, TypeError):
+                text = None
+            if not isinstance(text, str):
+                raise ProtocolError(f"malformed server reply: {resp.text[:200]!r}")
 
-            total_ns = body.get("total_duration")
+            total_ns = _measure(body.get("total_duration"))
             telemetry = Telemetry(
                 latency_ms=latency_ms,
                 response_chars=len(text),
-                prompt_tokens=body.get("prompt_eval_count"),
-                output_tokens=body.get("eval_count"),
-                server_eval_duration_ms=(
-                    total_ns / 1e6 if isinstance(total_ns, (int, float)) else None
-                ),
+                prompt_tokens=_measure(body.get("prompt_eval_count")),
+                output_tokens=_measure(body.get("eval_count")),
+                server_eval_duration_ms=None if total_ns is None else total_ns / 1e6,
             )
             return Completion(text=text, telemetry=telemetry)
 

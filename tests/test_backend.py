@@ -1,5 +1,8 @@
 import json
+import re
+import socket
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -25,6 +28,10 @@ from triagebench.backend import (
     resolve_model,
     truncate_to_budget,
 )
+from triagebench.corpus import Corpus, IncidentRecord
+from triagebench.runner import RunPlan, execute
+from triagebench.taxonomy import CategoryCode
+from triagebench.techniques import TechniqueConfig, TechniqueId
 
 
 def msg(role: Role, content: str) -> ChatMessage:
@@ -177,6 +184,23 @@ class TestOllamaBackend:
         with pytest.raises(ProtocolError):
             OllamaBackend(url).complete(MODEL, MESSAGES, PARAMS)
 
+    @pytest.mark.parametrize("content", [None, 3, ["FINAL: CAT1"]], ids=str)
+    def test_content_that_is_not_a_string_is_protocol_error(self, stub_server, content):
+        url, handler = stub_server
+        handler.responses.append((200, json.dumps({"message": {"content": content}})))
+        with pytest.raises(ProtocolError, match="malformed server reply.*content"):
+            OllamaBackend(url).complete(MODEL, MESSAGES, PARAMS)
+
+    def test_counters_that_are_not_numbers_are_dropped(self, stub_server):
+        url, handler = stub_server
+        body = {"message": {"content": "FINAL: CAT1"}, "prompt_eval_count": "12",
+                "eval_count": True, "total_duration": [1]}
+        handler.responses.append((200, json.dumps(body)))
+        telemetry = OllamaBackend(url).complete(MODEL, MESSAGES, PARAMS).telemetry
+        assert telemetry.prompt_tokens is None
+        assert telemetry.output_tokens is None
+        assert telemetry.server_eval_duration_ms is None
+
     def test_5xx_retried_then_succeeds(self, stub_server):
         url, handler = stub_server
         handler.responses.extend([(500, "busy"), (200, ok_body("recovered"))])
@@ -205,6 +229,200 @@ class TestOllamaBackend:
         with pytest.raises(ValueError, match="retries"):
             OllamaBackend(retries=-1)
         assert OllamaBackend(retries=0).retries == 0
+
+    @pytest.mark.parametrize(
+        "url", ["localhost:11434", "ftp://127.0.0.1:9", "http://", "http://h:port"]
+    )
+    def test_malformed_url_rejected_when_built(self, url):
+        with pytest.raises(ValueError):
+            OllamaBackend(url)
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with Content-Length, so connections stay open between
+    requests; each chat request gets ok_body()."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out as two writes
+
+    def _reply(self, body: bytes) -> None:
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        self._reply(b"{}")
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.paths.append(self.path)
+        self.server.posts.append((self.headers["Content-Type"], body))
+        self._reply(ok_body().encode())
+
+    def finish(self):
+        super().finish()
+        self.server.finished.release()
+
+    def log_message(self, *args):
+        pass
+
+
+class _CountingServer(ThreadingHTTPServer):
+    """Keeps every connection it accepts, and the path and body of every
+    request."""
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.connections: list[socket.socket] = []
+        self.paths: list[str] = []
+        self.posts: list[tuple[str, bytes]] = []
+        self.finished = threading.Semaphore(0)  # one release per closed handler
+
+    def get_request(self):
+        conn, addr = super().get_request()
+        self.connections.append(conn)
+        return conn, addr
+
+
+@pytest.fixture()
+def keepalive_server():
+    server = _CountingServer()
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        for conn in server.connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def _matrix_plan(tmp_path, parallelism: int) -> RunPlan:
+    corpus = Corpus(
+        records=tuple(
+            IncidentRecord(id=f"i{n}", text=f"report {n}",
+                           ground_truth=CategoryCode.from_number(n))
+            for n in range(1, 9)
+        )
+    )
+    return RunPlan(
+        models=(MODEL,),
+        techniques=tuple(TechniqueId),
+        corpus=corpus,
+        params=PARAMS,
+        technique_config=TechniqueConfig(),
+        seed=0,
+        output_path=tmp_path / f"run-{parallelism}.jsonl",
+        parallelism=parallelism,
+    )
+
+
+class TestKeepAliveTransport:
+    def test_one_connection_for_many_calls(self, keepalive_server):
+        backend = OllamaBackend(keepalive_server.url)
+        assert backend.is_reachable()
+        for _ in range(20):
+            assert backend.complete(MODEL, MESSAGES, PARAMS).text == "FINAL: CAT1"
+        assert len(keepalive_server.connections) == 1
+        assert keepalive_server.paths == ["/api/tags"] + ["/api/chat"] * 20
+
+    def test_one_connection_per_worker(self, keepalive_server, tmp_path):
+        lines = []
+        for parallelism, max_connections in ((1, 1), (2, 2)):
+            opened = len(keepalive_server.connections)
+            plan = _matrix_plan(tmp_path, parallelism)
+            summary = execute(plan, OllamaBackend(keepalive_server.url))
+            assert summary.executed == 40 and summary.failed == 0
+            assert len(keepalive_server.connections) - opened <= max_connections
+            text = plan.output_path.read_text(encoding="utf-8")
+            lines.append(sorted(re.sub(r'latency_ms":[^,}]+', "", text).splitlines()))
+        assert lines[0] == lines[1]
+
+    def test_dropped_idle_connection_resent_once_without_sleep(self, keepalive_server):
+        sleeps: list[float] = []
+        backend = OllamaBackend(keepalive_server.url, sleep=sleeps.append)
+        backend.complete(MODEL, MESSAGES, PARAMS)
+        [conn] = keepalive_server.connections
+        conn.shutdown(socket.SHUT_RDWR)
+        assert keepalive_server.finished.acquire(timeout=5)
+
+        assert backend.complete(MODEL, MESSAGES, PARAMS).text == "FINAL: CAT1"
+        assert sleeps == []
+        assert len(keepalive_server.posts) == 2
+        assert len(keepalive_server.connections) == 2
+
+    def test_connection_closing_server_still_served(self, stub_server):
+        url, handler = stub_server
+        handler.responses.extend([(200, ok_body(f"FINAL: CAT{n}")) for n in (1, 2, 3)])
+        backend = OllamaBackend(url)
+        texts = [backend.complete(MODEL, MESSAGES, PARAMS).text for _ in range(3)]
+        assert texts == ["FINAL: CAT1", "FINAL: CAT2", "FINAL: CAT3"]
+
+    def test_path_prefix_kept(self, keepalive_server):
+        backend = OllamaBackend(keepalive_server.url + "/ollama/")
+        assert backend.is_reachable()
+        backend.complete(MODEL, MESSAGES, PARAMS)
+        assert keepalive_server.paths == ["/ollama/api/tags", "/ollama/api/chat"]
+
+    def test_request_body_is_compact_json(self, keepalive_server):
+        OllamaBackend(keepalive_server.url).complete(MODEL, MESSAGES, PARAMS)
+        payload = {
+            "model": "demo",
+            "messages": [m.to_dict() for m in MESSAGES],
+            "stream": False,
+            "options": {"temperature": 0.0, "num_predict": 1024, "seed": 11},
+        }
+        assert keepalive_server.posts == [
+            ("application/json", json.dumps(payload, allow_nan=False).encode())
+        ]
+
+    @pytest.mark.parametrize("hang_up", [False, True], ids=["silent", "hang-up"])
+    def test_fresh_connection_failure_is_an_attempt(self, hang_up):
+        # A server that never answers (each attempt times out) or that
+        # closes every connection at once: no attempt is resent.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        accepted: list[socket.socket] = []
+        stop = threading.Event()
+
+        def accept():
+            while not stop.is_set():
+                try:
+                    conn = listener.accept()[0]
+                except TimeoutError:
+                    continue
+                accepted.append(conn)
+                if hang_up:
+                    conn.close()
+
+        thread = threading.Thread(target=accept, daemon=True)
+        thread.start()
+        sleeps: list[float] = []
+        backend = OllamaBackend(
+            f"http://127.0.0.1:{listener.getsockname()[1]}", sleep=sleeps.append
+        )
+        try:
+            with pytest.raises(BackendUnavailableError, match="3 attempts"):
+                backend.complete(MODEL, MESSAGES, GenerationParams(request_timeout=0.2))
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            for conn in [listener, *accepted]:
+                conn.close()
+        assert not thread.is_alive()
+        assert sleeps == list(RETRY_BACKOFF_S)
+        assert len(accepted) == backend.retries + 1
 
 
 class TestScriptedBackend:

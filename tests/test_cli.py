@@ -543,6 +543,44 @@ class TestRunRealBackend:
         assert rc == EXIT_FAILURE
         assert "not reachable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "env", "ini"])
+    @pytest.mark.parametrize("url", ["localhost:11434", "ftp://127.0.0.1:9", "http://"])
+    def test_malformed_url_exit_two_before_any_request(
+        self, tmp_path, capsys, monkeypatch, url, source
+    ):
+        args = ["run", "--models", "demo", "--techniques", "ZSL",
+                "--out", str(tmp_path / "run.jsonl")]
+        if source == "flag":
+            args += ["--backend", url]
+        elif source == "env":
+            monkeypatch.setenv(cli.ENV_BACKEND_URL, url)
+        else:
+            ini = tmp_path / "triage.ini"
+            ini.write_text(f"[backend]\nurl = {url}\n", encoding="utf-8")
+            args = ["--config", str(ini), *args]
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and repr(url) in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_reply_without_string_content_fails_only_its_task(
+        self, tmp_path, capsys, stub_server
+    ):
+        url, handler = stub_server
+        for content in (None, 12):
+            handler.responses.append((200, json.dumps({"message": {"content": content}})))
+        rows = [GOOD_ROW, {**GOOD_ROW, "id": "a2"}]
+        corpus = write_corpus(tmp_path / "c.jsonl", rows)
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(["run", "--backend", url, "--models", "demo", "--techniques",
+                       "ZSL", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == EXIT_OK
+        errors = [r.error for r in load_run_records(out)]
+        assert len(errors) == 2
+        assert all("malformed server reply" in e for e in errors)
+
     def test_bad_parallelism_exit_two_before_any_request(self, tmp_path, capsys):
         rc = cli.main(
             [
@@ -647,15 +685,16 @@ class TestRunBadSettings:
 
 class TestOfflineWithoutRequests:
     def test_offline_commands_never_import_requests(self, tmp_path):
-        # A fresh process where `import requests` fails until the live
-        # backend is built.
+        # A fresh process where `import requests` always fails. The offline
+        # commands leave http.client unloaded too; a live run then works
+        # against a stdlib stub.
         src = str(Path(triagebench.__file__).resolve().parents[1])
         script = f"""
 import sys
 sys.path.insert(0, {src!r})
 sys.modules["requests"] = None
 from triagebench.cli import main
-run, out = sys.argv[1], sys.argv[2]
+run, out, live = sys.argv[1:4]
 codes = [
     main(["demo"]),
     main(["run", "--backend", "scripted", "--models", "demo",
@@ -664,14 +703,40 @@ codes = [
     main(["validate"]),
 ]
 print("codes", codes)
-del sys.modules["requests"]
-from triagebench import OllamaBackend
-OllamaBackend()
-print("requests loaded:", sys.modules["requests"] is not None)
+print("http.client loaded:", "http.client" in sys.modules)
+
+import json, threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+class Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        self.reply(b"{{}}")
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.reply(json.dumps({{"message": {{"content": "FINAL: CAT2"}}}}).encode())
+
+    def reply(self, body):
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+url = f"http://127.0.0.1:{{server.server_address[1]}}"
+print("live", main(["run", "--backend", url, "--models", "demo",
+                    "--techniques", "ZSL", "--out", live]))
 """
+        live = tmp_path / "live.jsonl"
         proc = subprocess.run(
             [sys.executable, "-c", script,
-             str(tmp_path / "run.jsonl"), str(tmp_path / "report")],
+             str(tmp_path / "run.jsonl"), str(tmp_path / "report"), str(live)],
             capture_output=True,
             text=True,
             timeout=120,
@@ -679,8 +744,12 @@ print("requests loaded:", sys.modules["requests"] is not None)
         assert proc.returncode == 0, proc.stderr
         assert "demo metrics match golden" in proc.stdout
         assert "codes [0, 0, 0, 0]" in proc.stdout
-        assert "requests loaded: True" in proc.stdout
+        assert "http.client loaded: False" in proc.stdout
+        assert "live 0" in proc.stdout
         assert (tmp_path / "report" / "metrics.csv").exists()
+        records = load_run_records(live)
+        assert len(records) == 24
+        assert all(r.error is None for r in records)
 
 
 @pytest.fixture()
