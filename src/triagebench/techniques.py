@@ -41,7 +41,7 @@ from .backend import (
 )
 from .corpus import IncidentRecord
 from .taxonomy import ANSWER_CONTRACT, CategoryCode, Taxonomy, parse_category
-from .util import sha256_hex
+from .util import enum_decoder, sha256_hex
 
 if TYPE_CHECKING:
     from importlib.abc import Traversable
@@ -194,17 +194,24 @@ class TechniqueConfig:
             raise ValueError("max_rounds must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceTurn:
     sent: tuple[ChatMessage, ...]  # messages newly sent this round, as truncated
     completion: Completion
     parsed: CategoryCode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceTotals:
     total_latency_ms: float
     total_response_chars: int
+
+
+# Decoders of the enum fields of a stored trace.
+_role = enum_decoder(Role)
+_category = enum_decoder(CategoryCode)
+_group = enum_decoder(ModelGroup)
+_technique = enum_decoder(TechniqueId)
 
 
 def _typed(d: dict, key: str, *types: type) -> Any:
@@ -216,7 +223,7 @@ def _typed(d: dict, key: str, *types: type) -> Any:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationTrace:
     incident_id: str
     model: str
@@ -271,7 +278,7 @@ class ClassificationTrace:
         turns = tuple(
             TraceTurn(
                 sent=tuple(
-                    ChatMessage(Role(m["role"]), m["content"]) for m in t["sent"]
+                    ChatMessage(_role(m["role"]), m["content"]) for m in t["sent"]
                 ),
                 completion=Completion(
                     text=t["completion"]["text"],
@@ -283,7 +290,7 @@ class ClassificationTrace:
                         server_eval_duration_ms=tm.get("server_eval_duration_ms"),
                     ),
                 ),
-                parsed=CategoryCode(t["parsed"]),
+                parsed=_category(t["parsed"]),
             )
             for t in d["turns"]
             for tm in (t["completion"]["telemetry"],)
@@ -292,10 +299,10 @@ class ClassificationTrace:
         return cls(
             incident_id=_typed(d, "incident_id", str),
             model=_typed(d, "model", str),
-            model_group=ModelGroup(d["model_group"]),
-            technique=TechniqueId(d["technique"]),
+            model_group=_group(d["model_group"]),
+            technique=_technique(d["technique"]),
             turns=turns,
-            final=CategoryCode(d["final"]),
+            final=_category(d["final"]),
             rounds_used=_typed(d, "rounds_used", int),
             converged=_typed(d, "converged", bool),
             telemetry_totals=TraceTotals(

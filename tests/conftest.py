@@ -58,10 +58,14 @@ def stub_server():
         paths_seen = []
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll; 0.05 s, not 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}", Handler
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

@@ -308,6 +308,20 @@ def keepalive_server():
         thread.join(timeout=5)
 
 
+@pytest.fixture()
+def ollama():
+    """Builds OllamaBackends like the class does, and closes them at teardown."""
+    built: list[OllamaBackend] = []
+
+    def build(*args, **kwargs) -> OllamaBackend:
+        built.append(OllamaBackend(*args, **kwargs))
+        return built[-1]
+
+    yield build
+    for backend in built:
+        backend.close()
+
+
 def _matrix_plan(tmp_path, parallelism: int) -> RunPlan:
     corpus = Corpus(
         records=tuple(
@@ -329,29 +343,31 @@ def _matrix_plan(tmp_path, parallelism: int) -> RunPlan:
 
 
 class TestKeepAliveTransport:
-    def test_one_connection_for_many_calls(self, keepalive_server):
-        backend = OllamaBackend(keepalive_server.url)
+    def test_one_connection_for_many_calls(self, keepalive_server, ollama):
+        backend = ollama(keepalive_server.url)
         assert backend.is_reachable()
         for _ in range(20):
             assert backend.complete(MODEL, MESSAGES, PARAMS).text == "FINAL: CAT1"
         assert len(keepalive_server.connections) == 1
         assert keepalive_server.paths == ["/api/tags"] + ["/api/chat"] * 20
 
-    def test_one_connection_per_worker(self, keepalive_server, tmp_path):
+    def test_one_connection_per_worker(self, keepalive_server, tmp_path, ollama):
         lines = []
         for parallelism, max_connections in ((1, 1), (2, 2)):
             opened = len(keepalive_server.connections)
             plan = _matrix_plan(tmp_path, parallelism)
-            summary = execute(plan, OllamaBackend(keepalive_server.url))
+            summary = execute(plan, ollama(keepalive_server.url))
             assert summary.executed == 40 and summary.failed == 0
             assert len(keepalive_server.connections) - opened <= max_connections
             text = plan.output_path.read_text(encoding="utf-8")
             lines.append(sorted(re.sub(r'latency_ms":[^,}]+', "", text).splitlines()))
         assert lines[0] == lines[1]
 
-    def test_dropped_idle_connection_resent_once_without_sleep(self, keepalive_server):
+    def test_dropped_idle_connection_resent_once_without_sleep(
+        self, keepalive_server, ollama
+    ):
         sleeps: list[float] = []
-        backend = OllamaBackend(keepalive_server.url, sleep=sleeps.append)
+        backend = ollama(keepalive_server.url, sleep=sleeps.append)
         backend.complete(MODEL, MESSAGES, PARAMS)
         [conn] = keepalive_server.connections
         conn.shutdown(socket.SHUT_RDWR)
@@ -369,14 +385,14 @@ class TestKeepAliveTransport:
         texts = [backend.complete(MODEL, MESSAGES, PARAMS).text for _ in range(3)]
         assert texts == ["FINAL: CAT1", "FINAL: CAT2", "FINAL: CAT3"]
 
-    def test_path_prefix_kept(self, keepalive_server):
-        backend = OllamaBackend(keepalive_server.url + "/ollama/")
+    def test_path_prefix_kept(self, keepalive_server, ollama):
+        backend = ollama(keepalive_server.url + "/ollama/")
         assert backend.is_reachable()
         backend.complete(MODEL, MESSAGES, PARAMS)
         assert keepalive_server.paths == ["/ollama/api/tags", "/ollama/api/chat"]
 
-    def test_request_body_is_compact_json(self, keepalive_server):
-        OllamaBackend(keepalive_server.url).complete(MODEL, MESSAGES, PARAMS)
+    def test_request_body_is_compact_json(self, keepalive_server, ollama):
+        ollama(keepalive_server.url).complete(MODEL, MESSAGES, PARAMS)
         payload = {
             "model": "demo",
             "messages": [m.to_dict() for m in MESSAGES],
@@ -386,6 +402,35 @@ class TestKeepAliveTransport:
         assert keepalive_server.posts == [
             ("application/json", json.dumps(payload, allow_nan=False).encode())
         ]
+
+    def test_close_closes_the_connection_of_every_thread(self, keepalive_server, tmp_path):
+        backend = OllamaBackend(keepalive_server.url)
+        # Worker threads that have ended, and this thread.
+        execute(_matrix_plan(tmp_path, 2), backend)
+        backend.complete(MODEL, MESSAGES, PARAMS)
+        opened = len(keepalive_server.connections)
+        assert opened >= 2
+        backend.close()
+        for _ in range(opened):
+            assert keepalive_server.finished.acquire(timeout=5)
+
+        # A closed backend reconnects when used again; close() closes it again.
+        assert backend.complete(MODEL, MESSAGES, PARAMS).text == "FINAL: CAT1"
+        assert len(keepalive_server.connections) == opened + 1
+        backend.close()
+        assert keepalive_server.finished.acquire(timeout=5)
+
+    def test_close_closes_a_session_that_has_close(self):
+        class Session:
+            closed = 0
+
+            def close(self):
+                self.closed += 1
+
+        session = Session()
+        OllamaBackend(session=session).close()
+        assert session.closed == 1
+        OllamaBackend(session=object()).close()  # nothing to close
 
     @pytest.mark.parametrize("hang_up", [False, True], ids=["silent", "hang-up"])
     def test_fresh_connection_failure_is_an_attempt(self, hang_up):

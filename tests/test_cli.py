@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import json
 import re
@@ -24,6 +25,12 @@ from triagebench.cli import (
 )
 from triagebench.corpus import load_corpus
 from triagebench.demo import DEMO_MODEL_NAME, diff_against_golden, run_demo
+from triagebench.metrics import (
+    REPORT_FORMATS,
+    compare_to_reference,
+    compute_metrics,
+    render_report,
+)
 from triagebench.runner import RunPlan, load_run_records
 from triagebench.techniques import TechniqueConfig, TechniqueId
 
@@ -581,6 +588,35 @@ class TestRunRealBackend:
         assert len(errors) == 2
         assert all("malformed server reply" in e for e in errors)
 
+    @pytest.mark.parametrize("case", ["ok", "unreachable", "existing output"])
+    def test_backend_closed_after_run(self, tmp_path, monkeypatch, stub_server, case):
+        url, handler = stub_server
+        handler.responses.append((200, json.dumps({"message": {"content": "CAT2"}})))
+        built: list[OllamaBackend] = []
+        closed: list[OllamaBackend] = []
+
+        class Recording(OllamaBackend):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(cli, "OllamaBackend", Recording)
+        out = tmp_path / "run.jsonl"
+        if case == "existing output":
+            out.write_text("{}\n", encoding="utf-8")
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOOD_ROW])
+        rc = cli.main([
+            "run", "--backend", "http://127.0.0.1:9" if case == "unreachable" else url,
+            "--models", "demo", "--techniques", "ZSL",
+            "--corpus", str(corpus), "--out", str(out),
+        ])
+        assert rc == {"ok": EXIT_OK, "unreachable": EXIT_FAILURE}.get(case, EXIT_USAGE)
+        assert len(built) == 1 and closed == built
+
     def test_bad_parallelism_exit_two_before_any_request(self, tmp_path, capsys):
         rc = cli.main(
             [
@@ -801,6 +837,54 @@ class TestReport:
         text = (out_dir / "metrics.md").read_text(encoding="utf-8")
         assert "Reference" in text
         assert "no data" in text  # single-model run covers only a few scopes
+
+    def test_records_and_report_hold_no_reference_cycles(
+        self, scripted_run_file, tmp_path
+    ):
+        # Why report may pause the cyclic collector: reference counting
+        # alone frees all it builds, skipped and repeated lines included.
+        lines = scripted_run_file.read_bytes().splitlines(keepends=True)
+        scripted_run_file.write_bytes(
+            b"".join(lines) + b"not json\n" + lines[0] + lines[1][:200]
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            records = load_run_records(scripted_run_file)
+            report = compute_metrics(records)
+            render_report(
+                report, tmp_path / "r", REPORT_FORMATS, compare_to_reference(report)
+            )
+            assert len(records) == 48
+            del records, report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("invalid", [False, True], ids=["ok", "invalid-record"])
+    def test_collector_paused_then_restored(
+        self, scripted_run_file, tmp_path, monkeypatch, enabled, invalid
+    ):
+        if invalid:
+            corrupt_lines_2_and_3(scripted_run_file)
+        paused = []
+        for name in ("compute_metrics", "render_report"):
+            def record_state(*args, _fn=getattr(cli, name)):
+                paused.append(not gc.isenabled())
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, record_state)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            rc = cli.main(
+                ["report", str(scripted_run_file), "--out-dir", str(tmp_path / "r")]
+            )
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert rc == (EXIT_USAGE if invalid else EXIT_OK)
+        assert paused == ([] if invalid else [True, True])
 
     def test_missing_run_file_exit_two(self, tmp_path, capsys):
         rc = cli.main(
