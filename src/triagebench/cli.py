@@ -259,9 +259,10 @@ def _progress(record: RunRecord, completed: int, total: int) -> None:
 def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
     techniques = _parse_techniques(config.techniques)
     corpus = _load_corpus_arg(args.corpus)
-    if not config.models:
+    names = tuple(dict.fromkeys(config.models))  # a repeat would rerun its tasks
+    if not names:
         raise CliError("no models given")
-    models = tuple(resolve_model(name) for name in config.models)
+    models = tuple(resolve_model(name) for name in names)
 
     try:
         technique_config = TechniqueConfig(
@@ -314,7 +315,7 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
                 raise CliError(str(exc))
             if not backend.is_reachable():
                 raise CliError(f"backend at {url} is not reachable", code=EXIT_FAILURE)
-            for name in dict.fromkeys(config.models):
+            for name in names:
                 if registry_group(name) is None:
                     note = f"model {name!r} is not in the registry; grouped as G2"
                     print(f"note: {note}", file=sys.stderr)

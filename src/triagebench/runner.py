@@ -1,13 +1,16 @@
 """Experiment-matrix execution: (incident × technique × model) with resume.
 
 Tasks are ordered incident-outer, technique-middle, model-inner so a partial
-run covers every technique early. Records are appended to the run file as
-each task completes; one writer (the calling thread) owns the file, workers
-only compute. A crash mid-write leaves at most one torn trailing line,
-which resume cuts off. An interrupt or a failed write stops a parallel run
-once the tasks already started finish; tasks still queued are never sent
-to the backend. After an interrupt those tasks are written too, so resume
-re-runs only what never finished; after a failed write nothing is.
+run covers every technique early; the serial path runs them in that plan
+order. The threaded path sends one model's tasks after another, each model's
+in plan order, so a server that holds one model at a time loads each once.
+Records are appended to the run file as each task completes; one writer (the
+calling thread) owns the file, workers only compute. A crash mid-write
+leaves at most one torn trailing line, which resume cuts off. An interrupt
+or a failed write stops a parallel run once the tasks already started
+finish; tasks still queued are never sent to the backend. After an
+interrupt those tasks are written too, so resume re-runs only what never
+finished; after a failed write nothing is.
 resume_scan and load_run_records share one line reader, so every task that
 resume skips is one that load_run_records returns or refuses by line. The
 reader streams the file, so it is never held in memory whole.
@@ -68,8 +71,16 @@ class RunPlan:
             raise RunError("plan needs at least one model, technique and incident")
         if self.parallelism < 1:
             raise RunError("parallelism must be >= 1")
+        # A repeated model or technique would repeat every one of its tasks.
+        for axis, names in (
+            ("model", [m.name for m in self.models]),
+            ("technique", [t.value for t in self.techniques]),
+        ):
+            if len(set(names)) < len(names):
+                raise RunError(f"plan repeats a {axis}: {', '.join(names)}")
 
     def task_keys(self) -> list[TaskKey]:
+        """Every task in plan order, which is the serial record order."""
         return [
             (model.name, technique.value, incident.id)
             for incident in self.corpus.records
@@ -306,6 +317,10 @@ def execute(
         else:
             pool = ThreadPoolExecutor(max_workers=plan.parallelism)
             unwritten: dict[Future, None] = {}
+            # Model by model, so a server that holds one model loads each
+            # once; the sort is stable, so each model's tasks keep plan order.
+            rank = {m.name: i for i, m in enumerate(plan.models)}
+            tasks.sort(key=lambda key: rank[key[0]])
             try:
                 unwritten = dict.fromkeys(pool.submit(work, key) for key in tasks)
                 for future in as_completed(tuple(unwritten)):

@@ -415,6 +415,21 @@ class TestRunScripted:
         stdout = capsys.readouterr().out
         assert "[24/24]" in stdout
 
+    def test_repeated_model_runs_once(self, tmp_path, capsys):
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(
+            [
+                "run", "--backend", "scripted",
+                "--models", "demo,demo",
+                "--techniques", "ZSL",
+                "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert len(out.read_bytes().splitlines()) == 24
+        stdout = capsys.readouterr().out
+        assert "[24/24]" in stdout and "[25/" not in stdout
+
     RESUME_ARGS = ["run", "--backend", "scripted", "--models", "demo,m2"]
 
     def test_resume_matches_uninterrupted_run(self, tmp_path, capsys):

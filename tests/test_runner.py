@@ -132,6 +132,12 @@ class TestRunPlan:
         with pytest.raises(RunError):
             plan_for(tmp_path, parallelism=0)
 
+    def test_rejects_repeated_model_or_technique(self, tmp_path):
+        with pytest.raises(RunError, match="repeats a model"):
+            plan_for(tmp_path, models=("m-a", "m-a"))
+        with pytest.raises(RunError, match="repeats a technique"):
+            plan_for(tmp_path, techniques=(TechniqueId.ZSL, TechniqueId.ZSL))
+
 
 class TestGrade:
     def test_correct_iff_final_equals_truth(self):
@@ -455,6 +461,56 @@ class TestParallel:
         assert len(lines) == 18
         records = load_run_records(plan.output_path)
         assert len(records) == 18
+
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_one_slot_server_loads_each_model_once(self, tmp_path, parallelism):
+        class OneSlotBackend(ConstantBackend):
+            """Serves one call at a time and counts model loads, the first
+            included, as a server that holds one model would make them."""
+
+            def __init__(self):
+                super().__init__()
+                self.slot = threading.Lock()
+                self.loaded = None
+                self.swaps = 0
+
+            def complete(self, model, messages, params):
+                with self.slot:
+                    self.swaps += model.name != self.loaded
+                    self.loaded = model.name
+                    time.sleep(0.0005)
+                    return super().complete(model, messages, params)
+
+        corpus = Corpus(
+            records=tuple(
+                IncidentRecord(
+                    id=f"i{n}", text=f"report {n}",
+                    ground_truth=CategoryCode.from_number(n % 12 + 1),
+                )
+                for n in range(12)
+            )
+        )
+        models = ("m-a", "m-b", "m-c")
+        techniques = tuple(TechniqueId)
+        serial = plan_for(tmp_path, models=models, techniques=techniques,
+                          corpus=corpus)
+        execute(serial, ConstantBackend())
+
+        par_dir = tmp_path / "par"
+        par_dir.mkdir()
+        plan = plan_for(par_dir, models=models, techniques=techniques,
+                        corpus=corpus, parallelism=parallelism)
+        backend = OneSlotBackend()
+        execute(plan, backend)
+        # At each model boundary the other workers may still run a task of
+        # the old model, and each of its up to 3 rounds can load the old
+        # model and then the new one again.
+        assert backend.swaps <= 1 + 6 * (len(models) - 1) * (parallelism - 1)
+
+        def records(path):
+            return {r.key: r.to_dict() for r in load_run_records(path)}
+
+        assert records(plan.output_path) == records(serial.output_path)
 
     @pytest.mark.parametrize("parallelism", [2, 4])
     def test_failed_write_cancels_queued_tasks(self, tmp_path, parallelism):
