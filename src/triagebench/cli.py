@@ -131,6 +131,9 @@ def load_config_file(path: str | Path, base: CliConfig) -> CliConfig:
     except configparser.Error as exc:
         raise CliError(f"bad config file {path}: {exc}")
 
+    # Its keys would reach every other section; no setting is read from it.
+    if parser.defaults():
+        raise CliError(f"{path}: unknown config section [{parser.default_section}]")
     updates: dict[str, object] = {}
     for section in parser.sections():
         if section not in _CONFIG_KEYS:
@@ -286,7 +289,7 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
     scripted = args.backend == "scripted"
     parallelism = config.parallelism
     if scripted and parallelism != 1:
-        print("scripted backend replays in plan order; forcing --parallelism 1")
+        print("scripted backend replays in call order; forcing --parallelism 1")
         parallelism = 1
 
     live: OllamaBackend | None = None
@@ -303,10 +306,8 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         )
         if scripted:
             # Replies depend only on the task key, so resume scripts just the rest.
-            done = resume_scan(plan.output_path) if args.resume else set()
-            backend = ScriptedBackend(
-                build_demo_script(corpus, [k for k in plan.task_keys() if k not in done])
-            )
+            done = resume_scan(plan.output_path) if args.resume else frozenset()
+            backend = ScriptedBackend(build_demo_script(corpus, plan.run_order(done)))
         else:
             url = args.backend or config.backend_url
             try:

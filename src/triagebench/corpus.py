@@ -78,7 +78,8 @@ class Corpus:
 
 def _record_from_mapping(row: dict, where: str) -> IncidentRecord:
     for key in ("id", "text", "ground_truth"):
-        if not row.get(key):
+        # Not a falsy test: an integer id 0 is an id, and text 0 a wrong type.
+        if row.get(key) in (None, ""):
             raise CorpusError(f"{where}: missing or empty field {key!r}")
     code_raw = row["ground_truth"]
     try:

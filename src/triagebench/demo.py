@@ -11,8 +11,8 @@ fixed number of the 24 incidents is answered correctly (PHP 18, SHP 16,
 PRP 15, ZSL 14, HTP 8, with two HTP finals left unparseable). Which
 incidents are correct, and every wrong answer, derive from stable hashes,
 so the script is identical on every machine. The script is built from the
-run plan's own task keys, so it follows the runner's task order rather
-than a copy of it.
+run plan's own RunPlan.run_order(), so it follows the runner's task order
+rather than a copy of it.
 """
 from __future__ import annotations
 
@@ -211,10 +211,10 @@ def _reply_block(
 def build_demo_script(corpus: Corpus, task_keys: Sequence[TaskKey]) -> list[str]:
     """Reply queue for a serial run of exactly these task keys, in their order.
 
-    Pass the plan's own RunPlan.task_keys(), so the script follows whatever
-    order the runner executes in. Every model gets the same block for a
-    (technique, incident) pair, and outcomes are ranked per technique over
-    all corpus ids, so each model keeps the fixed counts for any model
+    Pass the plan's own RunPlan.run_order(), the order the runner sends
+    its tasks in, so the script follows it. Every model gets the same block
+    for a (technique, incident) pair, and outcomes are ranked per technique
+    over all corpus ids, so each model keeps the fixed counts for any model
     order or subset of techniques. The backend still answers in call
     order, so replay only works with parallelism 1.
     """
@@ -257,7 +257,7 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
             output_path=path,
             parallelism=1,
         )
-        backend = ScriptedBackend(build_demo_script(corpus, plan.task_keys()))
+        backend = ScriptedBackend(build_demo_script(corpus, plan.run_order()))
         execute(plan, backend)
         if backend.remaining() != 0:
             raise DemoError(

@@ -1,11 +1,12 @@
 """Experiment-matrix execution: (incident × technique × model) with resume.
 
-Tasks are ordered incident-outer, technique-middle, model-inner so a partial
-run covers every technique early; the serial path runs them in that plan
-order. The threaded path sends one model's tasks after another, each model's
-in plan order, so a server that holds one model at a time loads each once.
-Records are appended to the run file as each task completes; one writer (the
-calling thread) owns the file, workers only compute. A crash mid-write
+The plan enumerates tasks incident-outer, technique-middle, model-inner.
+Every run, serial or threaded, sends them in RunPlan.run_order(): one
+model's tasks after another, each model's in plan order, so a server that
+holds one model at a time loads each once. This module alone decides that
+order; the scripted reply queue is built from it.
+Records are appended to the run file as each task completes; one writer
+(the calling thread) owns the file, workers only compute. A crash mid-write
 leaves at most one torn trailing line, which resume cuts off. An interrupt
 or a failed write stops a parallel run once the tasks already started
 finish; tasks still queued are never sent to the backend. After an
@@ -27,7 +28,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from json import loads
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator
 
 from .backend import Backend, GenerationParams, ModelSpec
 from .corpus import Corpus
@@ -80,13 +81,28 @@ class RunPlan:
                 raise RunError(f"plan repeats a {axis}: {', '.join(names)}")
 
     def task_keys(self) -> list[TaskKey]:
-        """Every task in plan order, which is the serial record order."""
+        """Every task in plan order: incident, then technique, then model.
+
+        This enumerates the plan; run_order() is the order a run sends it in.
+        """
         return [
             (model.name, technique.value, incident.id)
             for incident in self.corpus.records
             for technique in self.techniques
             for model in self.models
         ]
+
+    def run_order(self, done: Collection[TaskKey] = frozenset()) -> list[TaskKey]:
+        """The tasks not in done, in the order every run sends them.
+
+        Model by model in `models` order, so a server that holds one model
+        at a time loads each once; the sort is stable, so each model's
+        tasks keep plan order. A serial run writes its records in this order.
+        """
+        rank = {m.name: i for i, m in enumerate(self.models)}
+        tasks = [key for key in self.task_keys() if key not in done]
+        tasks.sort(key=lambda key: rank[key[0]])
+        return tasks
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +271,7 @@ def execute(
         )
 
     incidents = {rec.id: rec for rec in plan.corpus.records}
-    tasks = [key for key in plan.task_keys() if key not in done]
+    tasks = plan.run_order(done)
     models = {m.name: m for m in plan.models}
     total = len(plan.task_keys())
 
@@ -311,16 +327,11 @@ def execute(
                 on_record(record, completed, total)
 
         if plan.parallelism == 1:
-            # Serial path keeps record order identical to plan order.
             for key in tasks:
                 write(work(key))
         else:
             pool = ThreadPoolExecutor(max_workers=plan.parallelism)
             unwritten: dict[Future, None] = {}
-            # Model by model, so a server that holds one model loads each
-            # once; the sort is stable, so each model's tasks keep plan order.
-            rank = {m.name: i for i, m in enumerate(plan.models)}
-            tasks.sort(key=lambda key: rank[key[0]])
             try:
                 unwritten = dict.fromkeys(pool.submit(work, key) for key in tasks)
                 for future in as_completed(tuple(unwritten)):

@@ -105,6 +105,17 @@ class TestConfigPrecedence:
         with pytest.raises(CliError, match=r"\[nonsense\]"):
             load_config_file(ini, CliConfig())
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nretries = 9\n",
+        "[DEFAULT]\nretries = 9\n[backend]\nurl = http://x:1\n",
+        "[DEFAULT]\nmodels = a\n[backend]\nurl = http://x:1\n",
+    ], ids=["alone", "beside-its-section", "beside-another-section"])
+    def test_default_section_rejected(self, tmp_path, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        with pytest.raises(CliError, match=r"unknown config section \[DEFAULT\]"):
+            load_config_file(ini, CliConfig())
+
     def test_unknown_key_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[backend]\nuri = http://x\n", encoding="utf-8")
@@ -524,21 +535,22 @@ class TestRunScripted:
             assert not any("error" in json.loads(line) for line in lines)
             return {r.key: r.to_dict() for r in load_run_records(out)}
 
-        plan_order = run(tmp_path / "plan.jsonl")
+        in_run_order = run(tmp_path / "run_order.jsonl")
 
-        def model_outer(plan):
+        def reversed_order(plan, done=frozenset()):
             return [
                 (model.name, technique.value, incident.id)
                 for model in reversed(plan.models)
                 for technique in reversed(plan.techniques)
                 for incident in reversed(plan.corpus.records)
+                if (model.name, technique.value, incident.id) not in done
             ]
 
-        monkeypatch.setattr(runner.RunPlan, "task_keys", model_outer)
+        monkeypatch.setattr(runner.RunPlan, "run_order", reversed_order)
         reordered = run(tmp_path / "reordered.jsonl")
 
         assert list(reordered)[0][:2] == ("m2", "PRP")  # the patched order ran
-        assert reordered == plan_order
+        assert reordered == in_run_order
         correct, unparsed = Counter(), Counter()
         for (model, technique, _), d in reordered.items():
             correct[model, technique] += d["correct"]
@@ -602,6 +614,20 @@ class TestRunRealBackend:
         errors = [r.error for r in load_run_records(out)]
         assert len(errors) == 2
         assert all("malformed server reply" in e for e in errors)
+
+    def test_serial_run_sends_model_by_model(self, tmp_path, stub_server):
+        url, handler = stub_server
+        reply = json.dumps({"message": {"content": "FINAL: CAT2"}})
+        handler.responses.extend([(200, reply)] * 18)
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOOD_ROW, {**GOOD_ROW, "id": "a2"}])
+        rc = cli.main(["run", "--backend", url, "--models", "a,b,c", "--techniques",
+                       "ZSL,PHP", "--corpus", str(corpus),
+                       "--out", str(tmp_path / "run.jsonl")])
+        assert rc == EXIT_OK
+        models = [payload["model"] for payload in handler.requests_seen]
+        assert len(models) == 18 and not handler.responses
+        # One block of requests per model: a one-model server loads each once.
+        assert sum(a != b for a, b in zip(models, models[1:])) == 2
 
     @pytest.mark.parametrize("case", ["ok", "unreachable", "existing output"])
     def test_backend_closed_after_run(self, tmp_path, monkeypatch, stub_server, case):

@@ -144,10 +144,12 @@ class TestLoadErrors:
             ({"id": True}, "'id' must be a string or an integer"),
             ({"id": 1.5}, "'id' must be a string or an integer"),
             ({"text": ["a", "b"]}, "'text' must be a string"),
+            ({"text": 0}, "'text' must be a string"),
             ({"source": 5}, "'source' must be a string"),
             ({"language": False}, "'language' must be a string"),
         ],
-        ids=["id-bool", "id-float", "text-list", "source-int", "language-bool"],
+        ids=["id-bool", "id-float", "text-list", "text-zero", "source-int",
+             "language-bool"],
     )
     def test_wrongly_typed_field_names_line(self, tmp_path, fields, message):
         path = tmp_path / "bad.jsonl"
@@ -162,11 +164,13 @@ class TestLoadErrors:
     def test_integer_id_kept_as_its_string(self, tmp_path):
         path = tmp_path / "ids.jsonl"
         path.write_text(
-            '{"id":7,"text":"x","ground_truth":"CAT1","source":null}\n',
+            '{"id":7,"text":"x","ground_truth":"CAT1","source":null}\n'
+            '{"id":0,"text":"y","ground_truth":"CAT2"}\n',
             encoding="utf-8",
         )
-        (record,) = load_corpus(path).records
-        assert (record.id, record.source) == ("7", None)
+        seven, zero = load_corpus(path).records
+        assert (seven.id, seven.source) == ("7", None)
+        assert zero.id == "0"
 
     def test_csv_duplicate_id_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

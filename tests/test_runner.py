@@ -122,6 +122,18 @@ class TestRunPlan:
         assert keys[4][2] == "i2"
         assert len(keys) == 12
 
+    def test_run_order_model_by_model_in_plan_order(self, tmp_path):
+        plan = plan_for(tmp_path, models=("m-b", "m-a"),
+                        techniques=(TechniqueId.ZSL, TechniqueId.PHP))
+        keys = plan.task_keys()
+        order = plan.run_order()
+        assert order == [k for k in keys if k[0] == "m-b"] + [
+            k for k in keys if k[0] == "m-a"
+        ]
+        assert plan.run_order(done=set(keys[:5])) == [
+            k for k in order if k not in keys[:5]
+        ]
+
     def test_rejects_empty_axes(self, tmp_path):
         with pytest.raises(RunError):
             plan_for(tmp_path, models=())
@@ -166,13 +178,13 @@ class TestGrade:
 
 
 class TestExecuteSerial:
-    def test_full_product_in_plan_order(self, tmp_path):
+    def test_full_product_in_run_order(self, tmp_path):
         plan = plan_for(tmp_path, models=("m-a", "m-b"),
                         techniques=(TechniqueId.ZSL, TechniqueId.SHP))
         summary = execute(plan, ConstantBackend())
         assert (summary.planned, summary.executed, summary.failed) == (12, 12, 0)
         records = load_run_records(plan.output_path)
-        assert [r.key for r in records] == plan.task_keys()
+        assert [r.key for r in records] == plan.run_order()
 
     def test_progress_callback_counts_up(self, tmp_path):
         seen = []
@@ -462,7 +474,7 @@ class TestParallel:
         records = load_run_records(plan.output_path)
         assert len(records) == 18
 
-    @pytest.mark.parametrize("parallelism", [2, 4])
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
     def test_one_slot_server_loads_each_model_once(self, tmp_path, parallelism):
         class OneSlotBackend(ConstantBackend):
             """Serves one call at a time and counts model loads, the first
@@ -504,8 +516,11 @@ class TestParallel:
         execute(plan, backend)
         # At each model boundary the other workers may still run a task of
         # the old model, and each of its up to 3 rounds can load the old
-        # model and then the new one again.
-        assert backend.swaps <= 1 + 6 * (len(models) - 1) * (parallelism - 1)
+        # model and then the new one again. A serial run loads each once.
+        if parallelism == 1:
+            assert backend.swaps == len(models)
+        else:
+            assert backend.swaps <= 1 + 6 * (len(models) - 1) * (parallelism - 1)
 
         def records(path):
             return {r.key: r.to_dict() for r in load_run_records(path)}
