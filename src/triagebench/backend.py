@@ -80,7 +80,7 @@ class GenerationParams:
     temperature: float = 0.0
     max_output_tokens: int = 1024
     input_token_budget: int = 8192
-    seed: int | None = None
+    seed: int = 0
     request_timeout: float = 120.0
 
     def __post_init__(self) -> None:
@@ -289,11 +289,13 @@ def _measure(value: Any) -> int | float | None:
 class OllamaBackend:
     """Live client for an Ollama-compatible /api/chat endpoint.
 
-    Shareable across worker threads: each thread keeps one keep-alive
-    connection of its own. Transient failures (connection errors, timeouts,
-    5xx) are retried with the fixed backoff schedule before surfacing
-    BackendUnavailableError. A base URL that is not http(s)://host[...]
-    raises ValueError when the backend is built.
+    Every request sends the GenerationParams' temperature, output limit
+    (num_predict) and seed as its options. Shareable across worker threads:
+    each thread keeps one keep-alive connection of its own. Transient
+    failures (connection errors, timeouts, 5xx) are retried with the fixed
+    backoff schedule before surfacing BackendUnavailableError. A base URL
+    that is not http(s)://host[...] raises ValueError when the backend is
+    built.
 
     close() closes the connections of every thread. A backend used after
     close() opens them again; close it again when done.
@@ -343,17 +345,15 @@ class OllamaBackend:
 
         if not messages:
             raise ValueError("messages must be nonempty")
-        options: dict = {
-            "temperature": params.temperature,
-            "num_predict": params.max_output_tokens,
-        }
-        if params.seed is not None:
-            options["seed"] = params.seed
         payload = {
             "model": model.name,
             "messages": [m.to_dict() for m in messages],
             "stream": False,
-            "options": options,
+            "options": {
+                "temperature": params.temperature,
+                "num_predict": params.max_output_tokens,
+                "seed": params.seed,
+            },
         }
 
         last_exc: Exception | None = None

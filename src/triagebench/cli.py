@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -59,7 +60,7 @@ from .runner import (
     resume_scan,
 )
 from .techniques import TechniqueConfig, TechniqueId, TemplateError, load_templates
-from .util import canonical_dumps, gc_paused
+from .util import canonical_dumps
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -91,7 +92,7 @@ class CliConfig:
     max_output_tokens: int = GenerationParams.max_output_tokens
     input_token_budget: int = GenerationParams.input_token_budget
     request_timeout: float = GenerationParams.request_timeout
-    seed: int = 0
+    seed: int = GenerationParams.seed
     max_rounds: int = TechniqueConfig.max_rounds
     parallelism: int = RunPlan.parallelism
     templates_dir: str | None = None
@@ -307,7 +308,9 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         if scripted:
             # Replies depend only on the task key, so resume scripts just the rest.
             done = resume_scan(plan.output_path) if args.resume else frozenset()
-            backend = ScriptedBackend(build_demo_script(corpus, plan.run_order(done)))
+            backend = ScriptedBackend(
+                build_demo_script(corpus, plan.run_order(done), config.max_rounds)
+            )
         else:
             url = args.backend or config.backend_url
             try:
@@ -327,6 +330,12 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         if live is not None:
             live.close()
     print(summary)
+    if scripted and backend.remaining():
+        raise CliError(
+            f"{backend.remaining()} scripted replies left over; the script "
+            f"no longer matches the engines",
+            code=EXIT_FAILURE,
+        )
     return EXIT_OK
 
 
@@ -351,11 +360,16 @@ def _write_report(args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
-    # Paused until _write_report has returned and its records are freed:
-    # they hold no reference cycles, and a collector pass while they live
-    # would walk every one of them.
-    with gc_paused():
+    # Paused from the load until _write_report has returned and its records
+    # are freed: they hold no reference cycles, and a collector pass while
+    # they live would walk every one of them.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         written = _write_report(args)
+    finally:
+        if enabled:
+            gc.enable()
     for p in written:
         print(f"wrote {p}")
     return EXIT_OK

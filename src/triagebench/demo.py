@@ -11,8 +11,8 @@ fixed number of the 24 incidents is answered correctly (PHP 18, SHP 16,
 PRP 15, ZSL 14, HTP 8, with two HTP finals left unparseable). Which
 incidents are correct, and every wrong answer, derive from stable hashes,
 so the script is identical on every machine. The script is built from the
-run plan's own RunPlan.run_order(), so it follows the runner's task order
-rather than a copy of it.
+run plan's own RunPlan.run_order() and max_rounds, so it follows the
+runner's task order and the engine's round count rather than copies of them.
 """
 from __future__ import annotations
 
@@ -120,11 +120,16 @@ def _zsl_replies(pred: CategoryCode, h: int) -> list[str]:
     return [f"{lead}\n{_final_line(pred)}"]
 
 
-def _iterative_replies(pred: CategoryCode, h: int, verify: bool) -> list[str]:
+def _iterative_replies(
+    pred: CategoryCode, h: int, max_rounds: int, verify: bool
+) -> list[str]:
     """Reply sequence for the two self-correcting techniques.
 
     Three shapes: settle immediately (2 rounds, converged), change once then
     hold (3 rounds, converged), or keep changing (3 rounds, not converged).
+    The engine asks until two answers agree or max_rounds is reached, so
+    above 3 rounds "keep changing" holds once more in round 4, and below 3
+    each shape keeps only its first max_rounds replies.
     """
     first, second = _others(pred, h)
     hold = (
@@ -139,21 +144,25 @@ def _iterative_replies(pred: CategoryCode, h: int, verify: bool) -> list[str]:
     )
     shape = h % 3
     if shape == 0:
-        return [
+        replies = [
             f"Initial read of the report.\n{_final_line(pred)}",
             f"{hold}\n{_final_line(pred)}",
         ]
-    if shape == 1:
-        return [
+    elif shape == 1:
+        replies = [
             f"Initial read of the report.\n{_final_line(first)}",
             f"{move}\n{_final_line(pred)}",
             f"{hold}\n{_final_line(pred)}",
         ]
-    return [
-        f"Initial read of the report.\n{_final_line(first)}",
-        f"{move}\n{_final_line(second)}",
-        f"{move}\n{_final_line(pred)}",
-    ]
+    else:
+        replies = [
+            f"Initial read of the report.\n{_final_line(first)}",
+            f"{move}\n{_final_line(second)}",
+            f"{move}\n{_final_line(pred)}",
+        ]
+        if max_rounds > 3:
+            replies.append(f"{hold}\n{_final_line(pred)}")
+    return replies[:max_rounds]
 
 
 def _shp_replies(pred: CategoryCode, h: int) -> list[str]:
@@ -188,6 +197,7 @@ def _reply_block(
     technique: TechniqueId,
     incident: IncidentRecord,
     outcomes: tuple[frozenset[str], frozenset[str]],
+    max_rounds: int,
 ) -> list[str]:
     """The replies one model gives for one (technique, incident) task."""
     correct_ids, unparsed_ids = outcomes
@@ -200,19 +210,23 @@ def _reply_block(
     if technique is TechniqueId.ZSL:
         return _zsl_replies(pred, h)
     if technique is TechniqueId.PHP:
-        return _iterative_replies(pred, h, verify=False)
+        return _iterative_replies(pred, h, max_rounds, verify=False)
     if technique is TechniqueId.SHP:
         return _shp_replies(pred, h)
     if technique is TechniqueId.HTP:
         return _htp_replies(pred, incident.id in unparsed_ids)
-    return _iterative_replies(pred, h, verify=True)
+    return _iterative_replies(pred, h, max_rounds, verify=True)
 
 
-def build_demo_script(corpus: Corpus, task_keys: Sequence[TaskKey]) -> list[str]:
+def build_demo_script(
+    corpus: Corpus, task_keys: Sequence[TaskKey], max_rounds: int
+) -> list[str]:
     """Reply queue for a serial run of exactly these task keys, in their order.
 
     Pass the plan's own RunPlan.run_order(), the order the runner sends
-    its tasks in, so the script follows it. Every model gets the same block
+    its tasks in, and its TechniqueConfig.max_rounds, the most replies a
+    PHP or PRP task asks for, so the script follows both: a serial run
+    uses up every reply. Every model gets the same block
     for a (technique, incident) pair, and outcomes are ranked per technique
     over all corpus ids, so each model keeps the fixed counts for any model
     order or subset of techniques. The backend still answers in call
@@ -231,7 +245,10 @@ def build_demo_script(corpus: Corpus, task_keys: Sequence[TaskKey]) -> list[str]
         block = blocks.get((technique, incident_id))
         if block is None:
             block = blocks[technique, incident_id] = _reply_block(
-                TechniqueId(technique), incidents[incident_id], outcomes[technique]
+                TechniqueId(technique),
+                incidents[incident_id],
+                outcomes[technique],
+                max_rounds,
             )
         script.extend(block)
     return script
@@ -257,7 +274,9 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
             output_path=path,
             parallelism=1,
         )
-        backend = ScriptedBackend(build_demo_script(corpus, plan.run_order()))
+        backend = ScriptedBackend(
+            build_demo_script(corpus, plan.run_order(), config.max_rounds)
+        )
         execute(plan, backend)
         if backend.remaining() != 0:
             raise DemoError(

@@ -15,9 +15,6 @@ finished; after a failed write nothing is.
 resume_scan and load_run_records share one line reader, so every task that
 resume skips is one that load_run_records returns or refuses by line. The
 reader streams the file, so it is never held in memory whole.
-load_run_records decodes with the cyclic garbage collector paused: records
-hold no reference cycles, so reference counting frees them, and collector
-passes over a growing set of records would cost a third of the load.
 """
 from __future__ import annotations
 
@@ -40,7 +37,7 @@ from .techniques import (
     TechniqueId,
     classify,
 )
-from .util import canonical_dumps, enum_decoder, gc_paused
+from .util import canonical_dumps, enum_decoder
 
 logger = logging.getLogger(__name__)
 
@@ -96,13 +93,17 @@ class RunPlan:
         """The tasks not in done, in the order every run sends them.
 
         Model by model in `models` order, so a server that holds one model
-        at a time loads each once; the sort is stable, so each model's
-        tasks keep plan order. A serial run writes its records in this order.
+        at a time loads each once; each model's tasks go incident by
+        incident, each incident's technique by technique. A serial run
+        writes its records in this order.
         """
-        rank = {m.name: i for i, m in enumerate(self.models)}
-        tasks = [key for key in self.task_keys() if key not in done]
-        tasks.sort(key=lambda key: rank[key[0]])
-        return tasks
+        return [
+            key
+            for model in self.models
+            for incident in self.corpus.records
+            for technique in self.techniques
+            if (key := (model.name, technique.value, incident.id)) not in done
+        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,15 +221,13 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
     """
     path = Path(path)
     by_key: dict[TaskKey, RunRecord] = {}
-    # Records hold no reference cycles; a collector pass would only walk them.
-    with gc_paused():
-        for lineno, key, d in _read_run_file(path):
-            try:
-                by_key[key] = RunRecord.from_dict(d)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RunError(
-                    f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}"
-                ) from exc
+    for lineno, key, d in _read_run_file(path):
+        try:
+            by_key[key] = RunRecord.from_dict(d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RunError(
+                f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}"
+            ) from exc
     return list(by_key.values())
 
 

@@ -1,5 +1,4 @@
-"""Small shared helpers: canonical JSON, stable hashing, enum decoding and
-pausing the cyclic garbage collector.
+"""Small shared helpers: canonical JSON, stable hashing and enum decoding.
 
 Canonical JSON (sorted keys, compact separators, UTF-8, no ASCII escaping)
 is used everywhere a byte-identical artifact is promised: trace lines, run
@@ -7,12 +6,10 @@ files, the demo golden file.
 """
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
-from contextlib import contextmanager
 from enum import Enum
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 E = TypeVar("E", bound=Enum)
 
@@ -56,20 +53,3 @@ def enum_decoder(cls: type[E]) -> Callable[[Any], E]:
 
     return decode
 
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector; restore its previous state on exit.
-
-    Re-entrant: a nested pause finds the collector off and leaves it off.
-    For code that builds many objects without reference cycles, which
-    reference counting frees: each collector pass would only walk them. The
-    collector's state is process-wide, so use it on one thread only.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()

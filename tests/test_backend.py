@@ -160,11 +160,11 @@ class TestOllamaBackend:
         assert completion.telemetry.response_chars == len("FINAL: CAT1")
         assert completion.telemetry.latency_ms >= 0.0
 
-    def test_seed_omitted_when_unset(self, stub_server):
+    def test_default_params_send_the_default_seed(self, stub_server):
         url, handler = stub_server
         handler.responses.append((200, ok_body()))
         OllamaBackend(url).complete(MODEL, MESSAGES, GenerationParams())
-        assert "seed" not in handler.requests_seen[0]["options"]
+        assert handler.requests_seen[0]["options"]["seed"] == 0
 
     def test_404_is_unknown_model(self, stub_server):
         url, handler = stub_server

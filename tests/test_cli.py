@@ -184,11 +184,34 @@ class TestConfigKeys:
             max_output_tokens=params.max_output_tokens,
             input_token_budget=params.input_token_budget,
             request_timeout=params.request_timeout,
-            seed=0,
+            seed=params.seed,
             max_rounds=TechniqueConfig().max_rounds,
             parallelism=plan["parallelism"],
             templates_dir=None,
         )
+
+    @pytest.mark.parametrize("flags, seed", [([], 0), (["--seed", "5"], 5)])
+    def test_live_payload_always_carries_the_seed(
+        self, tmp_path, stub_server, flags, seed
+    ):
+        # One seed default, GenerationParams', so a resumed run that builds
+        # its own GenerationParams() sends what the CLI sent.
+        assert CliConfig().seed == GenerationParams().seed == 0
+        url, handler = stub_server
+        reply = {"message": {"role": "assistant", "content": "FINAL: CAT2"}}
+        handler.responses.append((200, json.dumps(reply)))
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOOD_ROW])
+        rc = cli.main(
+            [
+                "run", "--backend", url, *flags,
+                "--models", "demo",
+                "--techniques", "ZSL",
+                "--corpus", str(corpus),
+                "--out", str(tmp_path / "run.jsonl"),
+            ]
+        )
+        assert rc == EXIT_OK
+        assert handler.requests_seen[0]["options"]["seed"] == seed
 
     def test_backend_flag_beats_env_and_file(self, tmp_path, monkeypatch, stub_server):
         url, handler = stub_server
@@ -563,6 +586,48 @@ class TestRunScripted:
                 "HTP": 2,
             }
 
+    @pytest.mark.parametrize("max_rounds", [1, 2, 3, 4, 5])
+    def test_script_follows_max_rounds(self, tmp_path, capsys, max_rounds):
+        out = tmp_path / "run.jsonl"
+        args = ["run", "--backend", "scripted", "--max-rounds", str(max_rounds)]
+        assert cli.main([*args, "--out", str(out)]) == EXIT_OK
+        assert "120 of 120 tasks executed (0 resumed, 0 failed" in (
+            capsys.readouterr().out
+        )
+        correct, rounds = Counter(), Counter()
+        for record in load_run_records(out):
+            technique = record.trace.technique.value
+            correct[technique] += record.correct
+            rounds[technique] = max(rounds[technique], record.trace.rounds_used)
+        # ZSL, SHP and HTP run a fixed number of rounds; PHP and PRP keep
+        # the demo's counts once max_rounds lets every shape finish.
+        fixed = {"ZSL": 14, "SHP": 16, "HTP": 8}
+        assert {t: correct[t] for t in fixed} == fixed
+        if max_rounds >= 3:
+            assert correct["PHP"] == 18 and correct["PRP"] == 15
+        assert rounds["PHP"] == rounds["PRP"] == min(max_rounds, 4)
+
+    def test_replies_left_over_exit_one(self, tmp_path, monkeypatch, capsys):
+        build = cli.build_demo_script
+        monkeypatch.setattr(
+            cli, "build_demo_script", lambda *args: [*build(*args), "FINAL: CAT1"]
+        )
+        rc = cli.main(
+            [
+                "run", "--backend", "scripted",
+                "--models", "demo",
+                "--techniques", "ZSL",
+                "--out", str(tmp_path / "run.jsonl"),
+            ]
+        )
+        assert rc == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "24 of 24 tasks executed" in captured.out
+        assert captured.err == (
+            "error: 1 scripted replies left over; the script no longer "
+            "matches the engines\n"
+        )
+
 
 class TestRunRealBackend:
     def test_unreachable_server_exit_one(self, tmp_path, capsys):
@@ -910,7 +975,7 @@ class TestReport:
         if invalid:
             corrupt_lines_2_and_3(scripted_run_file)
         paused = []
-        for name in ("compute_metrics", "render_report"):
+        for name in ("load_run_records", "compute_metrics", "render_report"):
             def record_state(*args, _fn=getattr(cli, name)):
                 paused.append(not gc.isenabled())
                 return _fn(*args)
@@ -925,7 +990,7 @@ class TestReport:
         finally:
             gc.enable()
         assert rc == (EXIT_USAGE if invalid else EXIT_OK)
-        assert paused == ([] if invalid else [True, True])
+        assert paused == ([True] if invalid else [True, True, True])
 
     def test_missing_run_file_exit_two(self, tmp_path, capsys):
         rc = cli.main(

@@ -134,6 +134,35 @@ class TestRunPlan:
             k for k in order if k not in keys[:5]
         ]
 
+    @given(
+        models=st.lists(
+            st.sampled_from(["m-a", "m-b", "m-c", "m-d"]),
+            min_size=1, max_size=4, unique=True,
+        ),
+        techniques=st.lists(
+            st.sampled_from(list(TechniqueId)), min_size=1, max_size=5, unique=True
+        ),
+        n_incidents=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_run_order_is_plan_order_stably_sorted_by_model(
+        self, models, techniques, n_incidents, data
+    ):
+        corpus = Corpus(records=tuple(
+            IncidentRecord(id=f"i{n}", text=f"report {n}",
+                           ground_truth=CategoryCode.from_number(n))
+            for n in range(1, n_incidents + 1)
+        ))
+        plan = plan_for(Path("unused"), models=tuple(models),
+                        techniques=tuple(techniques), corpus=corpus)
+        keys = plan.task_keys()
+        done = data.draw(st.sets(st.sampled_from(keys)))
+        rank = {name: i for i, name in enumerate(models)}
+        expected = sorted(
+            (k for k in keys if k not in done), key=lambda k: rank[k[0]]
+        )
+        assert plan.run_order(done) == expected
+
     def test_rejects_empty_axes(self, tmp_path):
         with pytest.raises(RunError):
             plan_for(tmp_path, models=())

@@ -1,5 +1,3 @@
-import gc
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 from triagebench.backend import ModelGroup, Role
 from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import TechniqueId
-from triagebench.util import enum_decoder, gc_paused
+from triagebench.util import enum_decoder
 
 ENUMS = (Role, CategoryCode, ModelGroup, TechniqueId)
 
@@ -45,17 +43,3 @@ def test_enum_decoder_agrees_with_the_enum_call(cls, data):
     else:
         assert decoded == expected
 
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_gc_paused_nests_and_restores_the_previous_state(enabled):
-    (gc.enable if enabled else gc.disable)()
-    try:
-        with pytest.raises(KeyError):
-            with gc_paused():
-                with gc_paused():
-                    assert not gc.isenabled()
-                assert not gc.isenabled()
-                raise KeyError
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable()

@@ -22,6 +22,7 @@ from triagebench.demo import (
     load_demo_corpus,
 )
 from triagebench.taxonomy import builtin_taxonomy, parse_category
+from triagebench.techniques import TechniqueConfig
 
 PASSES = 21
 REPS = 100
@@ -48,7 +49,7 @@ def main() -> None:
         for t in DEMO_TECHNIQUES
         for rec in corpus.records
     ]
-    script = build_demo_script(corpus, keys)
+    script = build_demo_script(corpus, keys, TechniqueConfig().max_rounds)
     groups = {
         "FINAL": [r for r in script if _FINAL.search(r)],
         "fallback": [r for r in script if not _FINAL.search(r) and not _TOKEN.search(r)],
