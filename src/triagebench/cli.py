@@ -215,6 +215,11 @@ def _parse_custom_rule(spec: str) -> RedactionRule:
         raise CliError(f"bad redaction rule: {exc}")
 
 
+def _cannot_write(exc: OSError) -> CliError:
+    message = f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}"
+    return CliError(message, code=EXIT_FAILURE)
+
+
 def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
     corpus = _load_corpus_arg(args.corpus)
     rules = list(default_rules()) + [_parse_custom_rule(s) for s in args.custom]
@@ -238,10 +243,7 @@ def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
                 canonical_dumps(mappings) + "\n", encoding="utf-8"
             )
     except OSError as exc:
-        raise CliError(
-            f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
-            code=EXIT_FAILURE,
-        )
+        raise _cannot_write(exc)
     if keep:
         print(f"mapping written to {args.write_mapping} (sensitive, handle with care)")
     summary = ", ".join(f"{k}={v}" for k, v in sorted(totals.items())) or "nothing"
@@ -323,6 +325,11 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
                 if registry_group(name) is None:
                     note = f"model {name!r} is not in the registry; grouped as G2"
                     print(f"note: {note}", file=sys.stderr)
+        try:
+            plan.output_path.parent.mkdir(parents=True, exist_ok=True)
+            plan.output_path.open("a").close()
+        except OSError as exc:
+            raise _cannot_write(exc)
         summary = execute(plan, backend, resume=args.resume, on_record=_progress)
     except RunError as exc:
         raise CliError(str(exc))
@@ -356,7 +363,7 @@ def _write_report(args: argparse.Namespace) -> list[Path]:
     except MetricsError as exc:
         raise CliError(str(exc), code=EXIT_FAILURE)
     except OSError as exc:
-        raise CliError(f"cannot write report: {exc}", code=EXIT_FAILURE)
+        raise _cannot_write(exc)
 
 
 def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
@@ -384,9 +391,11 @@ def cmd_demo(args: argparse.Namespace, config: CliConfig) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else None
     run_path = out_dir / "demo_run.jsonl" if out_dir else None
     if run_path is not None:
-        run_path.parent.mkdir(parents=True, exist_ok=True)
-        if run_path.exists():
-            run_path.unlink()
+        try:
+            run_path.parent.mkdir(parents=True, exist_ok=True)
+            run_path.write_bytes(b"")  # the demo starts from an empty run file
+        except OSError as exc:
+            raise _cannot_write(exc)
     report, summary = run_demo(run_path)
 
     if args.write_golden:

@@ -174,11 +174,9 @@ def compute_metrics(records: Sequence[RunRecord]) -> MetricsReport:
                 model=model,
                 technique=technique,
                 n_records=len(recs),
-                mean_latency_ms=mean(
-                    [r.trace.telemetry_totals.total_latency_ms for r in recs]
-                ),
+                mean_latency_ms=mean([r.trace.total_latency_ms for r in recs]),
                 mean_response_chars=mean(
-                    [float(r.trace.telemetry_totals.total_response_chars) for r in recs]
+                    [float(r.trace.total_response_chars) for r in recs]
                 ),
                 total_turns=sum(r.trace.rounds_used for r in recs),
             )

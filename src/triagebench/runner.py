@@ -11,10 +11,10 @@ leaves at most one torn trailing line, which resume cuts off. An interrupt
 or a failed write stops a parallel run once the tasks already started
 finish; tasks still queued are never sent to the backend. After an
 interrupt those tasks are written too, so resume re-runs only what never
-finished; after a failed write nothing is.
-resume_scan and load_run_records share one line reader, so every task that
-resume skips is one that load_run_records returns or refuses by line. The
-reader streams the file, so it is never held in memory whole.
+finished; after a failed write nothing is. resume_scan and load_run_records
+share one streaming line reader, so every task resume skips is one that
+load_run_records returns or refuses by line. A resumed run counts only its
+plan's tasks; a record's final is its last answer, UNPARSED if it failed.
 """
 from __future__ import annotations
 
@@ -115,6 +115,15 @@ class RunRecord:
     def __post_init__(self) -> None:
         if self.ground_truth is CategoryCode.UNPARSED:
             raise ValueError("ground_truth may not be UNPARSED")
+        if self.error is not None and type(self.error) is not str:
+            raise TypeError(f"error must be str, got {self.error!r}")
+        turns = self.trace.turns
+        if self.error is None and not turns:
+            raise ValueError("a record without an error needs a turn")
+        expected = CategoryCode.UNPARSED if self.error is not None else turns[-1].parsed
+        if self.trace.final is not expected:
+            final, want = self.trace.final.value, expected.value
+            raise ValueError(f"final is {final}, but its turns and error give {want}")
 
     @property
     def key(self) -> TaskKey:
@@ -122,8 +131,7 @@ class RunRecord:
 
     @property
     def correct(self) -> bool:
-        """The final answer equals the expert label; a failed task's final
-        is UNPARSED, which no label is."""
+        """The final answer equals the expert label (never for a failed task)."""
         return self.trace.final == self.ground_truth
 
     def to_dict(self) -> dict:
@@ -145,8 +153,6 @@ class RunRecord:
             ground_truth=_category(d["ground_truth"]),
             error=d.get("error"),
         )
-        if "error" in d and type(record.error) is not str:
-            raise TypeError(f"error must be str, got {record.error!r}")
         if d["correct"] is not record.correct:
             raise ValueError(
                 f"correct is {d['correct']!r}, but final {record.trace.final.value}"
@@ -293,7 +299,7 @@ def execute(
             return RunRecord(exc.partial_trace, incident.ground_truth, str(exc))
 
     executed = failed = 0
-    completed = len(done)
+    skipped = completed = total - len(tasks)  # done may hold other plans' keys
     path.parent.mkdir(parents=True, exist_ok=True)
     seal = False
     if path.exists() and path.stat().st_size > 0:
@@ -349,7 +355,7 @@ def execute(
                 pool.shutdown(cancel_futures=True)
 
     summary = RunSummary(
-        planned=total, skipped=len(done), executed=executed, failed=failed
+        planned=total, skipped=skipped, executed=executed, failed=failed
     )
     logger.info("run complete: %s", summary)
     return summary

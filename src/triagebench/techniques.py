@@ -8,8 +8,8 @@ get all previous answers as hints, PRP rounds the last answer to verify,
 and SHP's round 2 gets the model's own round-1 reply as indicator hints;
 HTP's three rounds (propose two candidates, test both, keep the survivor)
 differ only in their wording. Every run produces a full ClassificationTrace:
-each turn's outgoing message delta, the completion, the parsed answer, and
-summed telemetry.
+each turn's outgoing message delta, the completion and the parsed answer.
+The trace works out its rounds, convergence and totals from those turns.
 
 The full conversation is resent each round (the chat endpoint is stateless)
 after passing through truncate_to_budget. Prompt text lives in external
@@ -18,14 +18,15 @@ exact wording it used.
 """
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .backend import (
     Backend,
@@ -201,10 +202,12 @@ class TraceTurn:
     parsed: CategoryCode
 
 
-@dataclass(frozen=True, slots=True)
-class TraceTotals:
-    total_latency_ms: float
-    total_response_chars: int
+def _agreed(turns: Sequence[TraceTurn]) -> bool:
+    """The last two answers are equal and not UNPARSED: PHP and PRP stop."""
+    return (
+        len(turns) >= 2
+        and turns[-1].parsed is turns[-2].parsed is not CategoryCode.UNPARSED
+    )
 
 
 # Decoders of the enum fields of a stored trace.
@@ -231,14 +234,25 @@ class ClassificationTrace:
     technique: TechniqueId
     turns: tuple[TraceTurn, ...]
     final: CategoryCode
-    rounds_used: int
-    converged: bool
-    telemetry_totals: TraceTotals
     template_hash: str
+    # Worked out from the turns. A fixed technique converged when it ran all
+    # its FIXED_ROUNDS (a failed task did not); PHP and PRP when _agreed.
+    rounds_used: int = field(init=False)
+    converged: bool = field(init=False)
+    total_latency_ms: float = field(init=False)
+    total_response_chars: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        turns, fixed = self.turns, FIXED_ROUNDS.get(self.technique)
+        setattr_ = object.__setattr__
+        setattr_(self, "rounds_used", len(turns))
+        setattr_(self, "converged", len(turns) == fixed if fixed else _agreed(turns))
+        tm = [turn.completion.telemetry for turn in turns]
+        setattr_(self, "total_latency_ms", sum([t.latency_ms for t in tm]))
+        setattr_(self, "total_response_chars", sum([t.response_chars for t in tm]))
 
     def to_dict(self) -> dict:
         """The trace as stored in a run file; from_dict reads it back."""
-        totals = self.telemetry_totals
         return {
             "schema_version": TRACE_SCHEMA_VERSION,
             "incident_id": self.incident_id,
@@ -267,14 +281,16 @@ class ClassificationTrace:
             "rounds_used": self.rounds_used,
             "converged": self.converged,
             "telemetry_totals": {
-                "total_latency_ms": totals.total_latency_ms,
-                "total_response_chars": totals.total_response_chars,
+                "total_latency_ms": self.total_latency_ms,
+                "total_response_chars": self.total_response_chars,
             },
             "template_hash": self.template_hash,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassificationTrace":
+        """Decode a trace; its stored rounds, convergence and totals must be
+        the ones its turns give."""
         turns = tuple(
             TraceTurn(
                 sent=tuple(
@@ -295,22 +311,30 @@ class ClassificationTrace:
             for t in d["turns"]
             for tm in (t["completion"]["telemetry"],)
         )
-        totals = d["telemetry_totals"]
-        return cls(
+        trace = cls(
             incident_id=_typed(d, "incident_id", str),
             model=_typed(d, "model", str),
             model_group=_group(d["model_group"]),
             technique=_technique(d["technique"]),
             turns=turns,
             final=_category(d["final"]),
-            rounds_used=_typed(d, "rounds_used", int),
-            converged=_typed(d, "converged", bool),
-            telemetry_totals=TraceTotals(
-                total_latency_ms=_typed(totals, "total_latency_ms", int, float),
-                total_response_chars=_typed(totals, "total_response_chars", int),
-            ),
             template_hash=_typed(d, "template_hash", str),
         )
+        totals = d["telemetry_totals"]
+        for key, value in (
+            ("rounds_used", _typed(d, "rounds_used", int)),
+            ("converged", _typed(d, "converged", bool)),
+            ("total_latency_ms", _typed(totals, "total_latency_ms", int, float)),
+            ("total_response_chars", _typed(totals, "total_response_chars", int)),
+        ):
+            given = getattr(trace, key)
+            # sum() rounds differently from Python 3.12 on, so a latency total
+            # written by another version may differ in its last digit.
+            if key == "total_latency_ms" and math.isclose(value, given):
+                continue
+            if value != given:
+                raise ValueError(f"{key} is {value!r}, but the turns give {given!r}")
+        return trace
 
 
 class ClassificationError(Exception):
@@ -354,30 +378,15 @@ def classify(
     rounds = FIXED_ROUNDS.get(technique, config.max_rounds)
     history: list[ChatMessage] = []
     turns: list[TraceTurn] = []
-    agreed = False
-
-    def trace(final: CategoryCode, converged: bool) -> ClassificationTrace:
-        return ClassificationTrace(
-            incident_id=incident.id,
-            model=model.name,
-            model_group=model.group,
-            technique=technique,
-            turns=tuple(turns),
-            final=final,
-            rounds_used=len(turns),
-            converged=converged,
-            telemetry_totals=TraceTotals(
-                total_latency_ms=sum(t.completion.telemetry.latency_ms for t in turns),
-                total_response_chars=sum(
-                    t.completion.telemetry.response_chars for t in turns
-                ),
-            ),
-            template_hash=templates.template_hash,
-        )
+    trace = partial(
+        ClassificationTrace, incident_id=incident.id, model=model.name,
+        model_group=model.group, technique=technique,
+        template_hash=templates.template_hash,
+    )
 
     try:
         for round_no in range(1, rounds + 1):
-            if iterative and agreed:
+            if iterative and _agreed(turns):
                 break
             user = ChatMessage(
                 Role.USER,
@@ -398,12 +407,7 @@ def classify(
             sent = tuple(outgoing if not history else outgoing[-1:])
             turns.append(TraceTurn(sent=sent, completion=completion, parsed=parsed))
             history += (outgoing[-1], ChatMessage(Role.ASSISTANT, completion.text))
-            agreed = (
-                len(turns) >= 2
-                and parsed == turns[-2].parsed
-                and parsed is not CategoryCode.UNPARSED
-            )
     except BackendError as exc:
-        partial = trace(CategoryCode.UNPARSED, converged=False)
-        raise ClassificationError(str(exc), partial_trace=partial) from exc
-    return trace(turns[-1].parsed, converged=agreed or not iterative)
+        partial_trace = trace(turns=tuple(turns), final=CategoryCode.UNPARSED)
+        raise ClassificationError(str(exc), partial_trace=partial_trace) from exc
+    return trace(turns=tuple(turns), final=turns[-1].parsed)

@@ -14,13 +14,14 @@ from triagebench.backend import (
     GenerationParams,
     ModelGroup,
     ModelSpec,
+    Telemetry,
 )
 from triagebench.runner import RunRecord
 from triagebench.taxonomy import Category, CategoryCode, Taxonomy, builtin_taxonomy
 from triagebench.techniques import (
     ClassificationTrace,
     TechniqueId,
-    TraceTotals,
+    TraceTurn,
     default_templates,
 )
 from triagebench.util import canonical_dumps
@@ -65,21 +66,20 @@ def make_trace(
     rounds_used: int = 1,
     latency_ms: float = 0.0,
     response_chars: int = 0,
-    converged: bool = True,
 ) -> ClassificationTrace:
-    """Trace with empty turns; enough structure for grading and metrics."""
+    """Trace of rounds_used turns that each answer final, the first carrying
+    all the latency and reply characters; enough for grading and metrics."""
+    telemetry = Telemetry(latency_ms, response_chars)
+    first = TraceTurn((), Completion(final.value, telemetry), final)
+    later = TraceTurn((), Completion(final.value, Telemetry(0.0, 0)), final)
+    turns = ((first,) + (later,) * (rounds_used - 1))[:rounds_used]
     return ClassificationTrace(
         incident_id=incident_id,
         model=model,
         model_group=group,
         technique=technique,
-        turns=(),
+        turns=turns,
         final=final,
-        rounds_used=rounds_used,
-        converged=converged,
-        telemetry_totals=TraceTotals(
-            total_latency_ms=latency_ms, total_response_chars=response_chars
-        ),
         template_hash=default_templates().template_hash,
     )
 

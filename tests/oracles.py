@@ -34,7 +34,6 @@ from triagebench.techniques import (
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
-    TraceTotals,
     TraceTurn,
 )
 
@@ -271,26 +270,30 @@ class _Session:
         )
 
     def build_trace(self, final: CategoryCode, converged: bool) -> ClassificationTrace:
-        totals = TraceTotals(
-            total_latency_ms=sum(
-                t.completion.telemetry.latency_ms for t in self.turns
-            ),
-            total_response_chars=sum(
-                t.completion.telemetry.response_chars for t in self.turns
-            ),
-        )
-        return ClassificationTrace(
+        """The trace, after checking that the rounds, convergence and totals
+        it works out equal the ones this engine counted."""
+        trace = ClassificationTrace(
             incident_id=self.incident.id,
             model=self.model.name,
             model_group=self.model.group,
             technique=self.technique,
             turns=tuple(self.turns),
             final=final,
-            rounds_used=len(self.turns),
-            converged=converged,
-            telemetry_totals=totals,
             template_hash=self.config.templates.template_hash,
         )
+        telemetry = [t.completion.telemetry for t in self.turns]
+        assert (
+            trace.rounds_used,
+            trace.converged,
+            trace.total_latency_ms,
+            trace.total_response_chars,
+        ) == (
+            len(self.parsed),
+            converged,
+            sum(tm.latency_ms for tm in telemetry),
+            sum(tm.response_chars for tm in telemetry),
+        )
+        return trace
 
 
 def _answers_listing(parsed: list[CategoryCode]) -> str:

@@ -494,6 +494,27 @@ class TestRunScripted:
         assert load_run_records(torn) == load_run_records(full)
         assert torn.read_bytes() == full.read_bytes()
 
+    def test_resume_counts_only_the_plan_tasks(self, tmp_path, capsys):
+        out = tmp_path / "run.jsonl"
+        args = ["run", "--backend", "scripted", "--out", str(out)]
+        rc = cli.main([*args, "--models", "demo,Qwen3 8B", "--techniques", "ZSL"])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        rc = cli.main([*args, "--models", "demo", "--techniques", "ZSL,SHP", "--resume"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[25/48] demo SHP inc-001: ")
+        assert lines[-2].startswith("[48/48] ")
+        assert lines[-1] == "24 of 48 tasks executed (24 resumed, 0 failed-as-recorded)"
+
+    def test_unwritable_run_file_location_exit_one(self, tmp_path, capsys):
+        (tmp_path / "f").touch()
+        out = tmp_path / "f" / "x.jsonl"
+        assert cli.main(["run", "--backend", "scripted", "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'f'}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_parallelism_forced_serial(self, tmp_path, capsys):
         rc = cli.main(
             [
@@ -894,6 +915,12 @@ print("live", main(["run", "--backend", url, "--models", "demo",
         assert all(r.error is None for r in records)
 
 
+def _claim_cat7(d):
+    """Line 2's answer (CAT2, its truth) becomes CAT7, graded to agree."""
+    d["correct"] = False
+    return "CAT7"
+
+
 @pytest.fixture()
 def scripted_run_file(tmp_path):
     out = tmp_path / "run.jsonl"
@@ -1040,6 +1067,21 @@ class TestReport:
                          id="correct-str"),
             pytest.param(("correct",), "flip", "correct is (True|False), but final",
                          id="correct-flipped"),
+            # Line 2 is PHP, two turns, 0 ms, 86 reply characters.
+            pytest.param(("trace", "rounds_used"), "plus1",
+                         "rounds_used is 3, but the turns give 2", id="rounds_used-off"),
+            pytest.param(("trace", "converged"), "flip",
+                         "converged is False, but the turns give True",
+                         id="converged-off"),
+            pytest.param(("trace", "telemetry_totals", "total_latency_ms"), "plus1",
+                         "total_latency_ms is 1.0, but the turns give 0.0",
+                         id="latency-off"),
+            pytest.param(("trace", "telemetry_totals", "total_response_chars"), "plus1",
+                         "total_response_chars is 87, but the turns give 86",
+                         id="chars-off"),
+            pytest.param(("trace", "final"), _claim_cat7,
+                         "final is CAT7, but its turns and error give CAT2",
+                         id="final-not-last-turn"),
         ],
     )
     def test_wrongly_typed_or_contradicting_field_exit_two(
@@ -1051,7 +1093,14 @@ class TestReport:
         target = d
         for part in parents:
             target = target[part]
-        target[key] = (not target[key]) if value == "flip" else value
+        if value == "flip":
+            target[key] = not target[key]
+        elif value == "plus1":
+            target[key] += 1
+        elif callable(value):
+            target[key] = value(d)
+        else:
+            target[key] = value
         lines[1] = json.dumps(d)
         scripted_run_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
@@ -1101,6 +1150,13 @@ class TestDemo:
             "plot_data.json",
         ]
         assert len(load_run_records(out_dir / "demo_run.jsonl")) == 120
+
+    def test_unwritable_out_dir_exit_one(self, tmp_path, capsys):
+        (tmp_path / "f").touch()
+        assert cli.main(["demo", "--out-dir", str(tmp_path / "f")]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'f'}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_diff_reported_on_mismatch(self):
         _, summary = run_demo()

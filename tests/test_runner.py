@@ -205,6 +205,18 @@ class TestGrade:
             with pytest.raises(ValueError, match="correct is"):
                 RunRecord.from_dict({**d, "correct": stored})
 
+    def test_final_is_the_last_answer_or_unparsed_on_error(self):
+        trace = make_trace(final=CategoryCode.CAT2, rounds_used=2)
+        claimed = replace(trace, final=CategoryCode.CAT3)
+        with pytest.raises(ValueError, match="final is CAT3, but .* give CAT2"):
+            RunRecord(claimed, CategoryCode.CAT3)
+        with pytest.raises(ValueError, match="final is CAT2, but .* give UNPARSED"):
+            RunRecord(trace, CategoryCode.CAT2, error="down")
+        failed = replace(trace, final=CategoryCode.UNPARSED)
+        assert RunRecord(failed, CategoryCode.CAT2, error="down").correct is False
+        with pytest.raises(ValueError, match="needs a turn"):
+            RunRecord(make_trace(rounds_used=0), CategoryCode.CAT1)
+
 
 class TestExecuteSerial:
     def test_full_product_in_run_order(self, tmp_path):
@@ -276,6 +288,16 @@ class TestResume:
         assert summary.executed == 0
         assert summary.skipped == 3
         assert len(load_run_records(plan.output_path)) == 3
+
+    def test_resume_counts_only_the_plan_tasks(self, tmp_path):
+        wide = plan_for(tmp_path, models=("m-a", "m-b"))
+        execute(wide, ConstantBackend())
+        narrow = plan_for(tmp_path, techniques=(TechniqueId.ZSL, TechniqueId.SHP))
+        seen = []
+        summary = execute(narrow, ConstantBackend(), resume=True,
+                          on_record=lambda r, done, total: seen.append((done, total)))
+        assert (summary.planned, summary.skipped, summary.executed) == (6, 3, 3)
+        assert seen == [(4, 6), (5, 6), (6, 6)]
 
     def test_line_separators_in_text_keep_every_record(self, tmp_path):
         plan = plan_for(tmp_path, corpus=SEPARATED)
@@ -415,8 +437,15 @@ def _break_turns(d):
     d["trace"]["turns"] = [{"sent": [{"role": "bogus", "content": "x"}]}]
 
 
+def _break_rounds(d):
+    d["trace"]["rounds_used"] += 1
+
+
 # Edits that keep the task key but stop the line decoding as a record.
-_BREAKS = [_break_final, _break_group, _break_truth, _break_totals, _break_turns]
+_BREAKS = [
+    _break_final, _break_group, _break_truth, _break_totals, _break_turns,
+    _break_rounds,
+]
 
 _line = st.one_of(
     st.tuples(st.just("record"), st.sampled_from(_KEYS), st.sampled_from(CODES)),
