@@ -127,8 +127,9 @@ def anonymize(
 
     Equal matched values share one placeholder within the document; numbering
     is per stem in order of first appearance. Non-matching text is preserved
-    byte for byte. The value mapping is only retained when keep_mapping is
-    set (it re-identifies the document and is written nowhere by default).
+    byte for byte, and an empty match is left as it is and not counted. The
+    value mapping is only retained when keep_mapping is set (it
+    re-identifies the document and is written nowhere by default).
     """
     report = RedactionReport()  # counts only for kinds that actually fired
     assigned: dict[tuple[str, str], str] = {}  # (stem, value) -> placeholder
@@ -137,6 +138,8 @@ def anonymize(
     for rule in default_rules() if rules is None else rules:
         def _sub(m: re.Match, rule: RedactionRule = rule) -> str:
             value = m.group(0)
+            if not value:  # a pattern that can match empty text
+                return value
             stem = rule.placeholder_stem
             key = (stem, value)
             placeholder = assigned.get(key)

@@ -23,6 +23,7 @@ import mmap
 import os
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import pairwise
 from json import loads
 from pathlib import Path
 from typing import Callable, Collection, Iterator
@@ -31,6 +32,7 @@ from .backend import Backend, GenerationParams, ModelSpec
 from .corpus import Corpus
 from .taxonomy import CategoryCode, builtin_taxonomy
 from .techniques import (
+    FIXED_ROUNDS,
     ClassificationError,
     ClassificationTrace,
     TechniqueConfig,
@@ -117,13 +119,32 @@ class RunRecord:
             raise ValueError("ground_truth may not be UNPARSED")
         if self.error is not None and type(self.error) is not str:
             raise TypeError(f"error must be str, got {self.error!r}")
-        turns = self.trace.turns
-        if self.error is None and not turns:
+        turns, failed = self.trace.turns, self.error is not None
+        if not failed and not turns:
             raise ValueError("a record without an error needs a turn")
-        expected = CategoryCode.UNPARSED if self.error is not None else turns[-1].parsed
+        expected = CategoryCode.UNPARSED if failed else turns[-1].parsed
         if self.trace.final is not expected:
             final, want = self.trace.final.value, expected.value
             raise ValueError(f"final is {final}, but its turns and error give {want}")
+        # The turns a run can give: a fixed technique's rounds, fewer if it
+        # failed; PHP and PRP stop once two answers agree, so fail only before.
+        fixed = FIXED_ROUNDS.get(self.trace.technique)
+        if fixed is not None:
+            if (len(turns) >= fixed) if failed else (len(turns) != fixed):
+                raise ValueError(
+                    f"turns is {len(turns)}, but {self.trace.technique.value} runs"
+                    f" {fixed} without an error and fewer with one"
+                )
+        else:
+            for n, (a, b) in enumerate(pairwise(turns), start=2):
+                if a.parsed is b.parsed is not CategoryCode.UNPARSED and (
+                    failed or n < len(turns)
+                ):
+                    rest = "records an error" if failed else f"goes on to turn {n + 1}"
+                    raise ValueError(
+                        f"turns {n - 1} and {n} agree, but"
+                        f" {self.trace.technique.value} {rest}"
+                    )
 
     @property
     def key(self) -> TaskKey:

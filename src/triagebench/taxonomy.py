@@ -55,8 +55,6 @@ class Category:
     priority: int
 
     def __post_init__(self) -> None:
-        if self.code is CategoryCode.UNPARSED:
-            raise TaxonomyError("UNPARSED is not a taxonomy category")
         # A blank name would compile to a pattern that matches between any
         # two non-word characters.
         if not isinstance(self.name, str) or not self.name.strip():
@@ -78,13 +76,6 @@ class Taxonomy:
             raise TaxonomyError(
                 "taxonomy must contain exactly CAT1..CAT12 in order, "
                 f"got {[c.value for c in codes]}"
-            )
-        # The parser matches names ignoring case and whitespace runs, so it
-        # could not tell apart names that differ only in those.
-        names = [" ".join(c.name.split()).casefold() for c in self.categories]
-        if len(set(names)) != len(names):
-            raise TaxonomyError(
-                "category names must be unique ignoring case and whitespace"
             )
         # Some letters match under IGNORECASE yet casefold apart (i and
         # dotless ı), so compare what the parser compares: its patterns.

@@ -79,12 +79,17 @@ class TemplateError(ValueError):
 _ROUND_FILE_RE = re.compile(r"^round(0|[1-9][0-9]*)\.txt$")
 
 
-def _check_fields(name: str, text: str, *fields: str) -> None:
-    """Format a template once with its fields; a failure names the file."""
+def _check_fields(
+    name: str, text: str, filled: tuple[str, ...], empty: tuple[str, ...] = ()
+) -> None:
+    """Format a template once, the filled fields with text and the empty ones
+    with none; a failure, or a message that renders empty, names the file."""
     try:
-        text.format(**dict.fromkeys(fields, ""))
+        rendered = text.format(**dict.fromkeys(filled, "x"), **dict.fromkeys(empty, ""))
     except (KeyError, IndexError, ValueError, AttributeError) as exc:
         raise TemplateError(f"bad template {name}: {type(exc).__name__}: {exc}") from None
+    if not rendered.rstrip("\n"):
+        raise TemplateError(f"bad template {name}: renders an empty message")
 
 
 class TemplateSet:
@@ -94,9 +99,9 @@ class TemplateSet:
     send the same hint wording every extra round). The hash covers every
     file's path and content. Each technique's table of round files is built
     once at construction, where each system and round file is formatted
-    once, so a bad template fails before any task. Each system prompt is
-    rendered once per technique and taxonomy prompt block, then returned as
-    the same string.
+    once, so a bad template, or one that renders an empty message, fails
+    before any task. Each system prompt is rendered once per technique and
+    taxonomy prompt block, then returned as the same string.
     """
 
     def __init__(self, files: dict[str, str]) -> None:
@@ -111,7 +116,7 @@ class TemplateSet:
             system = f"{prefix}system.txt"
             if system not in files:
                 raise TemplateError(f"missing template {system}")
-            _check_fields(system, files[system], "taxonomy", "contract")
+            _check_fields(system, files[system], ("taxonomy", "contract"))
             rounds = sorted(
                 (int(m.group(1)), text)
                 for name, text in files.items()
@@ -122,7 +127,7 @@ class TemplateSet:
                 raise TemplateError(f"no round templates for {tech.value}")
             for n, text in rounds:
                 name = f"{prefix}round{n}.txt"
-                _check_fields(name, text, "incident", "hints", "previous_answers")
+                _check_fields(name, text, ("incident",), ("hints", "previous_answers"))
             indexes, texts = zip(*rounds)
             self._rounds[tech] = (indexes, texts)
         self._systems: dict[tuple[TechniqueId, str], str] = {}

@@ -19,6 +19,7 @@ from triagebench.backend import (
 from triagebench.runner import RunRecord
 from triagebench.taxonomy import Category, CategoryCode, Taxonomy, builtin_taxonomy
 from triagebench.techniques import (
+    FIXED_ROUNDS,
     ClassificationTrace,
     TechniqueId,
     TraceTurn,
@@ -63,16 +64,27 @@ def make_trace(
     group: ModelGroup = ModelGroup.G1,
     technique: TechniqueId = TechniqueId.ZSL,
     final: CategoryCode = CategoryCode.CAT1,
-    rounds_used: int = 1,
+    rounds_used: int | None = None,
     latency_ms: float = 0.0,
     response_chars: int = 0,
 ) -> ClassificationTrace:
-    """Trace of rounds_used turns that each answer final, the first carrying
-    all the latency and reply characters; enough for grading and metrics."""
-    telemetry = Telemetry(latency_ms, response_chars)
-    first = TraceTurn((), Completion(final.value, telemetry), final)
-    later = TraceTurn((), Completion(final.value, Telemetry(0.0, 0)), final)
-    turns = ((first,) + (later,) * (rounds_used - 1))[:rounds_used]
+    """Trace of a task that did not fail, enough for grading and metrics.
+
+    It has rounds_used turns: by default a fixed technique's FIXED_ROUNDS,
+    else 1. Answers alternate between final and another code, ending on
+    final, so PHP and PRP never agree before their last turn. The first
+    turn carries all the latency and reply characters.
+    """
+    if rounds_used is None:
+        rounds_used = FIXED_ROUNDS.get(technique, 1)
+    other = CategoryCode.CAT2 if final is CategoryCode.CAT1 else CategoryCode.CAT1
+    answers = [final if (rounds_used - k) % 2 else other for k in range(rounds_used)]
+    first = Telemetry(latency_ms, response_chars)
+    telemetry = [first] + [Telemetry(0.0, 0)] * rounds_used
+    turns = tuple(
+        TraceTurn((), Completion(answer.value, tm), answer)
+        for answer, tm in zip(answers, telemetry)
+    )
     return ClassificationTrace(
         incident_id=incident_id,
         model=model,
@@ -112,6 +124,8 @@ def random_records(
             if rng.random() < 0.08
             else CODES[rng.randrange(len(CODES))]
         )
+        technique = techniques[rng.randrange(len(techniques))]
+        rounds = rng.randint(1, 3)
         records.append(
             make_record(
                 truth=truth,
@@ -119,8 +133,8 @@ def random_records(
                 incident_id=f"inc-{i:04d}",
                 model=model,
                 group=group,
-                technique=techniques[rng.randrange(len(techniques))],
-                rounds_used=rng.randint(1, 3),
+                technique=technique,
+                rounds_used=None if technique in FIXED_ROUNDS else rounds,
                 latency_ms=rng.uniform(0.0, 5000.0),
                 response_chars=rng.randint(0, 4000),
             )

@@ -4,6 +4,7 @@ import pytest
 
 from triagebench.anonymizer import (
     Finding,
+    RedactionReport,
     RedactionRule,
     RuleCompileError,
     RuleKind,
@@ -104,6 +105,13 @@ class TestCustomRules:
         ]
         text, report = anonymize("see INC-00042 for details", rules)
         assert text == "see [TICKET_1] for details"
+        assert report.counts == {"CUSTOM": 1}
+
+    def test_empty_match_left_as_is_and_not_counted(self):
+        rules = [RedactionRule(RuleKind.CUSTOM, "TICKET", pattern=r"(INC-\d+)?")]
+        assert anonymize("ping from host", rules) == ("ping from host", RedactionReport())
+        text, report = anonymize("ping INC-42 from host", rules)
+        assert text == "ping [TICKET_1] from host"
         assert report.counts == {"CUSTOM": 1}
 
     def test_bad_regex_rejected_up_front(self):

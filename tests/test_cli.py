@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import gc
 import inspect
@@ -32,7 +33,12 @@ from triagebench.metrics import (
     render_report,
 )
 from triagebench.runner import RunPlan, load_run_records
-from triagebench.techniques import TechniqueConfig, TechniqueId
+from triagebench.techniques import (
+    TechniqueConfig,
+    TechniqueId,
+    default_templates,
+    load_templates,
+)
 
 from helpers import corrupt_lines_2_and_3
 
@@ -170,6 +176,50 @@ class TestConfigKeys:
         ini.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
         config = load_config_file(ini, CliConfig())
         assert config == dataclasses.replace(CliConfig(), **{field: value})
+
+    def test_run_and_report_from_a_file_with_every_key(self, tmp_path):
+        templates = tmp_path / "templates"
+        shutil.copytree(Path(triagebench.__file__).parent / "templates", templates)
+        (templates / "php" / "round2.txt").write_text(
+            "Your answers so far: {previous_answers}.\n", encoding="utf-8"
+        )
+        ini = tmp_path / "triage.ini"
+        ini.write_text(
+            "[backend]\nurl = http://127.0.0.1:9\nretries = 1\n"
+            "[generation]\ntemperature = 0.0\nmax_output_tokens = 512\n"
+            "input_token_budget = 4096\nrequest_timeout = 30.0\nseed = 7\n"
+            "[run]\nmodels = Llama 3.1 8B, Qwen3 8B\ntechniques = ZSL, PHP, PRP\n"
+            f"max_rounds = 2\nparallelism = 1\ntemplates_dir = {templates}\n",
+            encoding="utf-8",
+        )
+        parser = configparser.ConfigParser()
+        parser.read(ini, encoding="utf-8")
+        assert {(section, key) for section, key, *_ in CONFIG_KEYS} == {
+            (section, key) for section in parser.sections() for key in parser[section]
+        }
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(
+            ["--config", str(ini), "run", "--backend", "scripted", "--out", str(out)]
+        )
+        assert rc == EXIT_OK
+        records = load_run_records(out)
+        assert Counter((r.trace.model, r.trace.technique.value) for r in records) == {
+            (model, technique): 24
+            for model in ("Llama 3.1 8B", "Qwen3 8B")
+            for technique in ("ZSL", "PHP", "PRP")
+        }
+        assert max(r.trace.rounds_used for r in records) == 2
+        custom = load_templates(templates).template_hash
+        assert custom != default_templates().template_hash
+        assert {r.trace.template_hash for r in records} == {custom}
+        report = tmp_path / "report"
+        assert cli.main(["report", str(out), "--out-dir", str(report)]) == EXIT_OK
+        rows = (report / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        assert [row for row in rows if row.startswith("technique,")] == [
+            "technique,PHP,48,22,45.8,0.0,,",
+            "technique,PRP,48,22,45.8,0.0,,",
+            "technique,ZSL,48,28,58.3,0.0,,",
+        ]
 
     def test_defaults_are_their_owners_defaults(self):
         params = GenerationParams()
@@ -394,6 +444,22 @@ class TestAnonymize:
         assert rc == EXIT_OK
         assert "[TICKET_1]" in load_corpus(out).records[0].text
 
+    def test_custom_rule_that_can_match_empty_text(self, tmp_path, capsys):
+        src = write_corpus(
+            tmp_path / "raw.jsonl",
+            [{**GOOD_ROW, "text": "ping from host"},
+             {**GOOD_ROW, "id": "a2", "text": "ping INC-42 from host"}],
+        )
+        out = tmp_path / "clean.jsonl"
+        rc = cli.main(
+            ["anonymize", str(src), "--out", str(out), "--custom", r"TICKET=(INC-\d+)?"]
+        )
+        assert rc == EXIT_OK
+        assert [r.text for r in load_corpus(out).records] == [
+            "ping from host", "ping [TICKET_1] from host"
+        ]
+        assert "CUSTOM=1" in capsys.readouterr().out
+
     def test_bad_custom_spec_exit_two(self, tmp_path, capsys):
         src = write_corpus(tmp_path / "raw.jsonl", [GOOD_ROW])
         rc = cli.main(
@@ -555,21 +621,23 @@ class TestRunScripted:
         assert "already exists" in capsys.readouterr().err
 
     def test_bad_template_exits_two_before_any_record(self, tmp_path, capsys):
-        templates = tmp_path / "templates"
-        shutil.copytree(Path(triagebench.__file__).parent / "templates", templates)
-        (templates / "htp" / "round2.txt").write_text(
-            'Reply as {"category": "CATk"}.\n', encoding="utf-8"
-        )
-        out = tmp_path / "run.jsonl"
-        rc = cli.main(
-            ["run", "--backend", "scripted", "--templates", str(templates),
-             "--out", str(out)]
-        )
-        assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            "error: bad template htp/round2.txt: KeyError: '\"category\"'\n"
-        )
-        assert not out.exists()
+        for name, text, err in [
+            ("htp/round2.txt", 'Reply as {"category": "CATk"}.\n',
+             "error: bad template htp/round2.txt: KeyError: '\"category\"'\n"),
+            ("zsl/round1.txt", "{hints}\n",
+             "error: bad template zsl/round1.txt: renders an empty message\n"),
+        ]:
+            templates = tmp_path / name.replace("/", "-")
+            shutil.copytree(Path(triagebench.__file__).parent / "templates", templates)
+            (templates / name).write_text(text, encoding="utf-8")
+            out = tmp_path / "run.jsonl"
+            rc = cli.main(
+                ["run", "--backend", "scripted", "--templates", str(templates),
+                 "--out", str(out)]
+            )
+            assert rc == EXIT_USAGE
+            assert capsys.readouterr().err == err
+            assert not out.exists()
 
     def test_script_follows_task_order(self, tmp_path, monkeypatch):
         def run(out):
@@ -1111,6 +1179,45 @@ class TestReport:
         assert rc == EXIT_USAGE
         assert err.startswith(f"error: {scripted_run_file}:2: invalid record: ")
         assert re.search(message, err) and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "lineno, more_turns, converged, message",
+        [
+            # Line 1 is ZSL, one turn; line 2 is PHP, two agreeing turns.
+            pytest.param(1, lambda turns: turns * 3, False,
+                         "turns is 3, but ZSL runs 1 without an error and fewer with one",
+                         id="zsl-three-turns"),
+            pytest.param(2, lambda turns: turns + turns[-1:], True,
+                         "turns 1 and 2 agree, but PHP goes on to turn 3",
+                         id="php-turn-after-agreeing"),
+        ],
+    )
+    def test_turns_no_run_gives_exit_two(
+        self, scripted_run_file, tmp_path, capsys, lineno, more_turns, converged, message
+    ):
+        lines = scripted_run_file.read_text(encoding="utf-8").splitlines()
+        d = json.loads(lines[lineno - 1])
+        trace = d["trace"]
+        # Every summary field agrees with the new turns; only their number
+        # is one no run gives.
+        trace["turns"] = more_turns(trace["turns"])
+        trace["rounds_used"] = len(trace["turns"])
+        trace["converged"] = converged
+        trace["telemetry_totals"] = {
+            f"total_{key}": sum(t["completion"]["telemetry"][key] for t in trace["turns"])
+            for key in ("latency_ms", "response_chars")
+        }
+        lines[lineno - 1] = json.dumps(d)
+        scripted_run_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = cli.main(
+            ["report", str(scripted_run_file), "--out-dir", str(tmp_path / "r")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        where = f"{scripted_run_file}:{lineno}"
+        assert err == f"error: {where}: invalid record: ValueError: {message}\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("kind", ["directory", "non-utf8"])

@@ -27,7 +27,7 @@ from triagebench.runner import (
     resume_scan,
 )
 from triagebench.taxonomy import CategoryCode
-from triagebench.techniques import TechniqueConfig, TechniqueId
+from triagebench.techniques import TechniqueConfig, TechniqueId, TraceTurn
 from triagebench.util import canonical_dumps
 
 from helpers import CODES, corrupt_lines_2_and_3, make_record, make_trace
@@ -206,7 +206,9 @@ class TestGrade:
                 RunRecord.from_dict({**d, "correct": stored})
 
     def test_final_is_the_last_answer_or_unparsed_on_error(self):
-        trace = make_trace(final=CategoryCode.CAT2, rounds_used=2)
+        trace = make_trace(
+            technique=TechniqueId.PHP, final=CategoryCode.CAT2, rounds_used=2
+        )
         claimed = replace(trace, final=CategoryCode.CAT3)
         with pytest.raises(ValueError, match="final is CAT3, but .* give CAT2"):
             RunRecord(claimed, CategoryCode.CAT3)
@@ -216,6 +218,43 @@ class TestGrade:
         assert RunRecord(failed, CategoryCode.CAT2, error="down").correct is False
         with pytest.raises(ValueError, match="needs a turn"):
             RunRecord(make_trace(rounds_used=0), CategoryCode.CAT1)
+
+    @pytest.mark.parametrize(
+        "technique, answers, error, refusal",
+        [
+            ("ZSL", "1 1 1", None, "turns is 3, but ZSL runs 1"),
+            ("ZSL", "1", "down", "turns is 1, but ZSL runs 1"),
+            ("SHP", "2", None, "turns is 1, but SHP runs 2"),
+            ("HTP", "1 2 3 4", None, "turns is 4, but HTP runs 3"),
+            ("PHP", "1 1 1", None, "turns 1 and 2 agree, but PHP goes on to turn 3"),
+            ("PRP", "2 1 1 3", None, "turns 2 and 3 agree, but PRP goes on to turn 4"),
+            ("PHP", "4 4", "down", "turns 1 and 2 agree, but PHP records an error"),
+            ("ZSL", "", "down", None),
+            ("SHP", "1 1", None, None),
+            ("HTP", "1 2", "down", None),
+            ("PHP", "1", None, None),
+            ("PHP", "1 2 2", None, None),
+            ("PRP", "0 0 0", None, None),
+            ("PRP", "1 2 3", "down", None),
+            ("PHP", "0 0", "down", None),
+        ],
+    )
+    def test_turns_are_ones_a_run_can_give(self, technique, answers, error, refusal):
+        # A fixed technique runs its rounds, fewer if it fails; PHP and PRP
+        # stop once two answers agree ("0" is UNPARSED, which never agrees).
+        codes = [CategoryCode.UNPARSED if k == "0" else CategoryCode(f"CAT{k}")
+                 for k in answers.split()]
+        trace = replace(
+            make_trace(technique=TechniqueId(technique), rounds_used=0),
+            turns=tuple(TraceTurn((), Completion(c.value, Telemetry(0.0, 0)), c)
+                        for c in codes),
+            final=CategoryCode.UNPARSED if error else codes[-1],
+        )
+        if refusal is None:
+            RunRecord(trace, CategoryCode.CAT1, error)
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                RunRecord(trace, CategoryCode.CAT1, error)
 
 
 class TestExecuteSerial:

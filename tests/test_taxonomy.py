@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -75,9 +77,10 @@ class TestLoadTaxonomy:
         with pytest.raises(TaxonomyError):
             Taxonomy(categories=taxonomy.categories[:11])
 
-    def test_rejects_duplicate_names(self):
-        with pytest.raises(TaxonomyError):
-            renamed(["Same Name"] * 12)
+    def test_rejects_unparsed_in_the_table(self, taxonomy):
+        unparsed = dataclasses.replace(taxonomy.categories[11], code=CategoryCode.UNPARSED)
+        with pytest.raises(TaxonomyError, match="exactly CAT1..CAT12 in order"):
+            Taxonomy(categories=(*taxonomy.categories[:11], unparsed))
 
     @pytest.mark.parametrize("blank", ["", "   ", "\t\n", "\u00a0"])
     def test_rejects_blank_name(self, taxonomy, blank):
@@ -91,22 +94,33 @@ class TestLoadTaxonomy:
             with_names(taxonomy, {3: 42})
 
     @pytest.mark.parametrize(
-        "clash", ["Social  Engineering", "social\nengineering", " SOCIAL ENGINEERING "]
+        "renames, pair",
+        [
+            pytest.param(dict.fromkeys(range(1, 13), "Same Name"), "CAT1 and CAT2",
+                         id="twelve-equal"),
+            # The parser matches "Social Engineering" and the clash on the
+            # same text, so the earlier one would silently win every time.
+            pytest.param({12: "Social  Engineering"}, "CAT7 and CAT12", id="spaces"),
+            pytest.param({12: "social\nengineering"}, "CAT7 and CAT12", id="newline"),
+            pytest.param({12: " SOCIAL ENGINEERING "}, "CAT7 and CAT12", id="upper"),
+            # Dotless i matches i under IGNORECASE but casefolds apart from
+            # it; both names would match the same span of "a FILE leak".
+            pytest.param({5: "File Leak", 9: "F\u0131le  leak"}, "CAT5 and CAT9",
+                         id="dotless-i-later"),
+            pytest.param({9: "File Leak", 5: "F\u0131le  leak"}, "CAT5 and CAT9",
+                         id="dotless-i-earlier"),
+        ],
     )
-    def test_rejects_names_equal_up_to_case_and_whitespace(self, taxonomy, clash):
-        # The parser matches "Social Engineering" and the clash on the same
-        # text, so the earlier one would silently win every time.
-        with pytest.raises(TaxonomyError, match="unique"):
-            with_names(taxonomy, {12: clash})
+    def test_rejects_names_the_parser_confuses(self, taxonomy, renames, pair):
+        with pytest.raises(TaxonomyError, match=f"{pair}: the parser cannot tell"):
+            with_names(taxonomy, renames)
 
-    def test_rejects_names_the_parser_cannot_tell_apart(self, taxonomy):
-        # Dotless i matches i under IGNORECASE but casefolds apart from it.
-        # Both names would match the same span of "a FILE leak", and the
-        # lower code would always win.
-        for pair in ({5: "File Leak", 9: "F\u0131le  leak"},
-                     {9: "File Leak", 5: "F\u0131le  leak"}):
-            with pytest.raises(TaxonomyError, match="CAT5 and CAT9: the parser"):
-                with_names(taxonomy, pair)
+    def test_names_that_only_casefold_alike_load(self, taxonomy):
+        # "ß" casefolds to "ss", but the parser's IGNORECASE match keeps them
+        # apart, so each name still parses to its own code.
+        table = with_names(taxonomy, {4: "Stra\u00dfe Leak", 9: "Strasse Leak"})
+        assert parse_category("a stra\u00dfe leak", table) is CategoryCode.CAT4
+        assert parse_category("a STRASSE LEAK", table) is CategoryCode.CAT9
 
     def test_override_parses_with_its_own_names(self, taxonomy):
         override = with_names(taxonomy, {2: "Ransomware"})

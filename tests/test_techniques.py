@@ -138,6 +138,9 @@ class TestTemplates:
             ("php/round3.txt", "Stray } brace {incident}", "ValueError"),
             ("prp/system.txt", "{taxonomy}\n{contract}\n{incident}", "KeyError"),
             ("zsl/round1.txt", "{incident.body}", "AttributeError"),
+            # Round 1 gets no hints, so this round sends an empty message.
+            ("zsl/round1.txt", "{hints}\n", "renders an empty message"),
+            ("zsl/system.txt", "", "renders an empty message"),
         ],
     )
     def test_bad_field_or_brace_rejected_at_load(self, name, text, error):
