@@ -177,8 +177,6 @@ def _parse_techniques(names: tuple[str, ...]) -> tuple[TechniqueId, ...]:
         techs = [TechniqueId.parse(name) for name in names]
     except ValueError as exc:
         raise CliError(str(exc))
-    if not techs:
-        raise CliError("no techniques given")
     return tuple(dict.fromkeys(techs))
 
 
@@ -215,9 +213,11 @@ def _parse_custom_rule(spec: str) -> RedactionRule:
         raise CliError(f"bad redaction rule: {exc}")
 
 
-def _cannot_write(exc: OSError) -> CliError:
-    message = f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}"
-    return CliError(message, code=EXIT_FAILURE)
+def _cannot_write(exc: OSError, path: Path | str | None = None) -> CliError:
+    """Exit 1 naming the file: os.replace's target, else the failing call's
+    file, else path."""
+    name = exc.filename2 or exc.filename or path or "output"
+    return CliError(f"cannot write {name}: {exc.strerror or exc}", code=EXIT_FAILURE)
 
 
 def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
@@ -266,8 +266,6 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
     techniques = _parse_techniques(config.techniques)
     corpus = _load_corpus_arg(args.corpus)
     names = tuple(dict.fromkeys(config.models))  # a repeat would rerun its tasks
-    if not names:
-        raise CliError("no models given")
     models = tuple(resolve_model(name) for name in names)
 
     try:
@@ -326,11 +324,9 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
                     note = f"model {name!r} is not in the registry; grouped as G2"
                     print(f"note: {note}", file=sys.stderr)
         try:
-            plan.output_path.parent.mkdir(parents=True, exist_ok=True)
-            plan.output_path.open("a").close()
+            summary = execute(plan, backend, resume=args.resume, on_record=_progress)
         except OSError as exc:
-            raise _cannot_write(exc)
-        summary = execute(plan, backend, resume=args.resume, on_record=_progress)
+            raise _cannot_write(exc, plan.output_path)
     except RunError as exc:
         raise CliError(str(exc))
     finally:
@@ -363,7 +359,7 @@ def _write_report(args: argparse.Namespace) -> list[Path]:
     except MetricsError as exc:
         raise CliError(str(exc), code=EXIT_FAILURE)
     except OSError as exc:
-        raise _cannot_write(exc)
+        raise _cannot_write(exc, args.out_dir)
 
 
 def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
@@ -390,13 +386,15 @@ def cmd_demo(args: argparse.Namespace, config: CliConfig) -> int:
 
     out_dir = Path(args.out_dir) if args.out_dir else None
     run_path = out_dir / "demo_run.jsonl" if out_dir else None
-    if run_path is not None:
-        try:
+    try:
+        if run_path is not None:
             run_path.parent.mkdir(parents=True, exist_ok=True)
             run_path.write_bytes(b"")  # the demo starts from an empty run file
-        except OSError as exc:
-            raise _cannot_write(exc)
-    report, summary = run_demo(run_path)
+        report, summary = run_demo(run_path)
+        if out_dir is not None and not args.write_golden:
+            render_report(report, out_dir)
+    except OSError as exc:
+        raise _cannot_write(exc, out_dir)
 
     if args.write_golden:
         target = Path(str(golden_path()))
@@ -405,7 +403,6 @@ def cmd_demo(args: argparse.Namespace, config: CliConfig) -> int:
         return EXIT_OK
 
     if out_dir is not None:
-        render_report(report, out_dir)
         print(f"demo artifacts written to {out_dir}")
 
     diff = diff_against_golden(summary)

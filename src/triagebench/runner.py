@@ -5,16 +5,19 @@ Every run, serial or threaded, sends them in RunPlan.run_order(): one
 model's tasks after another, each model's in plan order, so a server that
 holds one model at a time loads each once. This module alone decides that
 order; the scripted reply queue is built from it.
-Records are appended to the run file as each task completes; one writer
-(the calling thread) owns the file, workers only compute. A crash mid-write
-leaves at most one torn trailing line, which resume cuts off. An interrupt
+Records are appended to the run file as each task completes; execute alone
+makes, opens, cuts and writes the file, from the calling thread, and
+workers only compute. A line is a record only once its "\n" is written:
+each record goes out with its "\n" in one write, every reader skips a last
+line without one, and resume cuts it off and runs its task again. An interrupt
 or a failed write stops a parallel run once the tasks already started
 finish; tasks still queued are never sent to the backend. After an
 interrupt those tasks are written too, so resume re-runs only what never
 finished; after a failed write nothing is. resume_scan and load_run_records
 share one streaming line reader, so every task resume skips is one that
 load_run_records returns or refuses by line. A resumed run counts only its
-plan's tasks; a record's final is its last answer, UNPARSED if it failed.
+plan's tasks, and refuses a file stamped with another template set; a
+record's final is its last answer, UNPARSED if it failed.
 """
 from __future__ import annotations
 
@@ -182,24 +185,16 @@ class RunRecord:
         return record
 
 
-def _line_key(raw: bytes) -> tuple[TaskKey, dict]:
-    """The task key and decoded JSON of one run-file line. Raises ValueError
-    (bad UTF-8 or JSON), KeyError or TypeError if it holds no task key."""
-    d = loads(raw.decode("utf-8"))
-    trace = d["trace"]
-    key = (trace["model"], trace["technique"], trace["incident_id"])
-    hash(key)  # TypeError if a key part is unhashable
-    return key, d
-
-
 def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
     """(line number, task key, decoded line) for each line whose key decodes.
 
-    The file is read as a stream of lines that end only at "\n", not at
-    the U+2028, U+2029 or U+0085 that JSON strings hold raw. Other lines are
-    skipped with a warning; a last line without "\n" is torn by a killed
-    run. A complete line that is not UTF-8 raises RunError. A repeated key
-    is yielded again, with a warning; callers keep the later line.
+    A line is a record only once its "\n" is written: the file is read as a
+    stream of lines that end only at "\n", not at the U+2028, U+2029 or
+    U+0085 that JSON strings hold raw, and a last line without "\n", torn
+    by a killed run, is skipped with a warning before it is decoded. Other
+    lines without a task key are skipped with a warning; a line that is not
+    UTF-8 raises RunError. A repeated key is yielded again, with a warning;
+    callers keep the later line.
     """
     seen: set[TaskKey] = set()
     try:
@@ -207,18 +202,22 @@ def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
             for lineno, raw in enumerate(fh, start=1):
                 if not raw.strip():
                     continue
-                torn = not raw.endswith(b"\n")
-                try:
-                    key, d = _line_key(raw)
-                except (ValueError, KeyError, TypeError) as exc:
-                    if isinstance(exc, UnicodeDecodeError) and not torn:
-                        raise RunError(
-                            f"cannot read run file {path}: line {lineno}: {exc}"
-                        )
+                if not raw.endswith(b"\n"):
                     logger.warning(
-                        "%s:%d: %s", path.name, lineno,
-                        "ignoring torn trailing line (crash artifact)"
-                        if torn else "skipping malformed record line",
+                        "%s:%d: ignoring torn trailing line (crash artifact)",
+                        path.name, lineno,
+                    )
+                    continue
+                try:
+                    d = loads(raw.decode("utf-8"))
+                    trace = d["trace"]
+                    key = (trace["model"], trace["technique"], trace["incident_id"])
+                    hash(key)  # TypeError if a key part is unhashable
+                except UnicodeDecodeError as exc:
+                    raise RunError(f"cannot read run file {path}: line {lineno}: {exc}")
+                except (ValueError, KeyError, TypeError):
+                    logger.warning(
+                        "%s:%d: skipping malformed record line", path.name, lineno
                     )
                     continue
                 if key in seen:
@@ -232,29 +231,55 @@ def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
         raise RunError(f"cannot read run file {path}: {exc}") from exc
 
 
-def resume_scan(output_path: str | Path) -> set[TaskKey]:
-    """Keys of the records already in the run file; empty if there is none."""
+def resume_scan(
+    output_path: str | Path, *, template_hash: str | None = None
+) -> set[TaskKey]:
+    """Keys of the records already in the run file; empty if there is none.
+
+    Given the plan's template_hash, a line stamped with another one raises
+    RunError: resuming would mix two template sets in one file.
+    """
     path = Path(output_path)
     if not path.exists():
         return set()
-    return {key for _, key, _ in _read_run_file(path)}
+    done: set[TaskKey] = set()
+    for lineno, key, d in _read_run_file(path):
+        found = d["trace"].get("template_hash")
+        if template_hash is not None and found != template_hash:
+            raise RunError(
+                f"{path}:{lineno}: template_hash {found} differs from the"
+                f" plan's {template_hash}; resume would mix template sets"
+            )
+        done.add(key)
+    return done
 
 
 def load_run_records(path: str | Path) -> list[RunRecord]:
     """Read back a run file, resolving duplicate keys to the latest line.
 
     A line whose key decodes but whose record does not raises RunError:
-    resume would skip that task, so dropping it would lose it for good.
+    resume would skip that task, so dropping it would lose it for good. So
+    does a record stamped with another template set than the first record's,
+    as its results would be averaged with results of other prompts.
     """
     path = Path(path)
     by_key: dict[TaskKey, RunRecord] = {}
+    first: tuple[int, str] | None = None  # line and template_hash of the first
     for lineno, key, d in _read_run_file(path):
         try:
-            by_key[key] = RunRecord.from_dict(d)
+            record = by_key[key] = RunRecord.from_dict(d)
         except (KeyError, TypeError, ValueError) as exc:
             raise RunError(
                 f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}"
             ) from exc
+        template_hash = record.trace.template_hash
+        if first is None:
+            first = (lineno, template_hash)
+        elif template_hash != first[1]:
+            raise RunError(
+                f"{path}:{lineno}: template_hash {template_hash} differs from"
+                f" line {first[0]}'s {first[1]}; the run mixes template sets"
+            )
     return list(by_key.values())
 
 
@@ -284,13 +309,16 @@ def execute(
     backend calls keep failing is recorded as a failed record (final
     UNPARSED, error note) and the run continues; only run-file I/O failures
     abort. With resume=True, keys already present in the output file are
-    skipped.
+    skipped, and a line stamped with another template set is refused before
+    any task.
     """
     path = Path(plan.output_path)
 
     done: set[TaskKey] = set()
     if resume:
-        done = resume_scan(path)
+        done = resume_scan(
+            path, template_hash=plan.technique_config.templates.template_hash
+        )
     elif path.exists() and path.stat().st_size > 0:
         raise RunError(
             f"output file {path} already exists; pass resume=True or use a fresh path"
@@ -322,28 +350,20 @@ def execute(
     executed = failed = 0
     skipped = completed = total - len(tasks)  # done may hold other plans' keys
     path.parent.mkdir(parents=True, exist_ok=True)
-    seal = False
-    if path.exists() and path.stat().st_size > 0:
-        with path.open("rb") as fh:
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-                start = mm.rfind(b"\n") + 1
-                tail = mm[start:]
-        # Seal an unterminated last line if resume counted its key as done;
-        # else cut it off, as sealing a line cut inside a character would
-        # leave a complete line that is not UTF-8.
-        try:
-            if tail:
-                _line_key(tail)
-                seal = True
-        except (ValueError, KeyError, TypeError):
-            os.truncate(path, start)
-    with path.open("a", encoding="utf-8") as out:
-        if seal:
-            out.write("\n")
+    with path.open("ab") as out:
+        # A line is a record only once its "\n" is written: resume_scan
+        # skipped a last line without one, so cut it off and run its task again.
+        size = os.fstat(out.fileno()).st_size  # 0 for a pipe or a device
+        if size:
+            with path.open("rb") as fh:
+                with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                    start = mm.rfind(b"\n") + 1
+            if start < size:
+                out.truncate(start)
 
         def write(record: RunRecord) -> None:
             nonlocal executed, failed, completed
-            out.write(canonical_dumps(record.to_dict()) + "\n")
+            out.write((canonical_dumps(record.to_dict()) + "\n").encode("utf-8"))
             out.flush()
             executed += 1
             completed += 1

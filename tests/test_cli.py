@@ -56,6 +56,15 @@ def write_corpus(path, rows):
     return path
 
 
+def _tweaked_template_dir(tmp_path):
+    """A copy of the bundled templates with one line added to zsl/round1.txt."""
+    templates = tmp_path / "tpl"
+    shutil.copytree(Path(triagebench.__file__).parent / "templates", templates)
+    with (templates / "zsl" / "round1.txt").open("a", encoding="utf-8") as fh:
+        fh.write("Answer briefly.\n")
+    return templates
+
+
 GOOD_ROW = {"id": "a1", "text": "Ransom note on [HOST_1].", "ground_truth": "CAT2"}
 
 
@@ -548,17 +557,57 @@ class TestRunScripted:
         assert "0 of 240 tasks executed" in capsys.readouterr().out
         assert cut.read_bytes() == full.read_bytes()
 
-    def test_resume_after_torn_tail_matches_uninterrupted_run(self, tmp_path, capsys):
+    # Line 38 cut inside, or just before its "\n" (complete JSON, no newline).
+    TORN_AT = [pytest.param(100, id="inside"), pytest.param(-1, id="before-newline")]
+
+    def _torn_run(self, tmp_path, cut):
         full = tmp_path / "full.jsonl"
         assert cli.main([*self.RESUME_ARGS, "--out", str(full)]) == EXIT_OK
         lines = full.read_bytes().splitlines(keepends=True)
         torn = tmp_path / "torn.jsonl"
-        torn.write_bytes(b"".join(lines[:37]) + lines[37][:100])
+        torn.write_bytes(b"".join(lines[:37]) + lines[37][:cut])
+        return full, torn
+
+    @pytest.mark.parametrize("cut", TORN_AT)
+    def test_resume_after_torn_tail_matches_uninterrupted_run(
+        self, tmp_path, capsys, cut
+    ):
+        full, torn = self._torn_run(tmp_path, cut)
         capsys.readouterr()
         assert cli.main([*self.RESUME_ARGS, "--out", str(torn), "--resume"]) == EXIT_OK
-        assert "203 of 240 tasks executed" in capsys.readouterr().out
+        assert "203 of 240 tasks executed (37 resumed" in capsys.readouterr().out
         assert load_run_records(torn) == load_run_records(full)
         assert torn.read_bytes() == full.read_bytes()
+
+    def test_report_skips_a_last_line_without_its_newline(
+        self, tmp_path, capsys, caplog
+    ):
+        _, torn = self._torn_run(tmp_path, -1)
+        out_dir = tmp_path / "report"
+        assert cli.main(["report", str(torn), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert "Records: 37\n" in (out_dir / "metrics.md").read_text(encoding="utf-8")
+        assert "torn.jsonl:38: ignoring torn trailing line" in caplog.text
+
+    def test_resume_with_other_templates_exit_two_before_any_record(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "run.jsonl"
+        args = ["run", "--backend", "scripted", "--techniques", "ZSL", "--out", str(out)]
+        assert cli.main(args) == EXIT_OK
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:10]))
+        before = out.read_bytes()
+        ours, theirs = _tweaked_template_dir(tmp_path), default_templates()
+        capsys.readouterr()
+        rc = cli.main([*args, "--templates", str(ours), "--resume"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {out}:1: template_hash {theirs.template_hash} differs from the"
+            f" plan's {load_templates(ours).template_hash}; resume would mix"
+            f" template sets\n"
+        )
+        assert captured.out == ""
+        assert out.read_bytes() == before
 
     def test_resume_counts_only_the_plan_tasks(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
@@ -580,6 +629,23 @@ class TestRunScripted:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {tmp_path / 'f'}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_write_mid_run_exit_one_naming_the_run_file(self, capsys):
+        args = ["run", "--backend", "scripted", "--techniques", "ZSL"]
+        assert cli.main([*args, "--out", "/dev/full"]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == "error: cannot write /dev/full: No space left on device\n"
+
+    @pytest.mark.parametrize("flag", ["--models", "--techniques"])
+    def test_empty_axis_exit_two_before_any_record(self, tmp_path, capsys, flag):
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(["run", "--backend", "scripted", flag, "", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: plan needs at least one model, technique and incident\n"
+        )
+        assert not out.exists()
 
     def test_parallelism_forced_serial(self, tmp_path, capsys):
         rc = cli.main(
@@ -1240,6 +1306,41 @@ class TestReport:
         assert rc == EXIT_FAILURE
         assert "no records" in capsys.readouterr().err
 
+    def test_mixed_template_sets_exit_two_naming_the_line(
+        self, scripted_run_file, tmp_path, capsys
+    ):
+        templates = _tweaked_template_dir(tmp_path)
+        other = tmp_path / "other.jsonl"
+        rc = cli.main(
+            ["run", "--backend", "scripted", "--models", "demo", "--techniques",
+             "ZSL", "--templates", str(templates), "--out", str(other)]
+        )
+        assert rc == EXIT_OK
+        ours = scripted_run_file.read_bytes().splitlines(keepends=True)
+        theirs = other.read_bytes().splitlines(keepends=True)
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_bytes(b"".join(ours[:3] + theirs[3:5]))
+        capsys.readouterr()
+        rc = cli.main(["report", str(mixed), "--out-dir", str(tmp_path / "r")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {mixed}:4: template_hash {load_templates(templates).template_hash}"
+            f" differs from line 1's {default_templates().template_hash}; the run"
+            f" mixes template sets\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_artifact_that_cannot_be_replaced_exit_one_naming_it(
+        self, scripted_run_file, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "r"
+        (out_dir / "metrics.csv").mkdir(parents=True)
+        rc = cli.main(["report", str(scripted_run_file), "--out-dir", str(out_dir)])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out_dir / 'metrics.csv'}: Is a directory\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.csv"]
+
 
 class TestDemo:
     def test_matches_golden(self, capsys):
@@ -1264,6 +1365,18 @@ class TestDemo:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {tmp_path / 'f'}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_artifact_that_cannot_be_replaced_exit_one_naming_it(
+        self, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "d"
+        (out_dir / "metrics.csv").mkdir(parents=True)
+        assert cli.main(["demo", "--out-dir", str(out_dir)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out_dir / 'metrics.csv'}: Is a directory\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "demo_run.jsonl", "metrics.csv",
+        ]
 
     def test_diff_reported_on_mismatch(self):
         _, summary = run_demo()

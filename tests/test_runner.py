@@ -27,10 +27,22 @@ from triagebench.runner import (
     resume_scan,
 )
 from triagebench.taxonomy import CategoryCode
-from triagebench.techniques import TechniqueConfig, TechniqueId, TraceTurn
+from triagebench.techniques import (
+    TechniqueConfig,
+    TechniqueId,
+    TemplateSet,
+    TraceTurn,
+    default_templates,
+)
 from triagebench.util import canonical_dumps
 
-from helpers import CODES, corrupt_lines_2_and_3, make_record, make_trace
+from helpers import (
+    CODES,
+    corrupt_lines_2_and_3,
+    make_record,
+    make_trace,
+    write_run_file,
+)
 
 CORPUS = Corpus(
     records=tuple(
@@ -52,6 +64,16 @@ SEPARATED = Corpus(
         for n, sep in enumerate(("\u2028", "\u2029", "\u0085"), start=1)
     )
 )
+
+
+def _tweaked_templates() -> TemplateSet:
+    """The bundled templates with one round file changed, so another hash."""
+    files = dict(default_templates().files())
+    files["zsl/round1.txt"] += " tweaked"
+    return TemplateSet(files)
+
+
+TWEAKED = _tweaked_templates()
 
 
 class ConstantBackend:
@@ -375,6 +397,19 @@ class TestResume:
         with pytest.raises(RunError, match="cannot read run file"):
             execute(plan, ConstantBackend(), resume=True)
 
+    def test_resume_with_other_templates_refused_before_any_task(self, tmp_path):
+        plan = plan_for(tmp_path)
+        execute(plan, ConstantBackend())
+        before = plan.output_path.read_bytes()
+        tweaked = replace(plan, technique_config=TechniqueConfig(templates=TWEAKED))
+        backend = ConstantBackend()
+        ours, theirs = TWEAKED.template_hash, default_templates().template_hash
+        refusal = f"run\\.jsonl:1: template_hash {theirs} differs from the plan's {ours}"
+        with pytest.raises(RunError, match=refusal):
+            execute(tweaked, backend, resume=True)
+        assert backend.calls == 0
+        assert plan.output_path.read_bytes() == before
+
 
 @cache
 def _finished_run(parallelism: int) -> bytes:
@@ -390,10 +425,14 @@ def _cut_plan(directory: Path, parallelism: int) -> RunPlan:
 
 
 def _cut_offsets(parallelism: int) -> st.SearchStrategy[int]:
-    """Any offset, or one inside a multi-byte character."""
+    """Any offset, one inside a multi-byte character, or one just before a
+    line's "\n", which leaves a last line that is complete JSON."""
     full = _finished_run(parallelism)
     inside = [i for i, b in enumerate(full) if 0x80 <= b < 0xC0]
-    return st.integers(0, len(full)) | st.sampled_from(inside)
+    newlines = [i for i, b in enumerate(full) if b == 0x0A]
+    return (
+        st.integers(0, len(full)) | st.sampled_from(inside) | st.sampled_from(newlines)
+    )
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -408,7 +447,9 @@ def test_resume_from_any_cut_matches_uninterrupted_run(parallelism, data):
         plan = _cut_plan(Path(tmp), parallelism)
         plan.output_path.write_bytes(full[:offset])
         assert {r.key for r in load_run_records(plan.output_path)} <= set(plan.task_keys())
-        execute(plan, ConstantBackend(), resume=True)
+        summary = execute(plan, ConstantBackend(), resume=True)
+        # Only the lines whose "\n" was written count as done.
+        assert summary.skipped == full[:offset].count(b"\n")
         if parallelism == 1:
             assert plan.output_path.read_bytes() == full
         else:
@@ -440,6 +481,22 @@ class TestLoadRunRecords:
     def test_missing_file_raises_run_error(self, tmp_path):
         with pytest.raises(RunError, match="cannot read run file"):
             load_run_records(tmp_path / "nope.jsonl")
+
+    def test_mixed_template_sets_refused_naming_the_first_line_that_differs(
+        self, tmp_path
+    ):
+        ours = [make_record(incident_id="i1"), make_record(incident_id="i2")]
+        theirs = make_record(incident_id="i3")
+        theirs = replace(
+            theirs, trace=replace(theirs.trace, template_hash=TWEAKED.template_hash)
+        )
+        path = write_run_file(tmp_path / "run.jsonl", [*ours, theirs])
+        refusal = (
+            f"run\\.jsonl:3: template_hash {TWEAKED.template_hash} differs from"
+            f" line 1's {ours[0].trace.template_hash}"
+        )
+        with pytest.raises(RunError, match=refusal):
+            load_run_records(path)
 
 
 _KEYS = [
