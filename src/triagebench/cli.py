@@ -239,9 +239,10 @@ def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
     try:
         save_corpus(replace(corpus, records=tuple(out_records)), args.out)
         if keep:
-            Path(args.write_mapping).write_text(
-                canonical_dumps(mappings) + "\n", encoding="utf-8"
-            )
+            # Owner-only, as it undoes the anonymization.
+            fd = os.open(args.write_mapping, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(canonical_dumps(mappings) + "\n")
     except OSError as exc:
         raise _cannot_write(exc)
     if keep:

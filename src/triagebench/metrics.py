@@ -15,7 +15,6 @@ import csv
 import io
 import math
 import os
-import tempfile
 from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -390,10 +389,12 @@ def render_report(
     formats: Iterable[str] = REPORT_FORMATS,
     comparison: Sequence[ReferenceEntry] | None = None,
 ) -> list[Path]:
-    """Write the requested artifacts to out_dir; all or nothing.
+    """Write the requested artifacts to out_dir.
 
-    Contents are rendered and staged to temporary files first, then moved
-    into place, so an unwritable destination leaves no partial output.
+    Each is rendered, staged under a fresh name created with the umask's
+    mode, then moved over its target, so each artifact is replaced whole or
+    not at all. A failed write or move leaves no staged file; artifacts moved
+    before it are the new ones, the others keep their old content.
     """
     from .util import canonical_dumps
 
@@ -412,20 +413,21 @@ def render_report(
         contents["plot_data.json"] = canonical_dumps(render_plot_data(report)) + "\n"
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[str, str]] = []
+    staged: list[Path] = []
+    written: list[Path] = []
     try:
         for name, text in contents.items():
-            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            tmp = out_dir / f".{name}.{os.urandom(6).hex()}"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append(tmp)
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            staged.append((tmp, name))
-        written = []
-        for tmp, name in staged:
+        for tmp, name in zip(staged, contents):
             os.replace(tmp, out_dir / name)
             written.append(out_dir / name)
         return written
     except OSError:
-        for tmp, _ in staged:
+        for tmp in staged[len(written):]:
             try:
                 os.unlink(tmp)
             except OSError:

@@ -15,9 +15,10 @@ finish; tasks still queued are never sent to the backend. After an
 interrupt those tasks are written too, so resume re-runs only what never
 finished; after a failed write nothing is. resume_scan and load_run_records
 share one streaming line reader, so every task resume skips is one that
-load_run_records returns or refuses by line. A resumed run counts only its
-plan's tasks, and refuses a file stamped with another template set; a
-record's final is its last answer, UNPARSED if it failed.
+load_run_records returns or refuses by line; both refuse a line of another
+schema version. A resumed run counts only its plan's tasks, and refuses a
+file stamped with another template set. A record grades its trace, which
+holds a failed task's error, against the expert label.
 """
 from __future__ import annotations
 
@@ -26,17 +27,23 @@ import mmap
 import os
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from itertools import pairwise
 from json import loads
 from pathlib import Path
 from typing import Callable, Collection, Iterator
 
-from .backend import Backend, GenerationParams, ModelSpec
+from .backend import (
+    Backend,
+    BudgetTooSmallError,
+    ChatMessage,
+    GenerationParams,
+    ModelSpec,
+    Role,
+    truncate_to_budget,
+)
 from .corpus import Corpus
 from .taxonomy import CategoryCode, builtin_taxonomy
 from .techniques import (
-    FIXED_ROUNDS,
-    ClassificationError,
+    TRACE_SCHEMA_VERSION,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
@@ -81,6 +88,20 @@ class RunPlan:
         ):
             if len(set(names)) < len(names):
                 raise RunError(f"plan repeats a {axis}: {', '.join(names)}")
+        # A budget that cannot hold a system prompt beside a cut user message
+        # would fail every task of that technique, so refuse it up front.
+        budget = self.params.input_token_budget
+        user = ChatMessage(Role.USER, "x" * (4 * budget + 1))
+        templates, taxonomy = self.technique_config.templates, builtin_taxonomy()
+        for technique in self.techniques:
+            system = ChatMessage(Role.SYSTEM, templates.system(technique, taxonomy))
+            try:
+                truncate_to_budget([system, user], budget)
+            except BudgetTooSmallError:
+                raise RunError(
+                    f"input_token_budget {budget} is too small for the"
+                    f" {technique.value} system prompt"
+                ) from None
 
     def task_keys(self) -> list[TaskKey]:
         """Every task in plan order: incident, then technique, then model.
@@ -115,39 +136,15 @@ class RunPlan:
 class RunRecord:
     trace: ClassificationTrace
     ground_truth: CategoryCode
-    error: str | None = None
 
     def __post_init__(self) -> None:
         if self.ground_truth is CategoryCode.UNPARSED:
             raise ValueError("ground_truth may not be UNPARSED")
-        if self.error is not None and type(self.error) is not str:
-            raise TypeError(f"error must be str, got {self.error!r}")
-        turns, failed = self.trace.turns, self.error is not None
-        if not failed and not turns:
-            raise ValueError("a record without an error needs a turn")
-        expected = CategoryCode.UNPARSED if failed else turns[-1].parsed
-        if self.trace.final is not expected:
-            final, want = self.trace.final.value, expected.value
-            raise ValueError(f"final is {final}, but its turns and error give {want}")
-        # The turns a run can give: a fixed technique's rounds, fewer if it
-        # failed; PHP and PRP stop once two answers agree, so fail only before.
-        fixed = FIXED_ROUNDS.get(self.trace.technique)
-        if fixed is not None:
-            if (len(turns) >= fixed) if failed else (len(turns) != fixed):
-                raise ValueError(
-                    f"turns is {len(turns)}, but {self.trace.technique.value} runs"
-                    f" {fixed} without an error and fewer with one"
-                )
-        else:
-            for n, (a, b) in enumerate(pairwise(turns), start=2):
-                if a.parsed is b.parsed is not CategoryCode.UNPARSED and (
-                    failed or n < len(turns)
-                ):
-                    rest = "records an error" if failed else f"goes on to turn {n + 1}"
-                    raise ValueError(
-                        f"turns {n - 1} and {n} agree, but"
-                        f" {self.trace.technique.value} {rest}"
-                    )
+
+    @property
+    def error(self) -> str | None:
+        """Why the task failed, or None if it did not."""
+        return self.trace.error
 
     @property
     def key(self) -> TaskKey:
@@ -171,11 +168,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """Decode a record; a stored `correct` must be the one it implies."""
+        """Decode a record of this schema version; a stored `correct` must be
+        the one it implies."""
+        _check_versions(d)
         record = cls(
-            trace=ClassificationTrace.from_dict(d["trace"]),
+            trace=ClassificationTrace.from_dict(d["trace"], d.get("error")),
             ground_truth=_category(d["ground_truth"]),
-            error=d.get("error"),
         )
         if d["correct"] is not record.correct:
             raise ValueError(
@@ -183,6 +181,21 @@ class RunRecord:
                 f" and ground_truth {record.ground_truth.value} give {record.correct}"
             )
         return record
+
+
+def _check_versions(d: dict) -> None:
+    """A record and its trace must carry the schema versions written here."""
+    for name, found, version in (
+        ("schema_version", d.get("schema_version"), RUN_SCHEMA_VERSION),
+        ("trace schema_version", d["trace"].get("schema_version"),
+         TRACE_SCHEMA_VERSION),
+    ):
+        if type(found) is not int or found != version:
+            raise ValueError(f"{name} is {found!r}, but this version reads {version}")
+
+
+def _invalid(path: Path, lineno: int, exc: Exception) -> RunError:
+    return RunError(f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}")
 
 
 def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
@@ -236,14 +249,19 @@ def resume_scan(
 ) -> set[TaskKey]:
     """Keys of the records already in the run file; empty if there is none.
 
-    Given the plan's template_hash, a line stamped with another one raises
-    RunError: resuming would mix two template sets in one file.
+    A line of another schema version raises RunError, as load_run_records
+    refuses it. Given the plan's template_hash, so does a line stamped with
+    another one: resuming would mix two template sets in one file.
     """
     path = Path(output_path)
     if not path.exists():
         return set()
     done: set[TaskKey] = set()
     for lineno, key, d in _read_run_file(path):
+        try:
+            _check_versions(d)
+        except ValueError as exc:
+            raise _invalid(path, lineno, exc) from exc
         found = d["trace"].get("template_hash")
         if template_hash is not None and found != template_hash:
             raise RunError(
@@ -269,9 +287,7 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
         try:
             record = by_key[key] = RunRecord.from_dict(d)
         except (KeyError, TypeError, ValueError) as exc:
-            raise RunError(
-                f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise _invalid(path, lineno, exc) from exc
         template_hash = record.trace.template_hash
         if first is None:
             first = (lineno, template_hash)
@@ -332,20 +348,18 @@ def execute(
     def work(key: TaskKey) -> RunRecord:
         model_name, technique_value, incident_id = key
         incident = incidents[incident_id]
-        try:
-            trace = classify(
-                incident,
-                TechniqueId(technique_value),
-                models[model_name],
-                backend,
-                builtin_taxonomy(),
-                plan.params,
-                plan.technique_config,
-            )
-            return RunRecord(trace, incident.ground_truth)
-        except ClassificationError as exc:
-            logger.warning("task %s failed: %s", key, exc)
-            return RunRecord(exc.partial_trace, incident.ground_truth, str(exc))
+        trace = classify(
+            incident,
+            TechniqueId(technique_value),
+            models[model_name],
+            backend,
+            builtin_taxonomy(),
+            plan.params,
+            plan.technique_config,
+        )
+        if trace.error is not None:
+            logger.warning("task %s failed: %s", key, trace.error)
+        return RunRecord(trace, incident.ground_truth)
 
     executed = failed = 0
     skipped = completed = total - len(tasks)  # done may hold other plans' keys

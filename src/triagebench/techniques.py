@@ -9,7 +9,9 @@ and SHP's round 2 gets the model's own round-1 reply as indicator hints;
 HTP's three rounds (propose two candidates, test both, keep the survivor)
 differ only in their wording. Every run produces a full ClassificationTrace:
 each turn's outgoing message delta, the completion and the parsed answer.
-The trace works out its rounds, convergence and totals from those turns.
+A backend failure ends the task; its trace keeps the turns and the error,
+works out its final (the last answer, UNPARSED after an error), rounds,
+convergence and totals from them, and refuses turns no run can give.
 
 The full conversation is resent each round (the chat endpoint is stateless)
 after passing through truncate_to_budget. Prompt text lives in external
@@ -233,25 +235,49 @@ def _typed(d: dict, key: str, *types: type) -> Any:
 
 @dataclass(frozen=True, slots=True)
 class ClassificationTrace:
+    """One task's turns, and the error that ended it early, if any."""
+
     incident_id: str
     model: str
     model_group: ModelGroup
     technique: TechniqueId
     turns: tuple[TraceTurn, ...]
-    final: CategoryCode
     template_hash: str
-    # Worked out from the turns. A fixed technique converged when it ran all
-    # its FIXED_ROUNDS (a failed task did not); PHP and PRP when _agreed.
+    error: str | None = None
+    # Worked out from the turns and error. A fixed technique converged when
+    # it did not fail; PHP and PRP when _agreed.
+    final: CategoryCode = field(init=False)
     rounds_used: int = field(init=False)
     converged: bool = field(init=False)
     total_latency_ms: float = field(init=False)
     total_response_chars: int = field(init=False)
 
     def __post_init__(self) -> None:
-        turns, fixed = self.turns, FIXED_ROUNDS.get(self.technique)
+        turns, technique, failed = self.turns, self.technique, self.error is not None
+        if failed and type(self.error) is not str:
+            raise TypeError(f"error must be str, got {self.error!r}")
+        if not failed and not turns:
+            raise ValueError("a record without an error needs a turn")
+        # The turns a run can give: a fixed technique's rounds, fewer if it
+        # failed; PHP and PRP stop once two answers agree, so fail only before.
+        fixed = FIXED_ROUNDS.get(technique)
+        if fixed is not None:
+            if (len(turns) >= fixed) if failed else (len(turns) != fixed):
+                raise ValueError(
+                    f"turns is {len(turns)}, but {technique.value} runs"
+                    f" {fixed} without an error and fewer with one"
+                )
+        else:
+            for n in range(2, len(turns) + 1):
+                if _agreed(turns[:n]) and (failed or n < len(turns)):
+                    rest = "records an error" if failed else f"goes on to turn {n + 1}"
+                    raise ValueError(
+                        f"turns {n - 1} and {n} agree, but {technique.value} {rest}"
+                    )
         setattr_ = object.__setattr__
+        setattr_(self, "final", CategoryCode.UNPARSED if failed else turns[-1].parsed)
         setattr_(self, "rounds_used", len(turns))
-        setattr_(self, "converged", len(turns) == fixed if fixed else _agreed(turns))
+        setattr_(self, "converged", not failed if fixed else _agreed(turns))
         tm = [turn.completion.telemetry for turn in turns]
         setattr_(self, "total_latency_ms", sum([t.latency_ms for t in tm]))
         setattr_(self, "total_response_chars", sum([t.response_chars for t in tm]))
@@ -293,9 +319,9 @@ class ClassificationTrace:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ClassificationTrace":
-        """Decode a trace; its stored rounds, convergence and totals must be
-        the ones its turns give."""
+    def from_dict(cls, d: dict, error: str | None = None) -> "ClassificationTrace":
+        """Decode a trace, failed with error unless that is None; its stored
+        final, rounds, convergence and totals must be what those give."""
         turns = tuple(
             TraceTurn(
                 sent=tuple(
@@ -322,9 +348,12 @@ class ClassificationTrace:
             model_group=_group(d["model_group"]),
             technique=_technique(d["technique"]),
             turns=turns,
-            final=_category(d["final"]),
             template_hash=_typed(d, "template_hash", str),
+            error=error,
         )
+        if _category(d["final"]) is not trace.final:
+            want = trace.final.value
+            raise ValueError(f"final is {d['final']}, but its turns and error give {want}")
         totals = d["telemetry_totals"]
         for key, value in (
             ("rounds_used", _typed(d, "rounds_used", int)),
@@ -340,14 +369,6 @@ class ClassificationTrace:
             if value != given:
                 raise ValueError(f"{key} is {value!r}, but the turns give {given!r}")
         return trace
-
-
-class ClassificationError(Exception):
-    """Backend failure during classification; carries the partial trace."""
-
-    def __init__(self, message: str, partial_trace: ClassificationTrace) -> None:
-        super().__init__(message)
-        self.partial_trace = partial_trace
 
 
 def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> dict[str, str]:
@@ -374,8 +395,8 @@ def classify(
 ) -> ClassificationTrace:
     """Run one incident through one technique and return the full trace.
 
-    Deterministic given a scripted backend. Backend failures raise
-    ClassificationError with the partial trace attached.
+    Deterministic given a scripted backend. A backend failure ends the task:
+    the trace keeps the turns finished before it and the error's text.
     """
     templates = config.templates
     system = ChatMessage(Role.SYSTEM, templates.system(technique, taxonomy))
@@ -413,6 +434,5 @@ def classify(
             turns.append(TraceTurn(sent=sent, completion=completion, parsed=parsed))
             history += (outgoing[-1], ChatMessage(Role.ASSISTANT, completion.text))
     except BackendError as exc:
-        partial_trace = trace(turns=tuple(turns), final=CategoryCode.UNPARSED)
-        raise ClassificationError(str(exc), partial_trace=partial_trace) from exc
-    return trace(turns=tuple(turns), final=turns[-1].parsed)
+        return trace(turns=tuple(turns), error=str(exc))
+    return trace(turns=tuple(turns))

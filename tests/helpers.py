@@ -91,7 +91,6 @@ def make_trace(
         model_group=group,
         technique=technique,
         turns=turns,
-        final=final,
         template_hash=default_templates().template_hash,
     )
 

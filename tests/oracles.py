@@ -30,7 +30,6 @@ from triagebench.backend import (
 from triagebench.corpus import IncidentRecord
 from triagebench.taxonomy import CategoryCode, Taxonomy, parse_category
 from triagebench.techniques import (
-    ClassificationError,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
@@ -269,25 +268,29 @@ class _Session:
             and self.parsed[-1] is not CategoryCode.UNPARSED
         )
 
-    def build_trace(self, final: CategoryCode, converged: bool) -> ClassificationTrace:
-        """The trace, after checking that the rounds, convergence and totals
-        it works out equal the ones this engine counted."""
+    def build_trace(
+        self, final: CategoryCode, converged: bool, error: str | None = None
+    ) -> ClassificationTrace:
+        """The trace, after checking that the final, rounds, convergence and
+        totals it works out equal the ones this engine counted."""
         trace = ClassificationTrace(
             incident_id=self.incident.id,
             model=self.model.name,
             model_group=self.model.group,
             technique=self.technique,
             turns=tuple(self.turns),
-            final=final,
             template_hash=self.config.templates.template_hash,
+            error=error,
         )
         telemetry = [t.completion.telemetry for t in self.turns]
         assert (
+            trace.final,
             trace.rounds_used,
             trace.converged,
             trace.total_latency_ms,
             trace.total_response_chars,
         ) == (
+            final,
             len(self.parsed),
             converged,
             sum(tm.latency_ms for tm in telemetry),
@@ -354,11 +357,11 @@ def oracle_classify(
     params: GenerationParams,
     config: TechniqueConfig,
 ) -> ClassificationTrace:
-    """classify as one engine function per technique over a _Session."""
+    """classify as one engine function per technique over a _Session; a
+    backend failure ends the trace with its error."""
     session = _Session(incident, technique, model, backend, taxonomy, params, config)
     try:
         final, converged = _ENGINES[technique](session)
     except BackendError as exc:
-        partial = session.build_trace(CategoryCode.UNPARSED, converged=False)
-        raise ClassificationError(str(exc), partial_trace=partial) from exc
+        return session.build_trace(CategoryCode.UNPARSED, False, error=str(exc))
     return session.build_trace(final, converged)

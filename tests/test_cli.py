@@ -3,8 +3,10 @@ import dataclasses
 import gc
 import inspect
 import json
+import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -431,6 +433,15 @@ class TestAnonymize:
         assert data["a1"]["[IP_1]"] == "10.1.1.1"
         assert "sensitive" in capsys.readouterr().out
 
+    def test_mapping_is_owner_only(self, tmp_path, umask_022):
+        src = write_corpus(tmp_path / "raw.jsonl", [GOOD_ROW])
+        rc = cli.main(["anonymize", str(src), "--out", str(tmp_path / "clean.jsonl"),
+                       "--write-mapping", str(tmp_path / "mapping.json")])
+        assert rc == EXIT_OK
+        assert _modes(tmp_path) == {
+            "raw.jsonl": 0o644, "clean.jsonl": 0o644, "mapping.json": 0o600,
+        }
+
     def test_custom_rule(self, tmp_path):
         src = write_corpus(
             tmp_path / "raw.jsonl",
@@ -538,6 +549,26 @@ class TestRunScripted:
         assert len(out.read_bytes().splitlines()) == 24
         stdout = capsys.readouterr().out
         assert "[24/24]" in stdout and "[25/" not in stdout
+
+    @pytest.mark.parametrize("budget, rc", [(334, EXIT_USAGE), (335, EXIT_OK)])
+    def test_budget_too_small_for_a_system_prompt_refused_before_any_record(
+        self, tmp_path, capsys, budget, rc
+    ):
+        config = tmp_path / "triage.ini"
+        config.write_text(f"[generation]\ninput_token_budget = {budget}\n", "utf-8")
+        out = tmp_path / "run.jsonl"
+        args = ["--config", str(config), "run", "--backend", "scripted",
+                "--techniques", "ZSL", "--out", str(out)]
+        assert cli.main(args) == rc
+        captured = capsys.readouterr()
+        if rc == EXIT_USAGE:
+            assert captured.err == (
+                "error: input_token_budget 334 is too small for the ZSL system prompt\n"
+            )
+            assert not out.exists()
+        else:
+            assert "24 of 24 tasks executed (0 resumed, 0 failed" in captured.out
+            assert [r.error for r in load_run_records(out)] == [None] * 24
 
     RESUME_ARGS = ["run", "--backend", "scripted", "--models", "demo,m2"]
 
@@ -1070,7 +1101,65 @@ def scripted_run_file(tmp_path):
     return out
 
 
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _modes(directory):
+    return {p.name: stat.S_IMODE(p.stat().st_mode) for p in directory.iterdir()}
+
+
 class TestReport:
+    def test_artifacts_take_the_umask_mode(self, scripted_run_file, tmp_path, umask_022):
+        out_dir = tmp_path / "reports"
+        assert cli.main(["report", str(scripted_run_file), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert _modes(out_dir) == dict.fromkeys(
+            ["metrics.csv", "metrics.md", "plot_data.json"], 0o644
+        )
+        os.umask(0o077)
+        assert cli.main(["report", str(scripted_run_file), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert set(_modes(out_dir).values()) == {0o600}
+
+    def test_artifact_that_cannot_be_replaced_keeps_the_moved_ones_whole(
+        self, scripted_run_file, tmp_path, capsys
+    ):
+        good, out_dir = tmp_path / "good", tmp_path / "d"
+        assert cli.main(["report", str(scripted_run_file), "--out-dir", str(good)]) == EXIT_OK
+        (out_dir / "metrics.md").mkdir(parents=True)
+        capsys.readouterr()
+        rc = cli.main(["report", str(scripted_run_file), "--out-dir", str(out_dir)])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out_dir / 'metrics.md'}: Is a directory\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.csv", "metrics.md"]
+        assert (out_dir / "metrics.csv").read_bytes() == (good / "metrics.csv").read_bytes()
+
+    def test_other_or_missing_schema_version_exit_two(
+        self, scripted_run_file, tmp_path, capsys
+    ):
+        # Line 2 of another version, line 3 of none: report and resume
+        # both refuse line 2.
+        rows = [json.loads(x) for x in scripted_run_file.read_text("utf-8").splitlines()]
+        rows[1]["schema_version"], rows[1]["trace"]["schema_version"] = 2, 7
+        del rows[2]["schema_version"], rows[2]["trace"]["schema_version"]
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+        scripted_run_file.write_text(text, "utf-8")
+        refusal = (
+            f"error: {scripted_run_file}:2: invalid record: ValueError:"
+            " schema_version is 2, but this version reads 1\n"
+        )
+        rc = cli.main(["report", str(scripted_run_file), "--out-dir", str(tmp_path / "r")])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
+        rc = cli.main(["run", "--backend", "scripted", "--techniques", "ZSL,PHP",
+                       "--out", str(scripted_run_file), "--resume"])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
+        assert scripted_run_file.read_text("utf-8") == text
+
     def test_all_formats_default(self, scripted_run_file, tmp_path, capsys):
         out_dir = tmp_path / "reports"
         rc = cli.main(["report", str(scripted_run_file), "--out-dir", str(out_dir)])
@@ -1358,6 +1447,11 @@ class TestDemo:
             "plot_data.json",
         ]
         assert len(load_run_records(out_dir / "demo_run.jsonl")) == 120
+
+    def test_artifacts_take_the_umask_mode(self, tmp_path, umask_022):
+        out_dir = tmp_path / "demo-out"
+        assert cli.main(["demo", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert set(_modes(out_dir).values()) == {0o644}
 
     def test_unwritable_out_dir_exit_one(self, tmp_path, capsys):
         (tmp_path / "f").touch()

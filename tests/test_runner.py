@@ -1,8 +1,9 @@
+import json
 import tempfile
 import threading
 import time
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from triagebench.backend import (
     BackendUnavailableError,
     Completion,
     GenerationParams,
+    ModelGroup,
     ScriptedBackend,
     Telemetry,
     resolve_model,
@@ -28,6 +30,7 @@ from triagebench.runner import (
 )
 from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import (
+    ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
     TemplateSet,
@@ -114,12 +117,12 @@ class ConstantBackend:
 
 
 def plan_for(tmp_path, models=("m-a",), techniques=(TechniqueId.ZSL,),
-             parallelism=1, corpus=CORPUS):
+             parallelism=1, corpus=CORPUS, budget=GenerationParams.input_token_budget):
     return RunPlan(
         models=tuple(resolve_model(m) for m in models),
         techniques=techniques,
         corpus=corpus,
-        params=GenerationParams(),
+        params=GenerationParams(input_token_budget=budget),
         technique_config=TechniqueConfig(),
         seed=0,
         output_path=tmp_path / "run.jsonl",
@@ -195,6 +198,16 @@ class TestRunPlan:
         with pytest.raises(RunError):
             plan_for(tmp_path, parallelism=0)
 
+    def test_rejects_a_budget_too_small_for_a_system_prompt(self, tmp_path):
+        # A task would fail at its first request: the prompt and a cut user
+        # message do not fit. PRP's system prompt is the longest.
+        techniques = (TechniqueId.ZSL, TechniqueId.PRP)
+        with pytest.raises(RunError, match="input_token_budget 366 is too small"
+                                           " for the PRP system prompt"):
+            plan_for(tmp_path, techniques=techniques, budget=366)
+        plan = plan_for(tmp_path, techniques=techniques, budget=367)
+        assert execute(plan, ConstantBackend()).failed == 0
+
     def test_rejects_repeated_model_or_technique(self, tmp_path):
         with pytest.raises(RunError, match="repeats a model"):
             plan_for(tmp_path, models=("m-a", "m-a"))
@@ -231,15 +244,30 @@ class TestGrade:
         trace = make_trace(
             technique=TechniqueId.PHP, final=CategoryCode.CAT2, rounds_used=2
         )
-        claimed = replace(trace, final=CategoryCode.CAT3)
+        assert trace.final is CategoryCode.CAT2
+        failed = replace(trace, error="down")
+        assert failed.final is CategoryCode.UNPARSED
+        assert RunRecord(failed, CategoryCode.CAT2).correct is False
+        d = RunRecord(trace, CategoryCode.CAT3).to_dict()
+        d["trace"]["final"] = "CAT3"
         with pytest.raises(ValueError, match="final is CAT3, but .* give CAT2"):
-            RunRecord(claimed, CategoryCode.CAT3)
+            RunRecord.from_dict(d)
+        d["trace"]["final"], d["error"] = "CAT2", "down"
         with pytest.raises(ValueError, match="final is CAT2, but .* give UNPARSED"):
-            RunRecord(trace, CategoryCode.CAT2, error="down")
-        failed = replace(trace, final=CategoryCode.UNPARSED)
-        assert RunRecord(failed, CategoryCode.CAT2, error="down").correct is False
+            RunRecord.from_dict(d)
         with pytest.raises(ValueError, match="needs a turn"):
-            RunRecord(make_trace(rounds_used=0), CategoryCode.CAT1)
+            make_trace(rounds_used=0)
+
+    def test_error_is_the_traces_and_written_beside_it(self):
+        failed = replace(make_trace(technique=TechniqueId.PRP, rounds_used=1),
+                         error="down")
+        record = RunRecord(failed, CategoryCode.CAT1)
+        assert record.error == "down"
+        d = record.to_dict()
+        assert (d["error"], "error" in d["trace"]) == ("down", False)
+        assert RunRecord.from_dict(d) == record
+        with pytest.raises(TypeError, match="error must be str"):
+            RunRecord.from_dict({**d, "error": 7})
 
     @pytest.mark.parametrize(
         "technique, answers, error, refusal",
@@ -264,19 +292,21 @@ class TestGrade:
     def test_turns_are_ones_a_run_can_give(self, technique, answers, error, refusal):
         # A fixed technique runs its rounds, fewer if it fails; PHP and PRP
         # stop once two answers agree ("0" is UNPARSED, which never agrees).
+        # The trace itself refuses any other turns.
         codes = [CategoryCode.UNPARSED if k == "0" else CategoryCode(f"CAT{k}")
                  for k in answers.split()]
-        trace = replace(
-            make_trace(technique=TechniqueId(technique), rounds_used=0),
+        build = partial(
+            ClassificationTrace, incident_id="i", model="m",
+            model_group=ModelGroup.G1, technique=TechniqueId(technique),
             turns=tuple(TraceTurn((), Completion(c.value, Telemetry(0.0, 0)), c)
                         for c in codes),
-            final=CategoryCode.UNPARSED if error else codes[-1],
+            template_hash="h", error=error,
         )
         if refusal is None:
-            RunRecord(trace, CategoryCode.CAT1, error)
+            assert build().final is (CategoryCode.UNPARSED if error else codes[-1])
         else:
             with pytest.raises(ValueError, match=refusal):
-                RunRecord(trace, CategoryCode.CAT1, error)
+                build()
 
 
 class TestExecuteSerial:
@@ -319,7 +349,36 @@ class TestExecuteSerial:
         assert all(r.trace.final is CategoryCode.UNPARSED for r in records)
 
 
+    def test_interrupt_propagates_and_writes_nothing_for_its_task(self, tmp_path):
+        plan = plan_for(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            execute(plan, ConstantBackend(crash_after=1))
+        records = load_run_records(plan.output_path)
+        assert [(r.trace.incident_id, r.error) for r in records] == [("i1", None)]
+
+
 class TestResume:
+    @pytest.mark.parametrize("where, version", [
+        ("record", 2), ("trace", 7), ("record", None), ("trace", None),
+        ("record", True), ("trace", 1.0),
+    ])
+    def test_other_or_missing_schema_version_refused_by_line(
+        self, tmp_path, where, version
+    ):
+        records = [make_record(incident_id=f"i{n}") for n in (1, 2, 3)]
+        path = write_run_file(tmp_path / "run.jsonl", records)
+        rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+        d = rows[1] if where == "record" else rows[1]["trace"]
+        if version is None:
+            del d["schema_version"]
+        else:
+            d["schema_version"] = version
+        path.write_text("".join(canonical_dumps(r) + "\n" for r in rows), "utf-8")
+        refusal = "run\\.jsonl:2: invalid record: ValueError: .*schema_version is"
+        for read in (resume_scan, load_run_records):
+            with pytest.raises(RunError, match=refusal):
+                read(path)
+
     def test_kill_and_resume_yields_exact_product(self, tmp_path):
         plan = plan_for(tmp_path, models=("m-a", "m-b"),
                         techniques=(TechniqueId.ZSL, TechniqueId.SHP))
@@ -537,10 +596,18 @@ def _break_rounds(d):
     d["trace"]["rounds_used"] += 1
 
 
+def _break_version(d):
+    d["schema_version"] = 2
+
+
+def _break_trace_version(d):
+    del d["trace"]["schema_version"]
+
+
 # Edits that keep the task key but stop the line decoding as a record.
 _BREAKS = [
     _break_final, _break_group, _break_truth, _break_totals, _break_turns,
-    _break_rounds,
+    _break_rounds, _break_version, _break_trace_version,
 ]
 
 _line = st.one_of(

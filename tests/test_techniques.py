@@ -24,7 +24,6 @@ from triagebench.taxonomy import (
 )
 from triagebench.techniques import (
     FIXED_ROUNDS,
-    ClassificationError,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
@@ -455,7 +454,7 @@ class TestTraces:
     def test_summary_is_worked_out_not_passed(self):
         trace, _ = run(TechniqueId.PRP, ["FINAL: CAT2", "FINAL: CAT2"])
         fields = {f.name: f.init for f in dataclasses.fields(trace)}
-        for name in ("rounds_used", "converged", "total_latency_ms",
+        for name in ("final", "rounds_used", "converged", "total_latency_ms",
                      "total_response_chars"):
             assert fields[name] is False
         kwargs = {k: getattr(trace, k) for k, init in fields.items() if init}
@@ -545,32 +544,53 @@ class TestTraces:
         assert canonical_dumps(first.to_dict()) == canonical_dumps(second.to_dict())
 
 
-class TestClassificationError:
-    def test_partial_trace_attached(self):
-        with pytest.raises(ClassificationError) as err:
-            run(TechniqueId.PHP, ["FINAL: CAT1", "FINAL: CAT2"], max_rounds=3)
-        partial = err.value.partial_trace
-        assert partial.rounds_used == 2
-        assert partial.final is CategoryCode.UNPARSED
-        assert partial.converged is False
+class TestFailedClassification:
+    @pytest.mark.parametrize("technique", list(TechniqueId))
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_failure_returns_the_finished_turns_and_the_error(self, technique, fail_at):
+        # Replies that never agree, so PHP and PRP always ask again.
+        backend = _FailingBackend(["FINAL: CAT1", "FINAL: CAT2"], fail_at)
+        trace = classify(
+            INCIDENT, technique, MODEL, backend, builtin_taxonomy(),
+            GenerationParams(), TechniqueConfig(),
+        )
+        asked = min(fail_at, FIXED_ROUNDS.get(technique, 3))
+        assert len(backend.calls) == asked
+        if asked < fail_at:
+            assert trace.error is None
+            return
+        assert trace.error == f"down at call {fail_at}"
+        assert [t.parsed.value for t in trace.turns] == ["CAT1", "CAT2"][: fail_at - 1]
+        assert trace.rounds_used == fail_at - 1
+        assert trace.final is CategoryCode.UNPARSED
+        assert trace.converged is False
 
-    def test_zero_round_failure_still_traces(self):
+    def test_interrupt_propagates(self):
+        class Interrupted:
+            def complete(self, model, messages, params):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            classify(
+                INCIDENT, TechniqueId.PHP, MODEL, Interrupted(), builtin_taxonomy(),
+                GenerationParams(), TechniqueConfig(),
+            )
+
+    def test_error_is_read_back_beside_the_trace(self):
         class DownBackend:
             def complete(self, model, messages, params):
                 raise BackendUnavailableError("down")
 
-        with pytest.raises(ClassificationError) as err:
-            classify(
-                INCIDENT,
-                TechniqueId.ZSL,
-                MODEL,
-                DownBackend(),
-                builtin_taxonomy(),
-                GenerationParams(),
-                TechniqueConfig(),
-            )
-        assert err.value.partial_trace.rounds_used == 0
-        assert err.value.partial_trace.final is CategoryCode.UNPARSED
+        trace = classify(
+            INCIDENT, TechniqueId.ZSL, MODEL, DownBackend(), builtin_taxonomy(),
+            GenerationParams(), TechniqueConfig(),
+        )
+        assert (trace.turns, trace.error, trace.final) == ((), "down", CategoryCode.UNPARSED)
+        d = trace.to_dict()
+        assert "error" not in d
+        assert ClassificationTrace.from_dict(d, "down") == trace
+        with pytest.raises(ValueError, match="needs a turn"):
+            ClassificationTrace.from_dict(d)
 
 
 class _FailingBackend:
@@ -625,23 +645,18 @@ def test_classify_matches_engine_oracle(technique, max_rounds, replies, fail_at,
     outcomes = []
     for fn in (classify, oracle_classify):
         backend = _FailingBackend(replies, fail_at)
-        try:
-            trace = fn(
-                INCIDENT,
-                technique,
-                MODEL,
-                backend,
-                builtin_taxonomy(),
-                GenerationParams(input_token_budget=budget),
-                TechniqueConfig(max_rounds=max_rounds),
-            )
-            outcome = ("trace", trace.to_dict())
-        except ClassificationError as err:
-            trace = err.partial_trace
-            outcome = ("error", str(err), trace.to_dict())
-        # Its stored summary is the one its turns give on reading back.
-        assert ClassificationTrace.from_dict(trace.to_dict()) == trace
-        outcomes.append((outcome, backend.calls))
+        trace = fn(
+            INCIDENT,
+            technique,
+            MODEL,
+            backend,
+            builtin_taxonomy(),
+            GenerationParams(input_token_budget=budget),
+            TechniqueConfig(max_rounds=max_rounds),
+        )
+        # Its stored summary is the one its turns and error give on reading back.
+        assert ClassificationTrace.from_dict(trace.to_dict(), trace.error) == trace
+        outcomes.append(((trace.error, trace.to_dict()), backend.calls))
     (got, got_calls), (want, want_calls) = outcomes
     assert got == want
     assert got_calls == want_calls
