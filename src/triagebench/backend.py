@@ -72,7 +72,7 @@ class ChatMessage:
             raise ValueError(f"{self.role.value} message content must be nonempty")
 
     def to_dict(self) -> dict:
-        return {"role": self.role.value, "content": self.content}
+        return {"role": self.role._value_, "content": self.content}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ import argparse
 import configparser
 import gc
 import os
+import stat
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -60,7 +62,7 @@ from .runner import (
     resume_scan,
 )
 from .techniques import TechniqueConfig, TechniqueId, TemplateError, load_templates
-from .util import canonical_dumps
+from .util import canonical_dumps, stage_beside
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -220,6 +222,32 @@ def _cannot_write(exc: OSError, path: Path | str | None = None) -> CliError:
     return CliError(f"cannot write {name}: {exc.strerror or exc}", code=EXIT_FAILURE)
 
 
+def _write_owner_only(path: Path, text: str) -> None:
+    """Write text to path with mode 0600, also over an existing file.
+
+    A missing or regular target is replaced by a file staged beside it, so
+    an old file's mode does not carry over, and a failed write leaves no
+    staged file. Anything else (a symlink, /dev/stdout among them, or a
+    FIFO) is written through in place, keeping the mode of what it names.
+    """
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    staged = stage_beside(path, text, 0o600)
+    try:
+        os.replace(staged, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(staged)
+        raise
+
+
 def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
     corpus = _load_corpus_arg(args.corpus)
     rules = list(default_rules()) + [_parse_custom_rule(s) for s in args.custom]
@@ -240,9 +268,7 @@ def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
         save_corpus(replace(corpus, records=tuple(out_records)), args.out)
         if keep:
             # Owner-only, as it undoes the anonymization.
-            fd = os.open(args.write_mapping, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-            with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(canonical_dumps(mappings) + "\n")
+            _write_owner_only(Path(args.write_mapping), canonical_dumps(mappings) + "\n")
     except OSError as exc:
         raise _cannot_write(exc)
     if keep:
@@ -253,14 +279,17 @@ def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def _progress(record: RunRecord, completed: int, total: int) -> None:
-    status = record.trace.final.value
+    # One write per line: print writes the text and its end separately, two
+    # syscalls when stdout is unbuffered. _value_ as in ClassificationTrace.to_dict.
+    trace = record.trace
+    status = trace.final._value_
     if record.error is not None:
         status = f"error ({record.error})"
-    print(
-        f"[{completed}/{total}] {record.trace.model} "
-        f"{record.trace.technique.value} {record.trace.incident_id}: {status}",
-        flush=True,
+    sys.stdout.write(
+        f"[{completed}/{total}] {trace.model} "
+        f"{trace.technique._value_} {trace.incident_id}: {status}\n"
     )
+    sys.stdout.flush()
 
 
 def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:

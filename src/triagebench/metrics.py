@@ -396,7 +396,7 @@ def render_report(
     not at all. A failed write or move leaves no staged file; artifacts moved
     before it are the new ones, the others keep their old content.
     """
-    from .util import canonical_dumps
+    from .util import canonical_dumps, stage_beside
 
     out_dir = Path(out_dir)
     wanted = list(formats)
@@ -417,11 +417,7 @@ def render_report(
     written: list[Path] = []
     try:
         for name, text in contents.items():
-            tmp = out_dir / f".{name}.{os.urandom(6).hex()}"
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            staged.append(tmp)
-            with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            staged.append(stage_beside(out_dir / name, text, 0o666))
         for tmp, name in zip(staged, contents):
             os.replace(tmp, out_dir / name)
             written.append(out_dir / name)

@@ -159,7 +159,7 @@ class RunRecord:
         d = {
             "schema_version": RUN_SCHEMA_VERSION,
             "trace": self.trace.to_dict(),
-            "ground_truth": self.ground_truth.value,
+            "ground_truth": self.ground_truth._value_,  # see trace.to_dict
             "correct": self.correct,
         }
         if self.error is not None:
@@ -343,6 +343,7 @@ def execute(
     incidents = {rec.id: rec for rec in plan.corpus.records}
     tasks = plan.run_order(done)
     models = {m.name: m for m in plan.models}
+    techniques = {t.value: t for t in plan.techniques}  # no Enum call per task
     total = len(plan.task_keys())
 
     def work(key: TaskKey) -> RunRecord:
@@ -350,7 +351,7 @@ def execute(
         incident = incidents[incident_id]
         trace = classify(
             incident,
-            TechniqueId(technique_value),
+            techniques[technique_value],
             models[model_name],
             backend,
             builtin_taxonomy(),

@@ -42,9 +42,14 @@ class CategoryCode(str, Enum):
 
     @classmethod
     def from_number(cls, k: int) -> "CategoryCode":
-        if not 1 <= k <= 12:
+        code = _BY_NUMBER.get(k)
+        if code is None:
             raise TaxonomyError(f"category number out of range: {k}")
-        return cls(f"CAT{k}")
+        return code
+
+
+# k -> CATk, built once: no Enum call per lookup.
+_BY_NUMBER = dict(enumerate(CategoryCode.taxonomy_codes(), 1))
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,9 @@ _TOKEN_RE = re.compile(r"\bCAT(\d{1,2})\b", re.IGNORECASE)
 
 def _last_valid(matches: list[re.Match]) -> CategoryCode | None:
     for m in reversed(matches):
-        k = int(m.group(1))
-        if 1 <= k <= 12:
-            return CategoryCode.from_number(k)
+        code = _BY_NUMBER.get(int(m.group(1)))
+        if code is not None:
+            return code
     return None
 
 

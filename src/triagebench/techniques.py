@@ -283,13 +283,17 @@ class ClassificationTrace:
         setattr_(self, "total_response_chars", sum([t.response_chars for t in tm]))
 
     def to_dict(self) -> dict:
-        """The trace as stored in a run file; from_dict reads it back."""
+        """The trace as stored in a run file; from_dict reads it back.
+
+        Enum fields are read through _value_: the value property costs about
+        five times as much, and every task writes a dozen of them.
+        """
         return {
             "schema_version": TRACE_SCHEMA_VERSION,
             "incident_id": self.incident_id,
             "model": self.model,
-            "model_group": self.model_group.value,
-            "technique": self.technique.value,
+            "model_group": self.model_group._value_,
+            "technique": self.technique._value_,
             "turns": [
                 {
                     "sent": [m.to_dict() for m in t.sent],
@@ -303,12 +307,12 @@ class ClassificationTrace:
                             "server_eval_duration_ms": tm.server_eval_duration_ms,
                         },
                     },
-                    "parsed": t.parsed.value,
+                    "parsed": t.parsed._value_,
                 }
                 for t in self.turns
                 for tm in (t.completion.telemetry,)
             ],
-            "final": self.final.value,
+            "final": self.final._value_,
             "rounds_used": self.rounds_used,
             "converged": self.converged,
             "telemetry_totals": {

@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical JSON, stable hashing and enum decoding.
+"""Small shared helpers: canonical JSON, stable hashing, enum decoding and
+staged files.
 
 Canonical JSON (sorted keys, compact separators, UTF-8, no ASCII escaping)
 is used everywhere a byte-identical artifact is promised: trace lines, run
@@ -8,15 +9,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import suppress
 from enum import Enum
+from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 E = TypeVar("E", bound=Enum)
 
 
+# Built once: json.dumps with arguments builds a new encoder on every call.
+# Every caller passes a tree it built, so there is no cycle to check for; a
+# cycle would still raise RecursionError before anything is written.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
+)
+
+
 def canonical_dumps(obj: Any) -> str:
     """Serialize to the canonical JSON form used for all durable artifacts."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
 
 
 def sha256_hex(data: str | bytes) -> str:
@@ -53,3 +65,25 @@ def enum_decoder(cls: type[E]) -> Callable[[Any], E]:
 
     return decode
 
+
+
+def stage_beside(target: Path, text: str, mode: int) -> Path:
+    """Write text to a new file beside target and return that file's path.
+
+    The file gets a fresh name and mode (less the umask), so moving it over
+    target replaces target whole, with that mode. A failed write leaves no
+    file, and its OSError names target, not the staged file.
+    """
+    staged = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+    try:
+        fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(staged)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+    return staged

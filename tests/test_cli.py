@@ -34,7 +34,8 @@ from triagebench.metrics import (
     compute_metrics,
     render_report,
 )
-from triagebench.runner import RunPlan, load_run_records
+from triagebench.runner import RunPlan, RunRecord, load_run_records
+from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import (
     TechniqueConfig,
     TechniqueId,
@@ -42,7 +43,7 @@ from triagebench.techniques import (
     load_templates,
 )
 
-from helpers import corrupt_lines_2_and_3
+from helpers import corrupt_lines_2_and_3, make_trace
 
 
 @pytest.fixture(autouse=True)
@@ -442,6 +443,69 @@ class TestAnonymize:
             "raw.jsonl": 0o644, "clean.jsonl": 0o644, "mapping.json": 0o600,
         }
 
+    def test_existing_mapping_is_replaced_owner_only(self, tmp_path, umask_022):
+        src = write_corpus(tmp_path / "raw.jsonl", [{**GOOD_ROW, "text": "From 10.1.1.1."}])
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text("old\n", encoding="utf-8")
+        mapping.chmod(0o644)
+        rc = cli.main(["anonymize", str(src), "--out", str(tmp_path / "clean.jsonl"),
+                       "--write-mapping", str(mapping)])
+        assert rc == EXIT_OK
+        assert _modes(tmp_path)["mapping.json"] == 0o600
+        assert json.loads(mapping.read_text(encoding="utf-8")) == {"a1": {"[IP_1]": "10.1.1.1"}}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clean.jsonl", "mapping.json", "raw.jsonl"
+        ]
+
+    def test_failed_mapping_move_leaves_no_staged_file(self, tmp_path, capsys, monkeypatch):
+        src = write_corpus(tmp_path / "raw.jsonl", [GOOD_ROW])
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text("old\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(src), None, str(dst))
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        rc = cli.main(["anonymize", str(src), "--out", str(tmp_path / "clean.jsonl"),
+                       "--write-mapping", str(mapping)])
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: cannot write {mapping}: Permission denied\n"
+        assert mapping.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clean.jsonl", "mapping.json", "raw.jsonl"
+        ]
+
+    def test_mapping_to_a_fifo_is_written_in_place(self, tmp_path):
+        src = write_corpus(tmp_path / "raw.jsonl", [GOOD_ROW])
+        fifo = tmp_path / "mapping.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+        try:
+            rc = cli.main(["anonymize", str(src), "--out", str(tmp_path / "clean.jsonl"),
+                           "--write-mapping", str(fifo)])
+            assert rc == EXIT_OK
+            assert os.read(reader, 4096) == b"{}\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_mapping_through_a_symlink_is_written_through_it(self, tmp_path, umask_022):
+        # The /dev/stdout-redirected-to-a-file case: the link stays, its
+        # target gets the new content.
+        src = write_corpus(tmp_path / "raw.jsonl", [{**GOOD_ROW, "text": "From 10.1.1.1."}])
+        target = tmp_path / "real.json"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "mapping.json"
+        link.symlink_to(target)
+        rc = cli.main(["anonymize", str(src), "--out", str(tmp_path / "clean.jsonl"),
+                       "--write-mapping", str(link)])
+        assert rc == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text(encoding="utf-8")) == {"a1": {"[IP_1]": "10.1.1.1"}}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clean.jsonl", "mapping.json", "raw.jsonl", "real.json"
+        ]
+
     def test_custom_rule(self, tmp_path):
         src = write_corpus(
             tmp_path / "raw.jsonl",
@@ -516,6 +580,40 @@ class TestAnonymize:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {paths[unwritable]}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _Writes:
+    """A stdout that keeps each write and notes each flush."""
+
+    def __init__(self) -> None:
+        self.calls: list[str | None] = []
+
+    def write(self, text: str) -> int:
+        self.calls.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        self.calls.append(None)
+
+
+class TestProgress:
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (None, "[2/12000] Gemma 3 27B ZSL inc-ü: CAT1\n"),
+            ("down: Grüße", "[2/12000] Gemma 3 27B ZSL inc-ü: error (down: Grüße)\n"),
+        ],
+    )
+    def test_one_write_per_record_then_a_flush(self, monkeypatch, error, line):
+        # One write, "\n" included: print would write the text and its end
+        # separately, which is two syscalls on an unbuffered stdout.
+        trace = make_trace(incident_id="inc-ü", model="Gemma 3 27B")
+        if error is not None:
+            trace = dataclasses.replace(trace, turns=(), error=error)
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._progress(RunRecord(trace, CategoryCode.CAT1), 2, 12000)
+        assert out.calls == [line, None]
 
 
 class TestRunScripted:

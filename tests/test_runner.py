@@ -521,6 +521,79 @@ def test_resume_from_any_cut_matches_uninterrupted_run(parallelism, data):
             assert by_key[0] == by_key[1]
 
 
+# Telemetry numbers as a server may report them, NaN and infinities included.
+_maybe_float = st.none() | st.integers(-(2**63), 2**63) | st.floats()
+
+
+class DrawnBackend:
+    """Answers call n with replies[n % len(replies)]: a Completion, or a
+    BackendUnavailableError message to raise."""
+
+    def __init__(self, replies: list) -> None:
+        self.replies = replies
+        self.calls = 0
+
+    def complete(self, model, messages, params):
+        reply = self.replies[self.calls % len(self.replies)]
+        self.calls += 1
+        if isinstance(reply, str):
+            raise BackendUnavailableError(reply)
+        return reply
+
+
+_completions = st.builds(
+    Completion,
+    text=st.text(),
+    telemetry=st.builds(
+        Telemetry,
+        latency_ms=st.integers(0, 10**6) | st.floats(),
+        response_chars=st.integers(0, 10**6),
+        prompt_tokens=st.none() | st.integers(0, 10**6),
+        output_tokens=st.none() | st.integers(0, 10**6),
+        server_eval_duration_ms=_maybe_float,
+    ),
+)
+
+
+def _plain(value) -> bool:
+    """Only JSON's own types: no Enum member, not even a str one."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.text(min_size=1), min_size=1, max_size=2),
+    replies=st.lists(_completions | st.text(), min_size=1, max_size=4),
+)
+def test_written_line_is_canonical_json_of_plain_types(texts, replies):
+    """Each line execute writes is json.dumps's canonical form of itself,
+    and every to_dict() holds plain JSON types only."""
+    corpus = Corpus(
+        records=tuple(
+            IncidentRecord(id=f"i{n}-ü", text=text, ground_truth=CODES[n])
+            for n, text in enumerate(texts)
+        )
+    )
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = plan_for(Path(tmp), models=("modèle",), corpus=corpus,
+                        techniques=(TechniqueId.ZSL, TechniqueId.PRP))
+        execute(plan, DrawnBackend(replies), on_record=lambda r, *_: records.append(r))
+        lines = plan.output_path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == "" and len(lines) == len(records)
+    for line, record in zip(lines, records):
+        assert line == json.dumps(
+            json.loads(line), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        )
+        d = record.to_dict()
+        assert _plain(d)
+        assert canonical_dumps(d) == line
+
+
 class TestLoadRunRecords:
     def test_duplicate_key_later_line_wins(self, tmp_path):
         early = make_record(truth=CategoryCode.CAT1, final=CategoryCode.CAT2,

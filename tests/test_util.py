@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from triagebench.backend import ModelGroup, Role
 from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import TechniqueId
-from triagebench.util import enum_decoder
+from triagebench.util import canonical_dumps, enum_decoder, stage_beside
 
 ENUMS = (Role, CategoryCode, ModelGroup, TechniqueId)
 
@@ -43,3 +45,38 @@ def test_enum_decoder_agrees_with_the_enum_call(cls, data):
     else:
         assert decoded == expected
 
+
+
+_json = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(value=_json)
+def test_canonical_dumps_is_json_dumps_sorted_compact_unescaped(value):
+    assert canonical_dumps(value) == json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+
+
+@pytest.mark.parametrize("container", [dict, list])
+def test_canonical_dumps_of_a_cycle_raises(container):
+    cycle = container()
+    if container is dict:
+        cycle["self"] = cycle
+    else:
+        cycle.append(cycle)
+    with pytest.raises(RecursionError):
+        canonical_dumps(cycle)
+
+
+def test_stage_beside_leaves_no_file_when_the_write_fails(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        stage_beside(tmp_path / "out.json", "lone \ud800 surrogate", 0o600)
+    assert list(tmp_path.iterdir()) == []
+    target = tmp_path / "missing" / "out.json"
+    with pytest.raises(FileNotFoundError) as raised:
+        stage_beside(target, "text", 0o600)
+    assert raised.value.filename == str(target)
