@@ -68,7 +68,8 @@ class ChatMessage:
     content: str
 
     def __post_init__(self) -> None:
-        if self.role in (Role.SYSTEM, Role.USER) and not self.content:
+        # content first: most messages are nonempty, so the role is not read.
+        if not self.content and self.role in (Role.SYSTEM, Role.USER):
             raise ValueError(f"{self.role.value} message content must be nonempty")
 
     def to_dict(self) -> dict:
@@ -131,8 +132,12 @@ class Backend(Protocol):
 
 
 def estimate_tokens(messages: Sequence[ChatMessage]) -> int:
-    """chars/4 heuristic, rounded up per message."""
-    return sum((len(m.content) + 3) // 4 for m in messages)
+    """chars/4 heuristic, rounded up per message.
+
+    Sums a list rather than a generator: for the few messages of a
+    transcript, the list is built faster than a generator is resumed.
+    """
+    return sum([(len(m.content) + 3) // 4 for m in messages])
 
 
 def truncate_to_budget(
@@ -395,14 +400,16 @@ class OllamaBackend:
                 raise ProtocolError(f"malformed server reply: {resp.text[:200]!r}")
 
             total_ns = _measure(body.get("total_duration"))
+            # Positional, in field order: latency, chars, prompt and output
+            # tokens, server time.
             telemetry = Telemetry(
-                latency_ms=latency_ms,
-                response_chars=len(text),
-                prompt_tokens=_measure(body.get("prompt_eval_count")),
-                output_tokens=_measure(body.get("eval_count")),
-                server_eval_duration_ms=None if total_ns is None else total_ns / 1e6,
+                latency_ms,
+                len(text),
+                _measure(body.get("prompt_eval_count")),
+                _measure(body.get("eval_count")),
+                None if total_ns is None else total_ns / 1e6,
             )
-            return Completion(text=text, telemetry=telemetry)
+            return Completion(text, telemetry)
 
         raise BackendUnavailableError(
             f"backend at {self.base_url} unavailable after "
@@ -442,10 +449,7 @@ class ScriptedBackend:
                 )
             reply = self._script[self._pos]
             self._pos += 1
-        return Completion(
-            text=reply,
-            telemetry=Telemetry(latency_ms=0.0, response_chars=len(reply)),
-        )
+        return Completion(reply, Telemetry(0.0, len(reply)))
 
 
 _REGISTRY_NAMES = {

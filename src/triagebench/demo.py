@@ -80,10 +80,11 @@ def _tech_hash(technique: TechniqueId, incident_id: str) -> int:
 
 
 def _plan_outcomes(
-    technique: TechniqueId, ids: tuple[str, ...]
+    technique: TechniqueId, hashes: dict[str, int]
 ) -> tuple[frozenset[str], frozenset[str]]:
-    """(ids answered correctly, ids left unparsed) for one technique."""
-    ranked = sorted(ids, key=lambda i: (_tech_hash(technique, i), i))
+    """(ids answered correctly, ids left unparsed) for one technique, given
+    each corpus id's _tech_hash for it."""
+    ranked = sorted(hashes, key=lambda i: (hashes[i], i))
     correct = frozenset(ranked[: _TARGET_CORRECT[technique]])
     unparsed: frozenset[str] = frozenset()
     if technique is TechniqueId.HTP:
@@ -196,12 +197,13 @@ def _htp_replies(pred: CategoryCode, unparsed: bool) -> list[str]:
 def _reply_block(
     technique: TechniqueId,
     incident: IncidentRecord,
+    h: int,
     outcomes: tuple[frozenset[str], frozenset[str]],
     max_rounds: int,
 ) -> list[str]:
-    """The replies one model gives for one (technique, incident) task."""
+    """The replies one model gives for one (technique, incident) task whose
+    _tech_hash is h."""
     correct_ids, unparsed_ids = outcomes
-    h = _tech_hash(technique, incident.id)
     pred = (
         incident.ground_truth
         if incident.id in correct_ids
@@ -230,27 +232,25 @@ def build_demo_script(
     for a (technique, incident) pair, and outcomes are ranked per technique
     over all corpus ids, so each model keeps the fixed counts for any model
     order or subset of techniques. The backend still answers in call
-    order, so replay only works with parallelism 1.
+    order, so replay only works with parallelism 1. Blocks are built one
+    technique at a time, for every corpus id: each (technique, incident)
+    hash is computed once, ranks the outcomes and picks the block, and only
+    one technique's hashes are held at a time.
     """
-    ids = tuple(rec.id for rec in corpus.records)
     incidents = {rec.id: rec for rec in corpus.records}
-    outcomes = {
-        value: _plan_outcomes(TechniqueId(value), ids)
-        for value in {technique for _, technique, _ in task_keys}
-    }
-
     blocks: dict[tuple[str, str], list[str]] = {}
-    script: list[str] = []
-    for _, technique, incident_id in task_keys:
-        block = blocks.get((technique, incident_id))
-        if block is None:
-            block = blocks[technique, incident_id] = _reply_block(
-                TechniqueId(technique),
-                incidents[incident_id],
-                outcomes[technique],
-                max_rounds,
+    for value in {technique for _, technique, _ in task_keys}:
+        technique = TechniqueId(value)
+        hashes = {i: _tech_hash(technique, i) for i in incidents}
+        outcomes = _plan_outcomes(technique, hashes)
+        for incident_id, h in hashes.items():
+            blocks[value, incident_id] = _reply_block(
+                technique, incidents[incident_id], h, outcomes, max_rounds
             )
-        script.extend(block)
+
+    script: list[str] = []
+    for _, value, incident_id in task_keys:
+        script.extend(blocks[value, incident_id])
     return script
 
 

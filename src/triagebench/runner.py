@@ -108,10 +108,11 @@ class RunPlan:
 
         This enumerates the plan; run_order() is the order a run sends it in.
         """
+        techniques = [t.value for t in self.techniques]  # one read each
         return [
-            (model.name, technique.value, incident.id)
+            (model.name, technique, incident.id)
             for incident in self.corpus.records
-            for technique in self.techniques
+            for technique in techniques
             for model in self.models
         ]
 
@@ -123,12 +124,13 @@ class RunPlan:
         incident, each incident's technique by technique. A serial run
         writes its records in this order.
         """
+        techniques = [t.value for t in self.techniques]  # one read each
         return [
             key
             for model in self.models
             for incident in self.corpus.records
-            for technique in self.techniques
-            if (key := (model.name, technique.value, incident.id)) not in done
+            for technique in techniques
+            if (key := (model.name, technique, incident.id)) not in done
         ]
 
 
@@ -344,6 +346,7 @@ def execute(
     tasks = plan.run_order(done)
     models = {m.name: m for m in plan.models}
     techniques = {t.value: t for t in plan.techniques}  # no Enum call per task
+    taxonomy, params, config = builtin_taxonomy(), plan.params, plan.technique_config
     total = len(plan.task_keys())
 
     def work(key: TaskKey) -> RunRecord:
@@ -354,9 +357,9 @@ def execute(
             techniques[technique_value],
             models[model_name],
             backend,
-            builtin_taxonomy(),
-            plan.params,
-            plan.technique_config,
+            taxonomy,
+            params,
+            config,
         )
         if trace.error is not None:
             logger.warning("task %s failed: %s", key, trace.error)
@@ -378,7 +381,9 @@ def execute(
 
         def write(record: RunRecord) -> None:
             nonlocal executed, failed, completed
-            out.write((canonical_dumps(record.to_dict()) + "\n").encode("utf-8"))
+            # Encode, then add the newline to the bytes: adding it to the
+            # str first would copy a widened (UCS-2) string once more.
+            out.write(canonical_dumps(record.to_dict()).encode("utf-8") + b"\n")
             out.flush()
             executed += 1
             completed += 1

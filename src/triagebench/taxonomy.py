@@ -182,9 +182,10 @@ _FINAL_RE = re.compile(r"FINAL\s*:\s*\[?CAT\s?(\d{1,2})\]?", re.IGNORECASE)
 _TOKEN_RE = re.compile(r"\bCAT(\d{1,2})\b", re.IGNORECASE)
 
 
-def _last_valid(matches: list[re.Match]) -> CategoryCode | None:
-    for m in reversed(matches):
-        code = _BY_NUMBER.get(int(m.group(1)))
+def _last_valid(numbers: list[str]) -> CategoryCode | None:
+    """The code of the last number in 1..12, read from the end."""
+    for k in reversed(numbers):
+        code = _BY_NUMBER.get(int(k))
         if code is not None:
             return code
     return None
@@ -195,20 +196,22 @@ def parse_category(reply: str, taxonomy: Taxonomy | None = None) -> CategoryCode
 
     Cascade, first hit wins: (1) last "FINAL: CATk" contract line,
     (2) last standalone CATk token, (3) last full category-name occurrence,
-    (4) UNPARSED. Total over arbitrary text; never raises. Among name
-    occurrences the one ending last wins, then the longer one, then the
-    category earlier in the table. Rule (3) first runs one combined scan for
-    any name and returns UNPARSED at once when it finds none.
+    (4) UNPARSED. Total over arbitrary text; never raises. Rules (1) and (2)
+    read only the numbers their regex's findall returns, from the end, and
+    keep the last one in 1..12. Among name occurrences the one ending last
+    wins, then the longer one, then the category earlier in the table.
+    Rule (3) first runs one combined scan for any name and returns UNPARSED
+    at once when it finds none.
     """
     taxonomy = taxonomy or _BUILTIN
     if not reply:
         return CategoryCode.UNPARSED
 
-    code = _last_valid(list(_FINAL_RE.finditer(reply)))
+    code = _last_valid(_FINAL_RE.findall(reply))
     if code is not None:
         return code
 
-    code = _last_valid(list(_TOKEN_RE.finditer(reply)))
+    code = _last_valid(_TOKEN_RE.findall(reply))
     if code is not None:
         return code
 

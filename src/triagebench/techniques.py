@@ -25,7 +25,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -156,7 +156,6 @@ class TemplateSet:
         self,
         tech: TechniqueId,
         round_no: int,
-        *,
         incident: str,
         hints: str = "",
         previous_answers: str = "",
@@ -375,17 +374,19 @@ class ClassificationTrace:
         return trace
 
 
-def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> dict[str, str]:
-    """Template fields for the next round, from the turns so far."""
-    if not turns:
-        return {}
+def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> tuple[str, str]:
+    """(hints, previous_answers) for the round after these turns."""
     if technique is TechniqueId.PHP:
-        return {"previous_answers": ", ".join(t.parsed.value for t in turns)}
+        return "", ", ".join([t.parsed._value_ for t in turns])
     if technique is TechniqueId.PRP:
-        return {"previous_answers": turns[-1].parsed.value}
+        return "", turns[-1].parsed._value_
     if technique is TechniqueId.SHP:
-        return {"hints": turns[-1].completion.text}
-    return {}
+        return turns[-1].completion.text, ""
+    return "", ""
+
+
+# Read once: an Enum member lookup on its class costs a property call.
+_USER, _ASSISTANT = Role.USER, Role.ASSISTANT
 
 
 def classify(
@@ -401,42 +402,46 @@ def classify(
 
     Deterministic given a scripted backend. A backend failure ends the task:
     the trace keeps the turns finished before it and the error's text.
+    Each round renders its user message, truncates the transcript, asks the
+    backend and parses the reply; round 1 gets no hints or previous answers,
+    and every later round gets _round_fields of the turns so far. Turns and
+    the trace are built positionally, in field order.
     """
     templates = config.templates
     system = ChatMessage(Role.SYSTEM, templates.system(technique, taxonomy))
-    iterative = technique not in FIXED_ROUNDS
-    rounds = FIXED_ROUNDS.get(technique, config.max_rounds)
+    rounds = FIXED_ROUNDS.get(technique)
+    iterative = rounds is None
+    if iterative:
+        rounds = config.max_rounds
+    budget = params.input_token_budget
+    hints = previous_answers = ""
     history: list[ChatMessage] = []
     turns: list[TraceTurn] = []
-    trace = partial(
-        ClassificationTrace, incident_id=incident.id, model=model.name,
-        model_group=model.group, technique=technique,
-        template_hash=templates.template_hash,
-    )
+    error = None
 
     try:
         for round_no in range(1, rounds + 1):
-            if iterative and _agreed(turns):
-                break
+            if turns:
+                if iterative and _agreed(turns):
+                    break
+                hints, previous_answers = _round_fields(technique, turns)
             user = ChatMessage(
-                Role.USER,
+                _USER,
                 templates.round(
-                    technique,
-                    round_no,
-                    incident=incident.text,
-                    **_round_fields(technique, turns),
+                    technique, round_no, incident.text, hints, previous_answers
                 ),
             )
-            outgoing = truncate_to_budget(
-                [system, *history, user], params.input_token_budget
-            )
+            outgoing = truncate_to_budget([system, *history, user], budget)
             completion = backend.complete(model, outgoing, params)
             parsed = parse_category(completion.text, taxonomy)
             # A turn records what it added to the transcript: all of it in
             # round 1, then only the new user message.
-            sent = tuple(outgoing if not history else outgoing[-1:])
-            turns.append(TraceTurn(sent=sent, completion=completion, parsed=parsed))
-            history += (outgoing[-1], ChatMessage(Role.ASSISTANT, completion.text))
+            sent = tuple(outgoing) if not history else (outgoing[-1],)
+            turns.append(TraceTurn(sent, completion, parsed))
+            history += (outgoing[-1], ChatMessage(_ASSISTANT, completion.text))
     except BackendError as exc:
-        return trace(turns=tuple(turns), error=str(exc))
-    return trace(turns=tuple(turns))
+        error = str(exc)
+    return ClassificationTrace(
+        incident.id, model.name, model.group, technique, tuple(turns),
+        templates.template_hash, error,
+    )

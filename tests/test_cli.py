@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import functools
 import gc
 import inspect
 import json
@@ -15,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import triagebench
-from triagebench import cli, runner
-from triagebench.backend import GenerationParams, OllamaBackend
+from triagebench import cli, runner, techniques
+from triagebench.backend import GenerationParams, OllamaBackend, ScriptedBackend
 from triagebench.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -614,6 +615,74 @@ class TestProgress:
         monkeypatch.setattr(sys, "stdout", out)
         cli._progress(RunRecord(trace, CategoryCode.CAT1), 2, 12000)
         assert out.calls == [line, None]
+
+
+class TestTracerSeams:
+    """The benchmark's tracer (perfbench/tracing.py) wraps these names where
+    their callers look them up; a refactor that calls around one of them
+    would leave its layer unmeasured, so each must still be called at run
+    time, and as often as its layer's rule says."""
+
+    SEAMS = [
+        (techniques, "parse_category"),
+        (techniques, "truncate_to_budget"),
+        (techniques.TemplateSet, "system"),
+        (techniques.TemplateSet, "round"),
+        (runner, "classify"),
+        (runner, "canonical_dumps"),
+        (runner.RunPlan, "task_keys"),
+        (ScriptedBackend, "complete"),
+        (cli, "execute"),
+        (cli, "load_corpus"),
+        (cli, "build_demo_script"),
+        (cli, "_progress"),
+    ]
+
+    def test_each_traced_name_runs_once_per_call_of_its_layer(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = Counter()
+
+        def counted(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in self.SEAMS:
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        demo = Path(triagebench.__file__).parent / "data" / "demo_corpus.jsonl"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(demo.read_text("utf-8").splitlines(True)[:4]), "utf-8")
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(
+            [
+                "run", "--backend", "scripted",
+                "--models", "demo,m2",
+                "--techniques", "ZSL,PHP,SHP,HTP,PRP",
+                "--corpus", str(corpus),
+                "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        records = load_run_records(out)
+        tasks = len(records)
+        assert tasks == 2 * 5 * 4
+        replies = calls["complete"]
+        assert replies == sum(r.trace.rounds_used for r in records) > tasks
+        # Once per backend call: render the user message, truncate, parse.
+        for name in ("round", "truncate_to_budget", "parse_category"):
+            assert calls[name] == replies, name
+        # Once per task, plus once per technique for the plan's budget check.
+        assert calls["system"] == tasks + 5
+        # Once per record: classify it, serialize it, report its progress.
+        for name in ("classify", "canonical_dumps", "_progress"):
+            assert calls[name] == tasks, name
+        for name in ("task_keys", "execute", "load_corpus", "build_demo_script"):
+            assert calls[name] == 1, name
 
 
 class TestRunScripted:
