@@ -12,10 +12,9 @@ from .backend import (
     ModelSpec,
     OllamaBackend,
     ScriptedBackend,
-    builtin_model_registry,
     resolve_model,
 )
-from .corpus import Corpus, IncidentRecord, balanced_sample, load_corpus, save_corpus
+from .corpus import Corpus, IncidentRecord, load_corpus, save_corpus
 from .metrics import MetricsReport, compare_to_reference, compute_metrics
 from .runner import RunPlan, RunRecord, execute, load_run_records
 from .taxonomy import CategoryCode, Taxonomy, builtin_taxonomy, parse_category
@@ -36,13 +35,11 @@ __all__ = [
     "IncidentRecord",
     "load_corpus",
     "save_corpus",
-    "balanced_sample",
     "GenerationParams",
     "ModelGroup",
     "ModelSpec",
     "OllamaBackend",
     "ScriptedBackend",
-    "builtin_model_registry",
     "resolve_model",
     "TechniqueId",
     "TechniqueConfig",

@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Protocol, Sequence
 
+from .util import utf8_encodable
+
 DEFAULT_BASE_URL = "http://127.0.0.1:11434"
 TRUNCATION_MARKER = "[TRUNCATED]"
 
@@ -396,7 +398,7 @@ class OllamaBackend:
                 text = body["message"]["content"]
             except (ValueError, KeyError, TypeError):
                 text = None
-            if not isinstance(text, str):
+            if not isinstance(text, str) or not utf8_encodable(text):
                 raise ProtocolError(f"malformed server reply: {resp.text[:200]!r}")
 
             total_ns = _measure(body.get("total_duration"))
@@ -465,13 +467,6 @@ _REGISTRY_NAMES = {
     ),
 }
 
-_REGISTRY = tuple(
-    ModelSpec(name, group)
-    for group, names in _REGISTRY_NAMES.items()
-    for name in names
-)
-
-
 # An Ollama tag's variant suffix after its size ("70b-instruct-q4_K_M")
 # names a quantization or fine-tune of the same model.
 _VARIANT_RE = re.compile(r"(:[0-9.]+b)-.*", re.IGNORECASE)
@@ -481,12 +476,12 @@ def _normalize_name(name: str) -> str:
     return "".join(ch for ch in name.lower() if ch.isalnum())
 
 
-_GROUP_BY_NORMALIZED = {_normalize_name(m.name): m.group for m in _REGISTRY}
-
-
-def builtin_model_registry() -> tuple[ModelSpec, ...]:
-    """All 22 evaluated models, 11 per group."""
-    return _REGISTRY
+# All 22 evaluated models, 11 per group.
+_GROUP_BY_NORMALIZED = {
+    _normalize_name(name): group
+    for group, names in _REGISTRY_NAMES.items()
+    for name in names
+}
 
 
 def registry_group(name: str) -> ModelGroup | None:

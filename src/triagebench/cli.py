@@ -14,9 +14,7 @@ import argparse
 import configparser
 import gc
 import os
-import stat
 import sys
-from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -62,7 +60,7 @@ from .runner import (
     resume_scan,
 )
 from .techniques import TechniqueConfig, TechniqueId, TemplateError, load_templates
-from .util import canonical_dumps, stage_beside
+from .util import canonical_dumps, write_whole
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -215,37 +213,10 @@ def _parse_custom_rule(spec: str) -> RedactionRule:
         raise CliError(f"bad redaction rule: {exc}")
 
 
-def _cannot_write(exc: OSError, path: Path | str | None = None) -> CliError:
-    """Exit 1 naming the file: os.replace's target, else the failing call's
-    file, else path."""
-    name = exc.filename2 or exc.filename or path or "output"
+def _cannot_write(exc: OSError, path: Path | str | None) -> CliError:
+    """Exit 1 naming the file: the failing call's file, else path."""
+    name = exc.filename or path
     return CliError(f"cannot write {name}: {exc.strerror or exc}", code=EXIT_FAILURE)
-
-
-def _write_owner_only(path: Path, text: str) -> None:
-    """Write text to path with mode 0600, also over an existing file.
-
-    A missing or regular target is replaced by a file staged beside it, so
-    an old file's mode does not carry over, and a failed write leaves no
-    staged file. Anything else (a symlink, /dev/stdout among them, or a
-    FIFO) is written through in place, keeping the mode of what it names.
-    """
-    try:
-        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
-    except FileNotFoundError:
-        in_place = False
-    if in_place:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    staged = stage_beside(path, text, 0o600)
-    try:
-        os.replace(staged, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(staged)
-        raise
 
 
 def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
@@ -268,9 +239,9 @@ def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
         save_corpus(replace(corpus, records=tuple(out_records)), args.out)
         if keep:
             # Owner-only, as it undoes the anonymization.
-            _write_owner_only(Path(args.write_mapping), canonical_dumps(mappings) + "\n")
+            write_whole(Path(args.write_mapping), canonical_dumps(mappings) + "\n", 0o600)
     except OSError as exc:
-        raise _cannot_write(exc)
+        raise _cannot_write(exc, args.out)
     if keep:
         print(f"mapping written to {args.write_mapping} (sensitive, handle with care)")
     summary = ", ".join(f"{k}={v}" for k, v in sorted(totals.items())) or "nothing"
@@ -421,14 +392,15 @@ def cmd_demo(args: argparse.Namespace, config: CliConfig) -> int:
             run_path.parent.mkdir(parents=True, exist_ok=True)
             run_path.write_bytes(b"")  # the demo starts from an empty run file
         report, summary = run_demo(run_path)
-        if out_dir is not None and not args.write_golden:
+        if args.write_golden:
+            target = Path(str(golden_path()))
+            write_whole(target, summary.decode("utf-8"), 0o666)
+        elif out_dir is not None:
             render_report(report, out_dir)
     except OSError as exc:
         raise _cannot_write(exc, out_dir)
 
     if args.write_golden:
-        target = Path(str(golden_path()))
-        target.write_bytes(summary)
         print(f"golden metrics written to {target}")
         return EXIT_OK
 

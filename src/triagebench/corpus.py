@@ -1,11 +1,9 @@
-"""Labeled incident corpora: JSONL/CSV loading, balanced sampling, validation.
+"""Labeled incident corpora: JSONL/CSV loading, saving and validation.
 
 JSONL is the canonical on-disk form (one UTF-8 object per line with keys
 id, text, ground_truth and optional source, language); CSV is accepted with
 that exact header. A .csv suffix picks CSV, any other suffix JSONL; both
-may start with a byte-order mark. Sampling is seeded and fully portable:
-records are chosen by SHA-256-derived priorities, not by any library PRNG,
-so the same (corpus, per_category, seed) reproduces bit-for-bit anywhere.
+may start with a byte-order mark.
 """
 from __future__ import annotations
 
@@ -17,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .anonymizer import audit
 from .taxonomy import CategoryCode
-from .util import canonical_dumps, stable_hash_int
+from .util import canonical_dumps, utf8_encodable, write_whole
 
 
 class CorpusError(ValueError):
@@ -67,14 +65,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_category(self) -> dict[CategoryCode, list[IncidentRecord]]:
-        out: dict[CategoryCode, list[IncidentRecord]] = {
-            c: [] for c in CategoryCode.taxonomy_codes()
-        }
-        for rec in self.records:
-            out[rec.ground_truth].append(rec)
-        return out
-
 
 def _record_from_mapping(row: dict, where: str) -> IncidentRecord:
     for key in ("id", "text", "ground_truth"):
@@ -94,6 +84,9 @@ def _record_from_mapping(row: dict, where: str) -> IncidentRecord:
     for key in ("text", "source", "language"):
         if row.get(key) is not None and type(row[key]) is not str:
             raise CorpusError(f"{where}: field {key!r} must be a string")
+    for key in ("id", "text", "source", "language"):
+        if type(row.get(key)) is str and not utf8_encodable(row[key]):
+            raise CorpusError(f"{where}: field {key!r} holds a lone surrogate")
     return IncidentRecord(
         id=str(row["id"]),
         text=row["text"],
@@ -163,45 +156,10 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical JSONL form (load_corpus of the result round-trips)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in corpus.records:
-            fh.write(canonical_dumps(rec.to_dict()) + "\n")
-
-
-def balanced_sample(corpus: Corpus, per_category: int, seed: int) -> Corpus:
-    """Draw per_category records from each of the 12 categories, seeded.
-
-    Selection and output order both come from SHA-256 priorities keyed on
-    (seed, record id), so equal inputs give byte-identical results across
-    runs, platforms and implementations.
-    """
-    if per_category < 1:
-        raise CorpusError("per_category must be >= 1")
-
-    buckets = corpus.by_category()
-    deficient = {
-        code.value: len(recs)
-        for code, recs in buckets.items()
-        if len(recs) < per_category
-    }
-    if deficient:
-        detail = ", ".join(f"{c}: {n}" for c, n in sorted(deficient.items()))
-        raise CorpusError(
-            f"categories with fewer than {per_category} records: {detail}"
-        )
-
-    selected: list[IncidentRecord] = []
-    for code in CategoryCode.taxonomy_codes():
-        ranked = sorted(
-            buckets[code],
-            key=lambda r: stable_hash_int(f"{seed}:{code.value}:{r.id}"),
-        )
-        selected.extend(ranked[:per_category])
-
-    selected.sort(key=lambda r: stable_hash_int(f"{seed}:order:{r.id}"))
-    return Corpus(records=tuple(selected))
+    """Write the canonical JSONL form through util.write_whole, so a failed
+    write leaves the old file whole; load_corpus of the result round-trips."""
+    text = "".join(canonical_dumps(rec.to_dict()) + "\n" for rec in corpus.records)
+    write_whole(Path(path), text, 0o666)
 
 
 @dataclass(frozen=True)

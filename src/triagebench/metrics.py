@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -389,14 +388,14 @@ def render_report(
     formats: Iterable[str] = REPORT_FORMATS,
     comparison: Sequence[ReferenceEntry] | None = None,
 ) -> list[Path]:
-    """Write the requested artifacts to out_dir.
+    """Write the requested artifacts to out_dir, in turn, each through
+    util.write_whole with the umask's mode.
 
-    Each is rendered, staged under a fresh name created with the umask's
-    mode, then moved over its target, so each artifact is replaced whole or
-    not at all. A failed write or move leaves no staged file; artifacts moved
-    before it are the new ones, the others keep their old content.
+    Each artifact is replaced whole or not at all. If one cannot be
+    written, the ones written before it are the new ones and the others
+    keep their old content.
     """
-    from .util import canonical_dumps, stage_beside
+    from .util import canonical_dumps, write_whole
 
     out_dir = Path(out_dir)
     wanted = list(formats)
@@ -413,19 +412,6 @@ def render_report(
         contents["plot_data.json"] = canonical_dumps(render_plot_data(report)) + "\n"
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    staged: list[Path] = []
-    written: list[Path] = []
-    try:
-        for name, text in contents.items():
-            staged.append(stage_beside(out_dir / name, text, 0o666))
-        for tmp, name in zip(staged, contents):
-            os.replace(tmp, out_dir / name)
-            written.append(out_dir / name)
-        return written
-    except OSError:
-        for tmp in staged[len(written):]:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        raise
+    for name, text in contents.items():
+        write_whole(out_dir / name, text, 0o666)
+    return [out_dir / name for name in contents]

@@ -1,5 +1,5 @@
 """Small shared helpers: canonical JSON, stable hashing, enum decoding and
-staged files.
+whole-file writes.
 
 Canonical JSON (sorted keys, compact separators, UTF-8, no ASCII escaping)
 is used everywhere a byte-identical artifact is promised: trace lines, run
@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 from contextlib import suppress
 from enum import Enum
 from pathlib import Path
@@ -35,6 +36,16 @@ def sha256_hex(data: str | bytes) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+def utf8_encodable(text: str) -> bool:
+    """False when text holds a lone surrogate: a JSON escape such as
+    "\\ud800" decodes to one, and no UTF-8 file can hold it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def stable_hash_int(key: str) -> int:
@@ -66,24 +77,37 @@ def enum_decoder(cls: type[E]) -> Callable[[Any], E]:
     return decode
 
 
+def write_whole(target: Path, text: str, mode: int) -> None:
+    """Write text to target as UTF-8; a file is replaced whole or not at all.
 
-def stage_beside(target: Path, text: str, mode: int) -> Path:
-    """Write text to a new file beside target and return that file's path.
-
-    The file gets a fresh name and mode (less the umask), so moving it over
-    target replaces target whole, with that mode. A failed write leaves no
-    file, and its OSError names target, not the staged file.
+    A missing or regular target is replaced by a file staged beside it under
+    a fresh name, created with mode (less the umask), then moved into place:
+    an old file's mode does not carry over, and a failure leaves the old file
+    and no staged file. Any other target (a symlink, /dev/stdout among them,
+    or a FIFO) is written through in place, keeping the mode of what it
+    names. Every OSError raised names target. Text that cannot be encoded
+    raises before any file is touched.
     """
-    staged = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+    data = text.encode("utf-8")
     try:
+        try:
+            in_place = not stat.S_ISREG(os.lstat(target).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if in_place:
+            fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            return
+        staged = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
         fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
         try:
-            with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(staged, target)
         except BaseException:
             with suppress(OSError):
                 os.unlink(staged)
             raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(target)) from exc
-    return staged

@@ -22,7 +22,7 @@ from triagebench.backend import (
     ScriptExhaustedError,
     ScriptedBackend,
     UnknownModelError,
-    builtin_model_registry,
+    _GROUP_BY_NORMALIZED,
     estimate_tokens,
     registry_group,
     resolve_model,
@@ -505,18 +505,34 @@ class TestScriptedBackend:
         assert backend.remaining() == 0
 
 
+# The 22 evaluated models, 11 per group, as the paper names them.
+PAPER_MODELS = {
+    ModelGroup.G1: (
+        "Cogito 70B", "DeepSeek R1 70B", "Falcon3 10B", "Gemma 2 27B",
+        "Gemma 3 27B", "GPT-OSS 20B", "Llama 3.3 70B", "Mistral Small 24B",
+        "Phi-4 14B", "Qwen2.5 32B", "Qwen3 32B",
+    ),
+    ModelGroup.G2: (
+        "Qwen3 8B", "Qwen2.5 7B", "Cogito 8B", "DeepSeek R1 8B", "Falcon3 7B",
+        "Gemma 2 9B", "Gemma 3 12B", "Granite3.2 8B", "Llama 3.1 8B",
+        "Mistral 7B", "Foundation-Sec 8B",
+    ),
+}
+
+
 class TestModelRegistry:
     def test_twenty_two_models_split_evenly(self):
-        registry = builtin_model_registry()
-        assert len(registry) == 22
-        by_group = {g: [m for m in registry if m.group is g] for g in ModelGroup}
-        assert len(by_group[ModelGroup.G1]) == 11
-        assert len(by_group[ModelGroup.G2]) == 11
+        assert {g: len(set(names)) for g, names in PAPER_MODELS.items()} == {
+            ModelGroup.G1: 11, ModelGroup.G2: 11,
+        }
+        for group, names in PAPER_MODELS.items():
+            assert [registry_group(n) for n in names] == [group] * 11
+        # No name beyond the 22, and no two that read as the same model.
+        assert len(_GROUP_BY_NORMALIZED) == 22
 
     def test_known_rows(self):
-        registry = {m.name: m for m in builtin_model_registry()}
-        assert registry["Qwen3 8B"].group is ModelGroup.G2
-        assert registry["GPT-OSS 20B"].group is ModelGroup.G1
+        assert registry_group("Qwen3 8B") is ModelGroup.G2
+        assert registry_group("GPT-OSS 20B") is ModelGroup.G1
 
     def test_resolve_exact_name(self):
         spec = resolve_model("Llama 3.3 70B")

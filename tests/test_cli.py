@@ -368,13 +368,16 @@ class TestValidate:
 
 class TestUnreadableCorpus:
     @pytest.mark.parametrize("command", ["validate", "run", "anonymize"])
-    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8", "lone-surrogate"])
     def test_exit_two_one_line(self, tmp_path, capsys, command, kind):
         path = tmp_path / "c.jsonl"
         if kind == "directory":
             path.mkdir()
-        else:
+        elif kind == "non-utf8":
             path.write_bytes(b"\xff" + json.dumps(GOOD_ROW).encode() + b"\n")
+        else:
+            # Valid UTF-8 whose escape decodes to text no writer can encode.
+            write_corpus(path, [GOOD_ROW, {**GOOD_ROW, "id": "a2", "text": "x \ud800"}])
         out = tmp_path / "out.jsonl"
         argv = {
             "validate": ["validate", str(path)],
@@ -463,7 +466,12 @@ class TestAnonymize:
         mapping = tmp_path / "mapping.json"
         mapping.write_text("old\n", encoding="utf-8")
 
+        real_replace = os.replace
+
         def refuse(src, dst):
+            # The corpus moves into place first; only the mapping's move fails.
+            if Path(dst) != mapping:
+                return real_replace(src, dst)
             raise PermissionError(13, "Permission denied", str(src), None, str(dst))
 
         monkeypatch.setattr(cli.os, "replace", refuse)
@@ -475,6 +483,24 @@ class TestAnonymize:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "clean.jsonl", "mapping.json", "raw.jsonl"
         ]
+
+    def test_failed_rewrite_in_place_keeps_the_corpus_whole(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        src = write_corpus(tmp_path / "c.jsonl", [
+            {**GOOD_ROW, "id": f"a{i}", "text": f"From 10.1.1.{i}."} for i in range(3)
+        ])
+        before = src.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(src), None, str(dst))
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        rc = cli.main(["anonymize", str(src), "--out", str(src)])
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: cannot write {src}: Permission denied\n"
+        assert src.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
     def test_mapping_to_a_fifo_is_written_in_place(self, tmp_path):
         src = write_corpus(tmp_path / "raw.jsonl", [GOOD_ROW])
@@ -1021,16 +1047,17 @@ class TestRunRealBackend:
         self, tmp_path, capsys, stub_server
     ):
         url, handler = stub_server
-        for content in (None, 12):
+        # The third decodes to a lone surrogate, which no run file can hold.
+        for content in (None, 12, "FINAL: CAT2 \ud83d"):
             handler.responses.append((200, json.dumps({"message": {"content": content}})))
-        rows = [GOOD_ROW, {**GOOD_ROW, "id": "a2"}]
+        rows = [GOOD_ROW, {**GOOD_ROW, "id": "a2"}, {**GOOD_ROW, "id": "a3"}]
         corpus = write_corpus(tmp_path / "c.jsonl", rows)
         out = tmp_path / "run.jsonl"
         rc = cli.main(["run", "--backend", url, "--models", "demo", "--techniques",
                        "ZSL", "--corpus", str(corpus), "--out", str(out)])
         assert rc == EXIT_OK
         errors = [r.error for r in load_run_records(out)]
-        assert len(errors) == 2
+        assert len(errors) == 3
         assert all("malformed server reply" in e for e in errors)
 
     def test_serial_run_sends_model_by_model(self, tmp_path, stub_server):
@@ -1638,6 +1665,14 @@ class TestDemo:
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "demo_run.jsonl", "metrics.csv",
         ]
+
+    def test_write_golden_replaces_the_golden_file_whole(self, tmp_path, monkeypatch):
+        golden = tmp_path / "golden.json"
+        golden.write_text("old\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "golden_path", lambda: golden)
+        assert cli.main(["demo", "--write-golden"]) == EXIT_OK
+        assert diff_against_golden(golden.read_bytes()) is None
+        assert [p.name for p in tmp_path.iterdir()] == ["golden.json"]
 
     def test_diff_reported_on_mismatch(self):
         _, summary = run_demo()

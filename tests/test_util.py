@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from triagebench import util
 from triagebench.backend import ModelGroup, Role
 from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import TechniqueId
-from triagebench.util import canonical_dumps, enum_decoder, stage_beside
+from triagebench.util import canonical_dumps, enum_decoder, write_whole
 
 ENUMS = (Role, CategoryCode, ModelGroup, TechniqueId)
 
@@ -72,11 +73,26 @@ def test_canonical_dumps_of_a_cycle_raises(container):
         canonical_dumps(cycle)
 
 
-def test_stage_beside_leaves_no_file_when_the_write_fails(tmp_path):
+def test_write_whole_leaves_no_file_when_the_write_fails(tmp_path):
     with pytest.raises(UnicodeEncodeError):
-        stage_beside(tmp_path / "out.json", "lone \ud800 surrogate", 0o600)
+        write_whole(tmp_path / "out.json", "lone \ud800 surrogate", 0o600)
     assert list(tmp_path.iterdir()) == []
     target = tmp_path / "missing" / "out.json"
     with pytest.raises(FileNotFoundError) as raised:
-        stage_beside(target, "text", 0o600)
+        write_whole(target, "text", 0o600)
     assert raised.value.filename == str(target)
+
+
+def test_write_whole_failed_move_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(src), None, str(dst))
+
+    monkeypatch.setattr(util.os, "replace", refuse)
+    with pytest.raises(PermissionError) as raised:
+        write_whole(target, "new\n", 0o666)
+    assert (raised.value.filename, raised.value.filename2) == (str(target), None)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
