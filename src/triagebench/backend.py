@@ -385,12 +385,12 @@ class OllamaBackend:
                 )
             if resp.status_code >= 500:
                 last_exc = ProtocolError(
-                    f"server error {resp.status_code}: {resp.text[:200]}"
+                    f"server error {resp.status_code}: {resp.text[:200]!r}"
                 )
                 continue
             if resp.status_code != 200:
                 raise ProtocolError(
-                    f"unexpected status {resp.status_code}: {resp.text[:200]}"
+                    f"unexpected status {resp.status_code}: {resp.text[:200]!r}"
                 )
 
             try:

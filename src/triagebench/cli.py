@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import gc
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -123,7 +122,7 @@ _CONFIG_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
 
 
 def load_config_file(path: str | Path, base: CliConfig) -> CliConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # "%" is literal
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -343,37 +342,24 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _write_report(args: argparse.Namespace) -> list[Path]:
+def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
     path = Path(args.run_file)
     try:
-        records = load_run_records(path)
+        rows = load_run_records(path)
     except RunError as exc:
         raise CliError(str(exc))
-    if not records:
+    if not rows:
         raise CliError(f"run file {path} has no records", code=EXIT_FAILURE)
 
     try:
-        report = compute_metrics(records)
+        report = compute_metrics(rows)
         comparison = compare_to_reference(report) if args.compare_paper else None
         formats = args.format or REPORT_FORMATS
-        return render_report(report, args.out_dir, formats, comparison)
+        written = render_report(report, args.out_dir, formats, comparison)
     except MetricsError as exc:
         raise CliError(str(exc), code=EXIT_FAILURE)
     except OSError as exc:
         raise _cannot_write(exc, args.out_dir)
-
-
-def cmd_report(args: argparse.Namespace, config: CliConfig) -> int:
-    # Paused from the load until _write_report has returned and its records
-    # are freed: they hold no reference cycles, and a collector pass while
-    # they live would walk every one of them.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        written = _write_report(args)
-    finally:
-        if enabled:
-            gc.enable()
     for p in written:
         print(f"wrote {p}")
     return EXIT_OK

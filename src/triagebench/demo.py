@@ -283,11 +283,11 @@ def run_demo(run_path: Path | None = None) -> tuple[MetricsReport, bytes]:
                 f"{backend.remaining()} scripted replies left over; the "
                 f"script no longer matches the engines"
             )
-        records = load_run_records(path)
-        failures = [r for r in records if r.error is not None]
+        rows = load_run_records(path)
+        failures = [r for r in rows if r.error is not None]
         if failures:
             raise DemoError(f"{len(failures)} demo tasks failed: {failures[0].error}")
-        return compute_metrics(records)
+        return compute_metrics(rows)
 
     if run_path is not None:
         report = _run(Path(run_path))

@@ -1,4 +1,4 @@
-"""Evaluation outputs computed from run records.
+"""Evaluation outputs computed from the rows of run records.
 
 Accuracy is reported per technique, per model × technique, per group ×
 technique and per model, with a 12 × 13 confusion matrix (true category ×
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .backend import ModelGroup
-from .runner import RunRecord
+from .runner import RunRow
 from .taxonomy import CategoryCode
 
 METRICS_SCHEMA_VERSION = 1
@@ -114,38 +114,37 @@ class MetricsReport:
 
 
 def _accuracy_cells(
-    scope_type: str, grouped: dict[str, list[RunRecord]]
+    scope_type: str, grouped: dict[str, list[RunRow]]
 ) -> tuple[AccuracyCell, ...]:
     cells = []
     for key in sorted(grouped):
-        records = grouped[key]
+        rows = grouped[key]
         cells.append(
             AccuracyCell(
                 scope_type=scope_type,
                 scope_key=key,
-                n_total=len(records),
-                n_correct=sum(1 for r in records if r.correct),
-                n_unparsed=sum(
-                    1 for r in records if r.trace.final is CategoryCode.UNPARSED
-                ),
+                n_total=len(rows),
+                n_correct=sum(1 for r in rows if r.correct),
+                n_unparsed=sum(1 for r in rows if r.final is CategoryCode.UNPARSED),
             )
         )
     return tuple(cells)
 
 
-def compute_metrics(records: Sequence[RunRecord]) -> MetricsReport:
-    """Aggregate run records into the full metrics report.
+def compute_metrics(rows: Sequence[RunRow]) -> MetricsReport:
+    """Aggregate the rows of run records (RunRecord.row) into the full
+    metrics report.
 
     Pure function of its inputs; scopes with no records are simply absent,
     never zero-filled.
     """
-    if not records:
+    if not rows:
         raise MetricsError("no records to compute metrics from")
 
-    by_technique: dict[str, list[RunRecord]] = {}
-    by_model_technique: dict[str, list[RunRecord]] = {}
-    by_group_technique: dict[str, list[RunRecord]] = {}
-    by_model: dict[str, list[RunRecord]] = {}
+    by_technique: dict[str, list[RunRow]] = {}
+    by_model_technique: dict[str, list[RunRow]] = {}
+    by_group_technique: dict[str, list[RunRow]] = {}
+    by_model: dict[str, list[RunRow]] = {}
 
     codes = CategoryCode.taxonomy_codes()
     row_index = {code: i for i, code in enumerate(codes)}
@@ -153,30 +152,28 @@ def compute_metrics(records: Sequence[RunRecord]) -> MetricsReport:
     col_index[CategoryCode.UNPARSED] = len(codes)
     confusion = [[0] * (len(codes) + 1) for _ in codes]
 
-    for record in records:
-        technique = record.trace.technique.value
-        model = record.trace.model
-        group = record.trace.model_group.value
-        by_technique.setdefault(technique, []).append(record)
-        by_model_technique.setdefault(f"{model}|{technique}", []).append(record)
-        by_group_technique.setdefault(f"{group}|{technique}", []).append(record)
-        by_model.setdefault(model, []).append(record)
-        confusion[row_index[record.ground_truth]][col_index[record.trace.final]] += 1
+    for row in rows:
+        model, technique, group = row.model, row.technique, row.group
+        by_technique.setdefault(technique, []).append(row)
+        by_model_technique.setdefault(f"{model}|{technique}", []).append(row)
+        by_group_technique.setdefault(f"{group}|{technique}", []).append(row)
+        by_model.setdefault(model, []).append(row)
+        confusion[row_index[row.ground_truth]][col_index[row.final]] += 1
 
     efficiency = []
     for key in sorted(by_model_technique):
-        recs = by_model_technique[key]
+        members = by_model_technique[key]
         model, technique = key.rsplit("|", 1)
         efficiency.append(
             EfficiencyCell(
                 model=model,
                 technique=technique,
-                n_records=len(recs),
-                mean_latency_ms=mean([r.trace.total_latency_ms for r in recs]),
+                n_records=len(members),
+                mean_latency_ms=mean([r.total_latency_ms for r in members]),
                 mean_response_chars=mean(
-                    [float(r.trace.total_response_chars) for r in recs]
+                    [float(r.total_response_chars) for r in members]
                 ),
-                total_turns=sum(r.trace.rounds_used for r in recs),
+                total_turns=sum(r.rounds_used for r in members),
             )
         )
 
@@ -187,7 +184,7 @@ def compute_metrics(records: Sequence[RunRecord]) -> MetricsReport:
         by_model=_accuracy_cells(SCOPE_MODEL, by_model),
         confusion=tuple(tuple(row) for row in confusion),
         efficiency=tuple(efficiency),
-        n_records=len(records),
+        n_records=len(rows),
     )
 
 

@@ -13,11 +13,13 @@ line without one, and resume cuts it off and runs its task again. An interrupt
 or a failed write stops a parallel run once the tasks already started
 finish; tasks still queued are never sent to the backend. After an
 interrupt those tasks are written too, so resume re-runs only what never
-finished; after a failed write nothing is. resume_scan and load_run_records
+finished; after a failed write nothing is. resume_scan and read_run_records
 share one streaming line reader, so every task resume skips is one that
-load_run_records returns or refuses by line; both refuse a line of another
-schema version. A resumed run counts only its plan's tasks, and refuses a
-file stamped with another template set. A record grades its trace, which
+read_run_records yields or refuses by line; both refuse a line of another
+schema version. load_run_records reduces each record at once to a RunRow,
+the few fields the metrics read, so a report holds one small row per task
+and no transcript. A resumed run counts only its plan's tasks, and refuses
+a file stamped with another template set. A record grades its trace, which
 holds a failed task's error, against the expert label.
 """
 from __future__ import annotations
@@ -29,7 +31,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from json import loads
 from pathlib import Path
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .backend import (
     Backend,
@@ -49,7 +51,7 @@ from .techniques import (
     TechniqueId,
     classify,
 )
-from .util import canonical_dumps, enum_decoder
+from .util import canonical_dumps, enum_decoder, utf8_encodable
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +90,10 @@ class RunPlan:
         ):
             if len(set(names)) < len(names):
                 raise RunError(f"plan repeats a {axis}: {', '.join(names)}")
+        # Every record stores its model's name, and a run file is UTF-8.
+        for model in self.models:
+            if not utf8_encodable(model.name):
+                raise RunError(f"model name {model.name!r} is not UTF-8")
         # A budget that cannot hold a system prompt beside a cut user message
         # would fail every task of that technique, so refuse it up front.
         budget = self.params.input_token_budget
@@ -134,6 +140,30 @@ class RunPlan:
         ]
 
 
+class RunRow(NamedTuple):
+    """What the metrics read of one record: its task, grade and totals."""
+
+    model: str
+    technique: str
+    incident_id: str
+    group: str
+    ground_truth: CategoryCode
+    final: CategoryCode
+    error: str | None
+    total_latency_ms: float
+    total_response_chars: int
+    rounds_used: int
+
+    @property
+    def key(self) -> TaskKey:
+        return (self.model, self.technique, self.incident_id)
+
+    @property
+    def correct(self) -> bool:
+        """The final answer equals the expert label (never for a failed task)."""
+        return self.final == self.ground_truth
+
+
 @dataclass(frozen=True, slots=True)
 class RunRecord:
     trace: ClassificationTrace
@@ -156,6 +186,14 @@ class RunRecord:
     def correct(self) -> bool:
         """The final answer equals the expert label (never for a failed task)."""
         return self.trace.final == self.ground_truth
+
+    def row(self) -> RunRow:
+        t = self.trace
+        return RunRow(
+            t.model, t.technique.value, t.incident_id, t.model_group.value,
+            self.ground_truth, t.final, t.error,
+            t.total_latency_ms, t.total_response_chars, t.rounds_used,
+        )
 
     def to_dict(self) -> dict:
         d = {
@@ -251,7 +289,7 @@ def resume_scan(
 ) -> set[TaskKey]:
     """Keys of the records already in the run file; empty if there is none.
 
-    A line of another schema version raises RunError, as load_run_records
+    A line of another schema version raises RunError, as read_run_records
     refuses it. Given the plan's template_hash, so does a line stamped with
     another one: resuming would mix two template sets in one file.
     """
@@ -274,20 +312,20 @@ def resume_scan(
     return done
 
 
-def load_run_records(path: str | Path) -> list[RunRecord]:
-    """Read back a run file, resolving duplicate keys to the latest line.
+def read_run_records(path: str | Path) -> Iterator[RunRecord]:
+    """Each record of a run file in line order, a repeated key's again.
 
     A line whose key decodes but whose record does not raises RunError:
     resume would skip that task, so dropping it would lose it for good. So
     does a record stamped with another template set than the first record's,
-    as its results would be averaged with results of other prompts.
+    as its results would be averaged with results of other prompts. The
+    records before a refused line are yielded before it raises.
     """
     path = Path(path)
-    by_key: dict[TaskKey, RunRecord] = {}
     first: tuple[int, str] | None = None  # line and template_hash of the first
-    for lineno, key, d in _read_run_file(path):
+    for lineno, _, d in _read_run_file(path):
         try:
-            record = by_key[key] = RunRecord.from_dict(d)
+            record = RunRecord.from_dict(d)
         except (KeyError, TypeError, ValueError) as exc:
             raise _invalid(path, lineno, exc) from exc
         template_hash = record.trace.template_hash
@@ -298,7 +336,13 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
                 f"{path}:{lineno}: template_hash {template_hash} differs from"
                 f" line {first[0]}'s {first[1]}; the run mixes template sets"
             )
-    return list(by_key.values())
+        yield record
+
+
+def load_run_records(path: str | Path) -> list[RunRow]:
+    """The row of each task in a run file; the later line of a repeated key
+    wins. Refuses a file as read_run_records does, and holds no transcript."""
+    return list({r.key: r.row() for r in read_run_records(path)}.values())
 
 
 @dataclass(frozen=True)

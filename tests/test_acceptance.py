@@ -232,16 +232,16 @@ def test_metrics_equal_independent_recount(tmp_path):
 
 
 def test_csv_accuracy_rounding_pin():
-    records = [
+    rows = [
         make_record(
             truth=CategoryCode.CAT1,
             final=CategoryCode.CAT1 if i < 148 else CategoryCode.CAT2,
             incident_id=f"pin-{i:04d}",
             technique=TechniqueId.PHP,
-        )
+        ).row()
         for i in range(240)
     ]
-    report = compute_metrics(records)
+    report = compute_metrics(rows)
     assert report.by_technique[0].accuracy_percent == 61.7
     row = next(
         line for line in render_csv(report).splitlines()
@@ -332,15 +332,15 @@ def test_live_zero_shot_smoke(tmp_path):
         parallelism=1,
     )
     execute(plan, backend)
-    records = load_run_records(plan.output_path)
-    assert len(records) == 24
-    if all(r.error is not None for r in records):
+    rows = load_run_records(plan.output_path)
+    assert len(rows) == 24
+    if all(r.error is not None for r in rows):
         pytest.skip(f"model {model.name!r} not usable on the live server")
 
-    parsed = sum(1 for r in records if r.trace.final is not CategoryCode.UNPARSED)
-    assert parsed / len(records) >= 0.9
+    parsed = sum(1 for r in rows if r.final is not CategoryCode.UNPARSED)
+    assert parsed / len(rows) >= 0.9
 
-    report = compute_metrics(records)
+    report = compute_metrics(rows)
     written = render_report(
         report, tmp_path / "report", comparison=compare_to_reference(report)
     )

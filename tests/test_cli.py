@@ -1,7 +1,6 @@
 import configparser
 import dataclasses
 import functools
-import gc
 import inspect
 import json
 import os
@@ -10,6 +9,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -29,13 +29,7 @@ from triagebench.cli import (
 )
 from triagebench.corpus import load_corpus
 from triagebench.demo import DEMO_MODEL_NAME, diff_against_golden, run_demo
-from triagebench.metrics import (
-    REPORT_FORMATS,
-    compare_to_reference,
-    compute_metrics,
-    render_report,
-)
-from triagebench.runner import RunPlan, RunRecord, load_run_records
+from triagebench.runner import RunPlan, RunRecord, load_run_records, read_run_records
 from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import (
     TechniqueConfig,
@@ -147,6 +141,20 @@ class TestConfigPrecedence:
         with pytest.raises(CliError, match="elephant"):
             load_config_file(ini, CliConfig())
 
+    def test_percent_read_as_written(self, tmp_path):
+        ini = tmp_path / "triage.ini"
+        ini.write_text(
+            "[backend]\nurl = http://127.0.0.1:9/%7Eapi\n"
+            "[run]\ntemplates_dir = templates/%(x)s\n",
+            encoding="utf-8",
+        )
+        config = load_config_file(ini, CliConfig())
+        assert config == dataclasses.replace(
+            CliConfig(),
+            backend_url="http://127.0.0.1:9/%7Eapi",
+            templates_dir="templates/%(x)s",
+        )
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         rc = cli.main(
             ["--config", str(tmp_path / "nope.ini"), "validate"]
@@ -215,7 +223,7 @@ class TestConfigKeys:
             ["--config", str(ini), "run", "--backend", "scripted", "--out", str(out)]
         )
         assert rc == EXIT_OK
-        records = load_run_records(out)
+        records = list(read_run_records(out))
         assert Counter((r.trace.model, r.trace.technique.value) for r in records) == {
             (model, technique): 24
             for model in ("Llama 3.1 8B", "Qwen3 8B")
@@ -694,11 +702,11 @@ class TestTracerSeams:
         )
         assert rc == EXIT_OK
         capsys.readouterr()
-        records = load_run_records(out)
-        tasks = len(records)
+        rows = load_run_records(out)
+        tasks = len(rows)
         assert tasks == 2 * 5 * 4
         replies = calls["complete"]
-        assert replies == sum(r.trace.rounds_used for r in records) > tasks
+        assert replies == sum(r.rounds_used for r in rows) > tasks
         # Once per backend call: render the user message, truncate, parse.
         for name in ("round", "truncate_to_budget", "parse_category"):
             assert calls[name] == replies, name
@@ -861,6 +869,17 @@ class TestRunScripted:
         err = capsys.readouterr().err
         assert err == "error: cannot write /dev/full: No space left on device\n"
 
+    def test_model_name_not_utf8_exit_two_before_any_record(self, tmp_path, capsys):
+        # What Python makes of the argv bytes b"m\xff".
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(["run", "--backend", "scripted", "--techniques", "ZSL",
+                       "--models", "m\udcff", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: model name 'm\\udcff' is not UTF-8\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--models", "--techniques"])
     def test_empty_axis_exit_two_before_any_record(self, tmp_path, capsys, flag):
         out = tmp_path / "run.jsonl"
@@ -935,7 +954,7 @@ class TestRunScripted:
             assert cli.main([*args, str(out)]) == EXIT_OK
             lines = out.read_text(encoding="utf-8").splitlines()
             assert not any("error" in json.loads(line) for line in lines)
-            return {r.key: r.to_dict() for r in load_run_records(out)}
+            return {r.key: r.to_dict() for r in read_run_records(out)}
 
         in_run_order = run(tmp_path / "run_order.jsonl")
 
@@ -974,10 +993,9 @@ class TestRunScripted:
             capsys.readouterr().out
         )
         correct, rounds = Counter(), Counter()
-        for record in load_run_records(out):
-            technique = record.trace.technique.value
-            correct[technique] += record.correct
-            rounds[technique] = max(rounds[technique], record.trace.rounds_used)
+        for row in load_run_records(out):
+            correct[row.technique] += row.correct
+            rounds[row.technique] = max(rounds[row.technique], row.rounds_used)
         # ZSL, SHP and HTP run a fixed number of rounds; PHP and PRP keep
         # the demo's counts once max_rounds lets every shape finish.
         fixed = {"ZSL": 14, "SHP": 16, "HTP": 8}
@@ -1060,6 +1078,28 @@ class TestRunRealBackend:
         assert len(errors) == 3
         assert all("malformed server reply" in e for e in errors)
 
+    def test_error_reply_body_quoted_on_one_line(
+        self, tmp_path, capsys, caplog, stub_server
+    ):
+        url, handler = stub_server
+        handler.responses += [(500, "a\nb"), (400, "a\nb")]
+        ini = tmp_path / "triage.ini"
+        ini.write_text("[backend]\nretries = 0\n", encoding="utf-8")
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOOD_ROW, {**GOOD_ROW, "id": "a2"}])
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(["--config", str(ini), "run", "--backend", url, "--models",
+                       "demo", "--techniques", "ZSL", "--corpus", str(corpus),
+                       "--out", str(out)])
+        assert rc == EXIT_OK
+        errors = [r.error for r in load_run_records(out)]
+        assert "server error 500: 'a\\nb'" in errors[0]
+        assert "unexpected status 400: 'a\\nb'" in errors[1]
+        assert not any("\n" in e for e in errors)
+        stdout = capsys.readouterr().out.splitlines()
+        assert [line[:5] for line in stdout] == ["[1/2]", "[2/2]", "2 of "]
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert len(failed) == 2 and not any("\n" in m for m in failed)
+
     def test_serial_run_sends_model_by_model(self, tmp_path, stub_server):
         url, handler = stub_server
         reply = json.dumps({"message": {"content": "FINAL: CAT2"}})
@@ -1134,7 +1174,7 @@ class TestRunRealBackend:
         assert notes == [
             "note: model 'llama3.3' is not in the registry; grouped as G2"
         ]
-        groups = {r.trace.model: r.trace.model_group.value for r in load_run_records(out)}
+        groups = {r.model: r.group for r in load_run_records(out)}
         assert groups == {"llama3.3": "G2", "llama3.3:70b-instruct-q4_K_M": "G1"}
 
         scripted = tmp_path / "scripted.jsonl"
@@ -1388,53 +1428,27 @@ class TestReport:
         assert "Reference" in text
         assert "no data" in text  # single-model run covers only a few scopes
 
-    def test_records_and_report_hold_no_reference_cycles(
-        self, scripted_run_file, tmp_path
-    ):
-        # Why report may pause the cyclic collector: reference counting
-        # alone frees all it builds, skipped and repeated lines included.
-        lines = scripted_run_file.read_bytes().splitlines(keepends=True)
-        scripted_run_file.write_bytes(
-            b"".join(lines) + b"not json\n" + lines[0] + lines[1][:200]
-        )
-        gc.collect()
-        gc.disable()
-        try:
-            records = load_run_records(scripted_run_file)
-            report = compute_metrics(records)
-            render_report(
-                report, tmp_path / "r", REPORT_FORMATS, compare_to_reference(report)
-            )
-            assert len(records) == 48
-            del records, report
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    def test_peak_memory_grows_by_a_row_per_record(self, tmp_path, capsys):
+        # One small row per task is kept, not its transcript (about 5 KB).
+        full = tmp_path / "full.jsonl"
+        args = ["run", "--backend", "scripted", "--models", "m1,m2,m3,m4"]
+        assert cli.main([*args, "--out", str(full)]) == EXIT_OK
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 480
+        half = tmp_path / "half.jsonl"
+        half.write_bytes(b"".join(lines[:240]))
 
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("invalid", [False, True], ids=["ok", "invalid-record"])
-    def test_collector_paused_then_restored(
-        self, scripted_run_file, tmp_path, monkeypatch, enabled, invalid
-    ):
-        if invalid:
-            corrupt_lines_2_and_3(scripted_run_file)
-        paused = []
-        for name in ("load_run_records", "compute_metrics", "render_report"):
-            def record_state(*args, _fn=getattr(cli, name)):
-                paused.append(not gc.isenabled())
-                return _fn(*args)
+        def peak(path):
+            tracemalloc.start()
+            try:
+                rc = cli.main(["report", str(path), "--out-dir", str(tmp_path / "r")])
+                assert rc == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-            monkeypatch.setattr(cli, name, record_state)
-        (gc.enable if enabled else gc.disable)()
-        try:
-            rc = cli.main(
-                ["report", str(scripted_run_file), "--out-dir", str(tmp_path / "r")]
-            )
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable()
-        assert rc == (EXIT_USAGE if invalid else EXIT_OK)
-        assert paused == ([True] if invalid else [True, True, True])
+        peak(half)  # leaves the first call's one-off costs out of the next two
+        assert (peak(full) - peak(half)) / 240 < 1500
 
     def test_missing_run_file_exit_two(self, tmp_path, capsys):
         rc = cli.main(

@@ -68,38 +68,37 @@ class TestOracleEquivalence:
 
     def test_permutation_invariance(self):
         rng = random.Random(99)
-        records = random_records(rng, 200)
-        baseline = compute_metrics(records).to_dict()
+        rows = [r.row() for r in random_records(rng, 200)]
+        baseline = compute_metrics(rows).to_dict()
         for _ in range(5):
-            rng.shuffle(records)
-            assert compute_metrics(records).to_dict() == baseline
+            rng.shuffle(rows)
+            assert compute_metrics(rows).to_dict() == baseline
 
     def test_empty_records_rejected(self):
         with pytest.raises(MetricsError):
             compute_metrics([])
 
 
-def single_scope_records(n_correct, n_total, group=ModelGroup.G1,
-                         technique=TechniqueId.PHP, model="m-pin"):
-    records = []
+def single_scope_rows(n_correct, n_total, group=ModelGroup.G1,
+                      technique=TechniqueId.PHP, model="m-pin"):
+    rows = []
     for i in range(n_total):
         final = CategoryCode.CAT1 if i < n_correct else CategoryCode.CAT2
-        records.append(
-            make_record(
-                truth=CategoryCode.CAT1,
-                final=final,
-                incident_id=f"pin-{i:04d}",
-                model=model,
-                group=group,
-                technique=technique,
-            )
+        record = make_record(
+            truth=CategoryCode.CAT1,
+            final=final,
+            incident_id=f"pin-{i:04d}",
+            model=model,
+            group=group,
+            technique=technique,
         )
-    return records
+        rows.append(record.row())
+    return rows
 
 
 class TestAggregation:
     def test_group_cell_pin_148_of_240(self):
-        report = compute_metrics(single_scope_records(148, 240))
+        report = compute_metrics(single_scope_rows(148, 240))
         (cell,) = report.by_group_technique
         assert cell.scope_key == "G1|PHP"
         assert (cell.n_total, cell.n_correct) == (240, 148)
@@ -112,28 +111,28 @@ class TestAggregation:
 
     def test_confusion_diagonal_is_correct_count(self):
         rng = random.Random(31)
-        records = random_records(rng, 400)
-        report = compute_metrics(records)
+        rows = [r.row() for r in random_records(rng, 400)]
+        report = compute_metrics(rows)
         diagonal = sum(report.confusion[i][i] for i in range(12))
-        assert diagonal == sum(1 for r in records if r.correct)
-        assert sum(sum(row) for row in report.confusion) == len(records)
+        assert diagonal == sum(1 for r in rows if r.correct)
+        assert sum(sum(row) for row in report.confusion) == len(rows)
 
     def test_confusion_unparsed_column(self):
         rng = random.Random(32)
-        records = random_records(rng, 400)
-        report = compute_metrics(records)
+        rows = [r.row() for r in random_records(rng, 400)]
+        report = compute_metrics(rows)
         unparsed = sum(row[12] for row in report.confusion)
-        assert unparsed == sum(
-            1 for r in records if r.trace.final is CategoryCode.UNPARSED
-        )
+        assert unparsed == sum(1 for r in rows if r.final is CategoryCode.UNPARSED)
 
     def test_model_name_with_pipe(self):
         # Technique ids never contain "|", so the last one splits the key.
-        records = [
-            make_record(model="ns|m", technique=TechniqueId.ZSL, incident_id=f"i{k}")
+        rows = [
+            make_record(
+                model="ns|m", technique=TechniqueId.ZSL, incident_id=f"i{k}"
+            ).row()
             for k in range(2)
         ]
-        report = compute_metrics(records)
+        report = compute_metrics(rows)
         assert [(c.model, c.technique) for c in report.efficiency] == [("ns|m", "ZSL")]
         assert [c.scope_key for c in report.by_model_technique] == ["ns|m|ZSL"]
         text = render_markdown(report, compare_to_reference(report))
@@ -145,14 +144,14 @@ class TestAggregation:
             assert len({len(re.split(r"(?<!\\)\|", row)) for row in rows}) == 1
 
     def test_empty_scopes_absent_not_zero(self):
-        report = compute_metrics(single_scope_records(3, 4))
+        report = compute_metrics(single_scope_rows(3, 4))
         assert [c.scope_key for c in report.by_technique] == ["PHP"]
         assert [c.scope_key for c in report.by_model] == ["m-pin"]
 
 
 class TestReferenceComparison:
     def test_exact_match_inside_point_band(self):
-        report = compute_metrics(single_scope_records(148, 240))
+        report = compute_metrics(single_scope_rows(148, 240))
         rows = compare_to_reference(report)
         php = next(r for r in rows if (r.group, r.technique) == ("G1", "PHP"))
         assert php.measured == 61.7
@@ -160,7 +159,7 @@ class TestReferenceComparison:
 
     def test_delta_signed_outside_band(self):
         below = compute_metrics(
-            single_scope_records(50, 100, technique=TechniqueId.ZSL)
+            single_scope_rows(50, 100, technique=TechniqueId.ZSL)
         )
         row = next(
             r for r in compare_to_reference(below)
@@ -169,7 +168,7 @@ class TestReferenceComparison:
         assert row.delta == -6.8  # 50.0 against 56.8
 
         above = compute_metrics(
-            single_scope_records(7, 12, group=ModelGroup.G2,
+            single_scope_rows(7, 12, group=ModelGroup.G2,
                                  technique=TechniqueId.ZSL)
         )
         row = next(
@@ -180,7 +179,7 @@ class TestReferenceComparison:
 
     def test_inside_interval_band_is_zero(self):
         report = compute_metrics(
-            single_scope_records(53, 100, group=ModelGroup.G2)
+            single_scope_rows(53, 100, group=ModelGroup.G2)
         )
         row = next(
             r for r in compare_to_reference(report)
@@ -189,7 +188,7 @@ class TestReferenceComparison:
         assert row.delta == 0.0
 
     def test_missing_scopes_render_no_data(self):
-        report = compute_metrics(single_scope_records(1, 2))
+        report = compute_metrics(single_scope_rows(1, 2))
         rows = compare_to_reference(report)
         text = render_markdown(report, rows)
         assert text.count("no data") == 2 * 9  # every row except G1|PHP
@@ -199,7 +198,7 @@ class TestReferenceComparison:
 class TestRenderers:
     def test_csv_shape(self):
         rng = random.Random(7)
-        report = compute_metrics(random_records(rng, 120))
+        report = compute_metrics([r.row() for r in random_records(rng, 120)])
         parsed = list(csv.reader(io.StringIO(render_csv(report))))
         assert parsed[0] == list(CSV_COLUMNS)
         for row in parsed[1:]:
@@ -211,7 +210,7 @@ class TestRenderers:
 
     def test_plot_data_pairs_only(self):
         rng = random.Random(8)
-        report = compute_metrics(random_records(rng, 150))
+        report = compute_metrics([r.row() for r in random_records(rng, 150)])
         data = render_plot_data(report)
         assert set(data) == {"schema_version", "by_technique", "by_model_technique"}
         for section in ("by_technique", "by_model_technique"):
@@ -221,7 +220,7 @@ class TestRenderers:
 
     def test_markdown_sections(self):
         rng = random.Random(9)
-        report = compute_metrics(random_records(rng, 60))
+        report = compute_metrics([r.row() for r in random_records(rng, 60)])
         text = render_markdown(report)
         assert "true\\pred" in text
         assert "| UNPARSED |" in text or "UNPARSED" in text
@@ -233,7 +232,7 @@ class TestRenderers:
 
 class TestRenderReport:
     def test_writes_requested_formats(self, tmp_path):
-        report = compute_metrics(single_scope_records(3, 4))
+        report = compute_metrics(single_scope_rows(3, 4))
         written = render_report(report, tmp_path, formats=("csv", "plot-json"))
         assert sorted(p.name for p in written) == ["metrics.csv", "plot_data.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -242,14 +241,14 @@ class TestRenderReport:
         ]  # no stray staging files left behind
 
     def test_unknown_format_writes_nothing(self, tmp_path):
-        report = compute_metrics(single_scope_records(3, 4))
+        report = compute_metrics(single_scope_rows(3, 4))
         out = tmp_path / "reports"
         with pytest.raises(MetricsError, match="svg"):
             render_report(report, out, formats=("csv", "svg"))
         assert not out.exists()
 
     def test_unwritable_destination_leaves_nothing(self, tmp_path):
-        report = compute_metrics(single_scope_records(3, 4))
+        report = compute_metrics(single_scope_rows(3, 4))
         blocker = tmp_path / "occupied"
         blocker.write_text("a plain file, not a directory", encoding="utf-8")
         with pytest.raises(OSError):

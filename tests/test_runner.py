@@ -26,6 +26,7 @@ from triagebench.runner import (
     RunRecord,
     execute,
     load_run_records,
+    read_run_records,
     resume_scan,
 )
 from triagebench.taxonomy import CategoryCode
@@ -214,6 +215,11 @@ class TestRunPlan:
         with pytest.raises(RunError, match="repeats a technique"):
             plan_for(tmp_path, techniques=(TechniqueId.ZSL, TechniqueId.ZSL))
 
+    def test_rejects_a_model_name_that_is_not_utf8(self, tmp_path):
+        # What Python makes of the argv bytes b"m\xff"; no record could hold it.
+        with pytest.raises(RunError, match=r"model name 'm\\udcff' is not UTF-8"):
+            plan_for(tmp_path, models=("m-a", "m\udcff"))
+
 
 class TestGrade:
     def test_correct_iff_final_equals_truth(self):
@@ -328,7 +334,7 @@ class TestExecuteSerial:
     def test_grading_against_ground_truth(self, tmp_path):
         plan = plan_for(tmp_path)
         execute(plan, ConstantBackend(reply="FINAL: CAT1"))
-        by_id = {r.trace.incident_id: r for r in load_run_records(plan.output_path)}
+        by_id = {r.incident_id: r for r in load_run_records(plan.output_path)}
         assert by_id["i1"].correct is True  # truth CAT1
         assert by_id["i2"].correct is False
 
@@ -342,19 +348,19 @@ class TestExecuteSerial:
         plan = plan_for(tmp_path)
         summary = execute(plan, ConstantBackend(always_fail=True))
         assert summary.failed == 3
-        records = load_run_records(plan.output_path)
-        assert len(records) == 3
-        assert all(r.error is not None for r in records)
-        assert all(r.correct is False for r in records)
-        assert all(r.trace.final is CategoryCode.UNPARSED for r in records)
+        rows = load_run_records(plan.output_path)
+        assert len(rows) == 3
+        assert all(r.error is not None for r in rows)
+        assert all(r.correct is False for r in rows)
+        assert all(r.final is CategoryCode.UNPARSED for r in rows)
 
 
     def test_interrupt_propagates_and_writes_nothing_for_its_task(self, tmp_path):
         plan = plan_for(tmp_path)
         with pytest.raises(KeyboardInterrupt):
             execute(plan, ConstantBackend(crash_after=1))
-        records = load_run_records(plan.output_path)
-        assert [(r.trace.incident_id, r.error) for r in records] == [("i1", None)]
+        rows = load_run_records(plan.output_path)
+        assert [(r.incident_id, r.error) for r in rows] == [("i1", None)]
 
 
 class TestResume:
@@ -515,7 +521,7 @@ def test_resume_from_any_cut_matches_uninterrupted_run(parallelism, data):
             full_path = Path(tmp) / "full.jsonl"
             full_path.write_bytes(full)
             by_key = [
-                {r.key: r for r in load_run_records(p)}
+                {r.key: r for r in read_run_records(p)}
                 for p in (plan.output_path, full_path)
             ]
             assert by_key[0] == by_key[1]
@@ -606,9 +612,39 @@ class TestLoadRunRecords:
             + canonical_dumps(late.to_dict()) + "\n",
             encoding="utf-8",
         )
-        records = load_run_records(path)
-        assert len(records) == 1
-        assert records[0].correct is True
+        assert load_run_records(path) == [late.row()]
+        assert list(read_run_records(path)) == [early, late]
+
+    def test_row_holds_what_the_metrics_read(self):
+        record = make_record(
+            truth=CategoryCode.CAT3, final=CategoryCode.CAT3, incident_id="i9",
+            model="m", group=ModelGroup.G2, technique=TechniqueId.PHP,
+            rounds_used=3, latency_ms=12.5, response_chars=40,
+        )
+        t = record.trace
+        failed = RunRecord(replace(t, error="down"), CategoryCode.CAT3)
+        for r in (record, failed):
+            row = r.row()
+            assert row == (
+                "m", "PHP", "i9", "G2", CategoryCode.CAT3, r.trace.final,
+                r.trace.error, 12.5, 40, 3,
+            )
+            assert (row.key, row.correct) == (r.key, r.correct)
+        assert failed.row().correct is False
+
+    def test_records_before_a_refused_line_are_read_first(self, tmp_path):
+        records = [make_record(incident_id=f"i{n}") for n in (1, 2)]
+        bad = records[1].to_dict()
+        bad["trace"]["final"] = "CAT99"
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            canonical_dumps(records[0].to_dict()) + "\n" + canonical_dumps(bad) + "\n",
+            encoding="utf-8",
+        )
+        reader = read_run_records(path)
+        assert next(reader) == records[0]
+        with pytest.raises(RunError, match=r"run\.jsonl:2: "):
+            next(reader)
 
     def test_missing_file_raises_run_error(self, tmp_path):
         with pytest.raises(RunError, match="cannot read run file"):
@@ -729,11 +765,13 @@ def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
             with pytest.raises(RunError, match=refusal):
                 load_run_records(path)
             return
-        records = load_run_records(path)
+        rows = load_run_records(path)
+        records = {r.key: r.to_dict() for r in read_run_records(path)}
         keys = resume_scan(path)
-    assert keys == {r.key for r in records} == set(last_valid)
-    for r in records:
-        assert r.to_dict() == last_valid[r.key].to_dict()
+    assert keys == {r.key for r in rows} == set(records) == set(last_valid)
+    for r in rows:
+        assert r == last_valid[r.key].row()
+        assert records[r.key] == last_valid[r.key].to_dict()
 
 
 class TestParallel:
@@ -817,7 +855,7 @@ class TestParallel:
             assert backend.swaps <= 1 + 6 * (len(models) - 1) * (parallelism - 1)
 
         def records(path):
-            return {r.key: r.to_dict() for r in load_run_records(path)}
+            return {r.key: r.to_dict() for r in read_run_records(path)}
 
         assert records(plan.output_path) == records(serial.output_path)
 
@@ -891,4 +929,4 @@ class TestScriptedIntegration:
         script = ["indicators", "FINAL: CAT1"] * 3
         summary = execute(plan, ScriptedBackend(script))
         assert summary.executed == 3
-        assert {r.trace.rounds_used for r in load_run_records(plan.output_path)} == {2}
+        assert {r.rounds_used for r in load_run_records(plan.output_path)} == {2}
