@@ -64,15 +64,21 @@ class Role(str, Enum):
     ASSISTANT = "assistant"
 
 
+def check_content(role: Role, content: str) -> None:
+    """A system or user message must say something."""
+    # content first: most messages are nonempty, so the role is not read.
+    if not content and role in (Role.SYSTEM, Role.USER):
+        raise ValueError(f"{role.value} message content must be nonempty")
+
+
 @dataclass(frozen=True, slots=True)
 class ChatMessage:
     role: Role
     content: str
 
     def __post_init__(self) -> None:
-        # content first: most messages are nonempty, so the role is not read.
-        if not self.content and self.role in (Role.SYSTEM, Role.USER):
-            raise ValueError(f"{self.role.value} message content must be nonempty")
+        if not self.content:  # most messages say something: no call for them
+            check_content(self.role, self.content)
 
     def to_dict(self) -> dict:
         return {"role": self.role._value_, "content": self.content}

@@ -13,14 +13,18 @@ line without one, and resume cuts it off and runs its task again. An interrupt
 or a failed write stops a parallel run once the tasks already started
 finish; tasks still queued are never sent to the backend. After an
 interrupt those tasks are written too, so resume re-runs only what never
-finished; after a failed write nothing is. resume_scan and read_run_records
-share one streaming line reader, so every task resume skips is one that
-read_run_records yields or refuses by line; both refuse a line of another
-schema version. load_run_records reduces each record at once to a RunRow,
-the few fields the metrics read, so a report holds one small row per task
-and no transcript. A resumed run counts only its plan's tasks, and refuses
-a file stamped with another template set. A record grades its trace, which
-holds a failed task's error, against the expert label.
+finished; after a failed write nothing is. resume_scan and the record
+readers share one streaming line reader, so every task resume skips is one
+that they yield or refuse by line; both refuse a line of another schema
+version. read_run_records and load_run_records share one checked stream:
+check_record applies every rule of a record to its decoded line and reduces
+it to a RunRow, the few fields the metrics read, without building its
+transcript, so both readers refuse the same lines with the same messages.
+load_run_records keeps one such row per task and builds no transcript;
+read_run_records builds each whole record from its checked line. A resumed
+run counts only its plan's tasks, and refuses a file stamped with another
+template set. A record grades its trace, which holds a failed task's error,
+against the expert label.
 """
 from __future__ import annotations
 
@@ -49,6 +53,7 @@ from .techniques import (
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
+    check_trace,
     classify,
 )
 from .util import canonical_dumps, enum_decoder, utf8_encodable
@@ -170,8 +175,7 @@ class RunRecord:
     ground_truth: CategoryCode
 
     def __post_init__(self) -> None:
-        if self.ground_truth is CategoryCode.UNPARSED:
-            raise ValueError("ground_truth may not be UNPARSED")
+        _check_truth(self.ground_truth)
 
     @property
     def error(self) -> str | None:
@@ -208,19 +212,49 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """Decode a record of this schema version; a stored `correct` must be
-        the one it implies."""
-        _check_versions(d)
-        record = cls(
-            trace=ClassificationTrace.from_dict(d["trace"], d.get("error")),
+        """Decode a record once check_record accepts it."""
+        check_record(d)
+        return cls.from_checked(d)
+
+    @classmethod
+    def from_checked(cls, d: dict) -> "RunRecord":
+        """Build the record of a dict that check_record accepted."""
+        return cls(
+            trace=ClassificationTrace.from_checked(d["trace"], d.get("error")),
             ground_truth=_category(d["ground_truth"]),
         )
-        if d["correct"] is not record.correct:
-            raise ValueError(
-                f"correct is {d['correct']!r}, but final {record.trace.final.value}"
-                f" and ground_truth {record.ground_truth.value} give {record.correct}"
-            )
-        return record
+
+
+def _check_truth(ground_truth: CategoryCode) -> None:
+    if ground_truth is CategoryCode.UNPARSED:
+        raise ValueError("ground_truth may not be UNPARSED")
+
+
+def check_record(d: dict) -> tuple[RunRow, str]:
+    """The row of a stored record and its template_hash, checked without
+    building the record.
+
+    The record and its trace must carry this version's schema versions,
+    the trace must pass check_trace, the ground truth must be a category,
+    and a stored `correct` must be the one final and ground truth imply.
+    """
+    _check_versions(d)
+    error = d.get("error")
+    (model, technique, incident_id, group, final, total_latency_ms,
+     total_response_chars, rounds_used, template_hash) = check_trace(d["trace"], error)
+    ground_truth = _category(d["ground_truth"])
+    _check_truth(ground_truth)
+    correct = final is ground_truth
+    if d["correct"] is not correct:
+        raise ValueError(
+            f"correct is {d['correct']!r}, but final {final.value}"
+            f" and ground_truth {ground_truth.value} give {correct}"
+        )
+    row = RunRow(
+        model, technique._value_, incident_id, group._value_, ground_truth, final,
+        error, total_latency_ms, total_response_chars, rounds_used,
+    )
+    return row, template_hash
 
 
 def _check_versions(d: dict) -> None:
@@ -312,23 +346,22 @@ def resume_scan(
     return done
 
 
-def read_run_records(path: str | Path) -> Iterator[RunRecord]:
-    """Each record of a run file in line order, a repeated key's again.
+def _checked_lines(path: Path) -> Iterator[tuple[RunRow, dict]]:
+    """(row, decoded line) of each record of a run file in line order, a
+    repeated key's again; read_run_records and load_run_records read this.
 
-    A line whose key decodes but whose record does not raises RunError:
+    A line whose key decodes but that check_record refuses raises RunError:
     resume would skip that task, so dropping it would lose it for good. So
     does a record stamped with another template set than the first record's,
     as its results would be averaged with results of other prompts. The
     records before a refused line are yielded before it raises.
     """
-    path = Path(path)
     first: tuple[int, str] | None = None  # line and template_hash of the first
     for lineno, _, d in _read_run_file(path):
         try:
-            record = RunRecord.from_dict(d)
-        except (KeyError, TypeError, ValueError) as exc:
+            row, template_hash = check_record(d)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _invalid(path, lineno, exc) from exc
-        template_hash = record.trace.template_hash
         if first is None:
             first = (lineno, template_hash)
         elif template_hash != first[1]:
@@ -336,13 +369,20 @@ def read_run_records(path: str | Path) -> Iterator[RunRecord]:
                 f"{path}:{lineno}: template_hash {template_hash} differs from"
                 f" line {first[0]}'s {first[1]}; the run mixes template sets"
             )
-        yield record
+        yield row, d
+
+
+def read_run_records(path: str | Path) -> Iterator[RunRecord]:
+    """Each whole record of a run file in line order, a repeated key's
+    again; refuses a file as load_run_records does."""
+    for _, d in _checked_lines(Path(path)):
+        yield RunRecord.from_checked(d)
 
 
 def load_run_records(path: str | Path) -> list[RunRow]:
     """The row of each task in a run file; the later line of a repeated key
-    wins. Refuses a file as read_run_records does, and holds no transcript."""
-    return list({r.key: r.row() for r in read_run_records(path)}.values())
+    wins. Each line is checked straight into its row: no transcript is built."""
+    return list({row.key: row for row, _ in _checked_lines(Path(path))}.values())
 
 
 @dataclass(frozen=True)

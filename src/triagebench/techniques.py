@@ -40,6 +40,7 @@ from .backend import (
     ModelSpec,
     Role,
     Telemetry,
+    check_content,
     truncate_to_budget,
 )
 from .corpus import IncidentRecord
@@ -208,12 +209,46 @@ class TraceTurn:
     parsed: CategoryCode
 
 
-def _agreed(turns: Sequence[TraceTurn]) -> bool:
+def _agreed(answers: Sequence[CategoryCode]) -> bool:
     """The last two answers are equal and not UNPARSED: PHP and PRP stop."""
     return (
-        len(turns) >= 2
-        and turns[-1].parsed is turns[-2].parsed is not CategoryCode.UNPARSED
+        len(answers) >= 2
+        and answers[-1] is answers[-2] is not CategoryCode.UNPARSED
     )
+
+
+def _summary(
+    technique: TechniqueId, answers: Sequence[CategoryCode], error: str | None
+) -> tuple[CategoryCode, bool]:
+    """(final, converged) of a task whose turns gave answers, failed with
+    error unless that is None; refuses turns no run can give.
+
+    The final answer is the last one, or UNPARSED after an error. A fixed
+    technique converged when it did not fail; PHP and PRP when _agreed.
+    """
+    failed = error is not None
+    if failed and type(error) is not str:
+        raise TypeError(f"error must be str, got {error!r}")
+    if not failed and not answers:
+        raise ValueError("a record without an error needs a turn")
+    # The turns a run can give: a fixed technique's rounds, fewer if it
+    # failed; PHP and PRP stop once two answers agree, so fail only before.
+    fixed = FIXED_ROUNDS.get(technique)
+    if fixed is not None:
+        if (len(answers) >= fixed) if failed else (len(answers) != fixed):
+            raise ValueError(
+                f"turns is {len(answers)}, but {technique.value} runs"
+                f" {fixed} without an error and fewer with one"
+            )
+    else:
+        for n in range(2, len(answers) + 1):
+            if _agreed(answers[:n]) and (failed or n < len(answers)):
+                rest = "records an error" if failed else f"goes on to turn {n + 1}"
+                raise ValueError(
+                    f"turns {n - 1} and {n} agree, but {technique.value} {rest}"
+                )
+    final = CategoryCode.UNPARSED if failed else answers[-1]
+    return final, (not failed if fixed else _agreed(answers))
 
 
 # Decoders of the enum fields of a stored trace.
@@ -243,8 +278,7 @@ class ClassificationTrace:
     turns: tuple[TraceTurn, ...]
     template_hash: str
     error: str | None = None
-    # Worked out from the turns and error. A fixed technique converged when
-    # it did not fail; PHP and PRP when _agreed.
+    # Worked out from the turns and error (_summary), the totals with sum().
     final: CategoryCode = field(init=False)
     rounds_used: int = field(init=False)
     converged: bool = field(init=False)
@@ -252,34 +286,18 @@ class ClassificationTrace:
     total_response_chars: int = field(init=False)
 
     def __post_init__(self) -> None:
-        turns, technique, failed = self.turns, self.technique, self.error is not None
-        if failed and type(self.error) is not str:
-            raise TypeError(f"error must be str, got {self.error!r}")
-        if not failed and not turns:
-            raise ValueError("a record without an error needs a turn")
-        # The turns a run can give: a fixed technique's rounds, fewer if it
-        # failed; PHP and PRP stop once two answers agree, so fail only before.
-        fixed = FIXED_ROUNDS.get(technique)
-        if fixed is not None:
-            if (len(turns) >= fixed) if failed else (len(turns) != fixed):
-                raise ValueError(
-                    f"turns is {len(turns)}, but {technique.value} runs"
-                    f" {fixed} without an error and fewer with one"
-                )
-        else:
-            for n in range(2, len(turns) + 1):
-                if _agreed(turns[:n]) and (failed or n < len(turns)):
-                    rest = "records an error" if failed else f"goes on to turn {n + 1}"
-                    raise ValueError(
-                        f"turns {n - 1} and {n} agree, but {technique.value} {rest}"
-                    )
+        turns = self.turns
+        final, converged = _summary(
+            self.technique, [turn.parsed for turn in turns], self.error
+        )
         setattr_ = object.__setattr__
-        setattr_(self, "final", CategoryCode.UNPARSED if failed else turns[-1].parsed)
+        setattr_(self, "final", final)
         setattr_(self, "rounds_used", len(turns))
-        setattr_(self, "converged", not failed if fixed else _agreed(turns))
-        tm = [turn.completion.telemetry for turn in turns]
-        setattr_(self, "total_latency_ms", sum([t.latency_ms for t in tm]))
-        setattr_(self, "total_response_chars", sum([t.response_chars for t in tm]))
+        setattr_(self, "converged", converged)
+        setattr_(self, "total_latency_ms",
+                 sum([t.completion.telemetry.latency_ms for t in turns]))
+        setattr_(self, "total_response_chars",
+                 sum([t.completion.telemetry.response_chars for t in turns]))
 
     def to_dict(self) -> dict:
         """The trace as stored in a run file; from_dict reads it back.
@@ -323,8 +341,14 @@ class ClassificationTrace:
 
     @classmethod
     def from_dict(cls, d: dict, error: str | None = None) -> "ClassificationTrace":
-        """Decode a trace, failed with error unless that is None; its stored
-        final, rounds, convergence and totals must be what those give."""
+        """Decode a trace, failed with error unless that is None, once
+        check_trace accepts it."""
+        check_trace(d, error)
+        return cls.from_checked(d, error)
+
+    @classmethod
+    def from_checked(cls, d: dict, error: str | None = None) -> "ClassificationTrace":
+        """Build the trace of a dict that check_trace accepted."""
         turns = tuple(
             TraceTurn(
                 sent=tuple(
@@ -345,33 +369,80 @@ class ClassificationTrace:
             for t in d["turns"]
             for tm in (t["completion"]["telemetry"],)
         )
-        trace = cls(
-            incident_id=_typed(d, "incident_id", str),
-            model=_typed(d, "model", str),
+        return cls(
+            incident_id=d["incident_id"],
+            model=d["model"],
             model_group=_group(d["model_group"]),
             technique=_technique(d["technique"]),
             turns=turns,
-            template_hash=_typed(d, "template_hash", str),
+            template_hash=d["template_hash"],
             error=error,
         )
-        if _category(d["final"]) is not trace.final:
-            want = trace.final.value
-            raise ValueError(f"final is {d['final']}, but its turns and error give {want}")
-        totals = d["telemetry_totals"]
-        for key, value in (
-            ("rounds_used", _typed(d, "rounds_used", int)),
-            ("converged", _typed(d, "converged", bool)),
-            ("total_latency_ms", _typed(totals, "total_latency_ms", int, float)),
-            ("total_response_chars", _typed(totals, "total_response_chars", int)),
-        ):
-            given = getattr(trace, key)
-            # sum() rounds differently from Python 3.12 on, so a latency total
-            # written by another version may differ in its last digit.
-            if key == "total_latency_ms" and math.isclose(value, given):
-                continue
-            if value != given:
-                raise ValueError(f"{key} is {value!r}, but the turns give {given!r}")
-        return trace
+
+
+# Telemetry a server may leave out: null or missing, else a number.
+_OPTIONAL_TELEMETRY = ("prompt_tokens", "output_tokens", "server_eval_duration_ms")
+
+
+def check_trace(
+    d: dict, error: str | None = None
+) -> tuple[str, TechniqueId, str, ModelGroup, CategoryCode, float, int, int, str]:
+    """Every rule a stored trace must meet, checked without building it.
+
+    In order: each turn's sent messages (role, str content, nonempty for
+    system and user), its completion text, telemetry and parsed answer;
+    the identity fields; the error and the turn shape (_summary); then the
+    stored final, rounds, convergence and totals must be what the turns
+    and error give. Returns (model, technique, incident_id, model_group,
+    final, total_latency_ms, total_response_chars, rounds_used,
+    template_hash), the totals summed over the turns as the trace sums them.
+    """
+    answers: list[CategoryCode] = []
+    latencies: list[float] = []
+    chars: list[int] = []
+    for t in d["turns"]:
+        completion = t["completion"]
+        tm = completion["telemetry"]
+        for m in t["sent"]:
+            check_content(_role(m["role"]), _typed(m, "content", str))
+        _typed(completion, "text", str)
+        latencies.append(_typed(tm, "latency_ms", int, float))
+        chars.append(_typed(tm, "response_chars", int))
+        for key in _OPTIONAL_TELEMETRY:
+            if tm.get(key) is not None:
+                _typed(tm, key, int, float)
+        answers.append(_category(t["parsed"]))
+    incident_id = _typed(d, "incident_id", str)
+    model = _typed(d, "model", str)
+    group = _group(d["model_group"])
+    technique = _technique(d["technique"])
+    template_hash = _typed(d, "template_hash", str)
+    final, converged = _summary(technique, answers, error)
+    rounds_used = len(answers)
+    total_latency_ms, total_response_chars = sum(latencies), sum(chars)
+    if _category(d["final"]) is not final:
+        raise ValueError(
+            f"final is {d['final']}, but its turns and error give {final.value}"
+        )
+    totals = d["telemetry_totals"]
+    for key, value, given in (
+        ("rounds_used", _typed(d, "rounds_used", int), rounds_used),
+        ("converged", _typed(d, "converged", bool), converged),
+        ("total_latency_ms", _typed(totals, "total_latency_ms", int, float),
+         total_latency_ms),
+        ("total_response_chars", _typed(totals, "total_response_chars", int),
+         total_response_chars),
+    ):
+        # sum() rounds differently from Python 3.12 on, so a latency total
+        # written by another version may differ in its last digit.
+        if key == "total_latency_ms" and math.isclose(value, given):
+            continue
+        if value != given:
+            raise ValueError(f"{key} is {value!r}, but the turns give {given!r}")
+    return (
+        model, technique, incident_id, group, final,
+        total_latency_ms, total_response_chars, rounds_used, template_hash,
+    )
 
 
 def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> tuple[str, str]:
@@ -417,12 +488,13 @@ def classify(
     hints = previous_answers = ""
     history: list[ChatMessage] = []
     turns: list[TraceTurn] = []
+    answers: list[CategoryCode] = []  # each turn's parsed, for _agreed
     error = None
 
     try:
         for round_no in range(1, rounds + 1):
             if turns:
-                if iterative and _agreed(turns):
+                if iterative and _agreed(answers):
                     break
                 hints, previous_answers = _round_fields(technique, turns)
             user = ChatMessage(
@@ -438,6 +510,7 @@ def classify(
             # round 1, then only the new user message.
             sent = tuple(outgoing) if not history else (outgoing[-1],)
             turns.append(TraceTurn(sent, completion, parsed))
+            answers.append(parsed)
             history += (outgoing[-1], ChatMessage(_ASSISTANT, completion.text))
     except BackendError as exc:
         error = str(exc)

@@ -1320,6 +1320,11 @@ def _claim_cat7(d):
     return "CAT7"
 
 
+def _chars_as_float(d):
+    """Line 2's first reply length, stored as a float of the same value."""
+    return float(d["trace"]["turns"][0]["completion"]["telemetry"]["response_chars"])
+
+
 @pytest.fixture()
 def scripted_run_file(tmp_path):
     out = tmp_path / "run.jsonl"
@@ -1492,6 +1497,28 @@ class TestReport:
             pytest.param(("trace", "telemetry_totals", "total_response_chars"), "12",
                          "total_response_chars must be int", id="chars-digits"),
             pytest.param(("error",), 3, "error must be str, got 3", id="error-int"),
+            # Line 2's first turn sends the system prompt, then the user message.
+            pytest.param(("trace", "turns", 0, "completion", "text"), 5,
+                         "text must be str, got 5", id="text-int"),
+            pytest.param(("trace", "turns", 0, "sent", 1, "content"), 5,
+                         "content must be str, got 5", id="content-int"),
+            pytest.param(("trace", "turns", 0, "sent", 1, "content"), ["x"],
+                         r"content must be str, got \['x'\]", id="content-list"),
+            pytest.param(("trace", "turns", 0, "sent", 0),
+                         lambda d: {"role": "assistant", "content": None},
+                         "content must be str, got None", id="system-as-assistant-null"),
+            pytest.param(("trace", "turns", 0, "completion", "telemetry", "latency_ms"),
+                         False, "latency_ms must be int or float, got False",
+                         id="latency_ms-bool"),
+            pytest.param(("trace", "turns", 0, "completion", "telemetry", "latency_ms"),
+                         10**400, "OverflowError: int too large to convert to float",
+                         id="latency_ms-huge-int"),
+            pytest.param(("trace", "turns", 0, "completion", "telemetry", "response_chars"),
+                         _chars_as_float, r"response_chars must be int, got \d+\.0",
+                         id="response_chars-float"),
+            pytest.param(("trace", "turns", 0, "completion", "telemetry", "prompt_tokens"),
+                         "many", "prompt_tokens must be int or float, got 'many'",
+                         id="prompt_tokens-str"),
             pytest.param(("ground_truth",), "UNPARSED",
                          "ground_truth may not be UNPARSED", id="truth-unparsed"),
             pytest.param(("correct",), "no", "correct is 'no', but final",

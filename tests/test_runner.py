@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from triagebench.backend import (
     BackendUnavailableError,
+    ChatMessage,
     Completion,
     GenerationParams,
     ModelGroup,
+    Role,
     ScriptedBackend,
     Telemetry,
     resolve_model,
@@ -713,10 +715,45 @@ def _break_trace_version(d):
     del d["trace"]["schema_version"]
 
 
+def _first_turn(d):
+    return d["trace"]["turns"][0]
+
+
+def _break_text(d):
+    _first_turn(d)["completion"]["text"] = 5
+
+
+def _break_content(d):
+    _first_turn(d)["sent"] = [{"role": "user", "content": 5}]
+
+
+def _break_content_list(d):
+    _first_turn(d)["sent"] = [{"role": "user", "content": ["x"]}]
+
+
+def _break_assistant_null(d):
+    _first_turn(d)["sent"] = [{"role": "assistant", "content": None}]
+
+
+def _break_latency(d):
+    _first_turn(d)["completion"]["telemetry"]["latency_ms"] = False
+
+
+def _break_chars(d):
+    telemetry = _first_turn(d)["completion"]["telemetry"]
+    telemetry["response_chars"] = float(telemetry["response_chars"])
+
+
+def _break_tokens(d):
+    _first_turn(d)["completion"]["telemetry"]["prompt_tokens"] = "many"
+
+
 # Edits that keep the task key but stop the line decoding as a record.
 _BREAKS = [
     _break_final, _break_group, _break_truth, _break_totals, _break_turns,
-    _break_rounds, _break_version, _break_trace_version,
+    _break_rounds, _break_version, _break_trace_version, _break_text,
+    _break_content, _break_content_list, _break_assistant_null, _break_latency,
+    _break_chars, _break_tokens,
 ]
 
 _line = st.one_of(
@@ -772,6 +809,114 @@ def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
     for r in rows:
         assert r == last_valid[r.key].row()
         assert records[r.key] == last_valid[r.key].to_dict()
+
+
+def _spoken_record(incident_id, technique, answers, error=None):
+    """A record whose turns send messages and carry every telemetry key."""
+    turns = tuple(
+        TraceTurn(
+            sent,
+            Completion(f"FINAL: {answer.value}", Telemetry(1.5 + n, 11, 40, 3, 9.25)),
+            answer,
+        )
+        for n, answer in enumerate(answers)
+        for sent in (
+            (ChatMessage(Role.SYSTEM, "sys"), ChatMessage(Role.USER, "u"))
+            if n == 0 else (ChatMessage(Role.USER, "again"),),
+        )
+    )
+    trace = ClassificationTrace(
+        incident_id, "m-a", ModelGroup.G1, technique, turns,
+        default_templates().template_hash, error,
+    )
+    return RunRecord(trace, CategoryCode.CAT2)
+
+
+# Lines 1 and 4 share a key, so the later line wins; line 2 is a failed task.
+_LINES = (
+    _spoken_record("i1", TechniqueId.PHP, [CategoryCode.CAT2, CategoryCode.CAT2]),
+    _spoken_record("i2", TechniqueId.PRP, [CategoryCode.CAT3], error="down"),
+    make_record(model="m-a", technique=TechniqueId.HTP, incident_id="i3"),
+    _spoken_record("i1", TechniqueId.PHP, [CategoryCode.CAT4, CategoryCode.CAT4]),
+)
+
+
+def _node_paths(node, prefix=()):
+    """The path (dict keys and list indexes) of every value inside node."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _node_paths(value, prefix + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["CAT2", "CAT4", "UNPARSED", "G2", "PHP", "user", "system"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _read_or_refusal(read, path):
+    try:
+        return read(path)
+    except RunError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_both_readers_refuse_the_same_lines_or_give_the_same_rows(data):
+    """One value replaced, or one key or item deleted, anywhere in one line:
+    load_run_records and read_run_records refuse with one message, or give
+    the same rows, the later line of a repeated key winning."""
+    lines = [r.to_dict() for r in _LINES]
+    d = lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
+    *parents, last = data.draw(st.sampled_from(list(_node_paths(d))), label="path")
+    for part in parents:
+        d = d[part]
+    if data.draw(st.booleans(), label="delete"):
+        del d[last]
+    else:
+        d[last] = data.draw(_JSON, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        path.write_text("".join(canonical_dumps(x) + "\n" for x in lines), "utf-8")
+        rows = _read_or_refusal(load_run_records, path)
+        records = _read_or_refusal(
+            lambda p: [r.row() for r in read_run_records(p)], path
+        )
+    if isinstance(rows, str) or isinstance(records, str):
+        assert rows == records
+    else:
+        assert rows == list({r.key: r for r in records}.values())
+
+
+def test_load_run_records_builds_no_transcript_object(tmp_path, monkeypatch):
+    plan = plan_for(tmp_path, models=("m-a", "m-b"), techniques=tuple(TechniqueId))
+    # Too few replies for the 30 tasks, so the last ones fail.
+    replies = ["FINAL: CAT1", "FINAL: CAT2", "FINAL: CAT2", "maybe CAT3"] * 12
+    execute(plan, ScriptedBackend(replies))
+    path = plan.output_path
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(path.read_text(encoding="utf-8").splitlines()[0] + "\n")
+    records = list(read_run_records(path))
+    want = list({r.key: r.row() for r in records}.values())
+    assert (len(records), len(want)) == (31, 30)
+    assert any(row.error is not None for row in want)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (ChatMessage, TraceTurn, Completion, Telemetry, ClassificationTrace):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert load_run_records(path) == want
+    with pytest.raises(AssertionError, match="built a"):
+        next(read_run_records(path))
 
 
 class TestParallel:
