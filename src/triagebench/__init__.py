@@ -16,13 +16,7 @@ from .backend import (
 )
 from .corpus import Corpus, IncidentRecord, load_corpus, save_corpus
 from .metrics import MetricsReport, compare_to_reference, compute_metrics
-from .runner import (
-    RunPlan,
-    RunRecord,
-    execute,
-    load_run_records,
-    read_run_records,
-)
+from .runner import RunPlan, RunRecord, execute, load_run_records
 from .taxonomy import CategoryCode, Taxonomy, builtin_taxonomy, parse_category
 from .techniques import ClassificationTrace, TechniqueConfig, TechniqueId, classify
 
@@ -55,7 +49,6 @@ __all__ = [
     "RunRecord",
     "execute",
     "load_run_records",
-    "read_run_records",
     "MetricsReport",
     "compute_metrics",
     "compare_to_reference",

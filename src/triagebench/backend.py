@@ -293,8 +293,12 @@ class _HTTPClient:
 
 
 def _measure(value: Any) -> int | float | None:
-    """A server counter if it is a number, else None."""
+    """A server counter if it is a number a float can hold, else None."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            float(value)  # OverflowError for an int past the float range
+        except OverflowError:
+            return None
         return value
     return None
 
@@ -402,7 +406,7 @@ class OllamaBackend:
             try:
                 body = resp.json()
                 text = body["message"]["content"]
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, RecursionError):
                 text = None
             if not isinstance(text, str) or not utf8_encodable(text):
                 raise ProtocolError(f"malformed server reply: {resp.text[:200]!r}")

@@ -13,18 +13,15 @@ line without one, and resume cuts it off and runs its task again. An interrupt
 or a failed write stops a parallel run once the tasks already started
 finish; tasks still queued are never sent to the backend. After an
 interrupt those tasks are written too, so resume re-runs only what never
-finished; after a failed write nothing is. resume_scan and the record
-readers share one streaming line reader, so every task resume skips is one
-that they yield or refuse by line; both refuse a line of another schema
-version. read_run_records and load_run_records share one checked stream:
+finished; after a failed write nothing is. resume_scan and
+load_run_records share one streaming line reader, so every task resume
+skips is one that load_run_records reads or refuses by line; both refuse a
+line of another schema version. load_run_records is the one record reader:
 check_record applies every rule of a record to its decoded line and reduces
 it to a RunRow, the few fields the metrics read, without building its
-transcript, so both readers refuse the same lines with the same messages.
-load_run_records keeps one such row per task and builds no transcript;
-read_run_records builds each whole record from its checked line. A resumed
-run counts only its plan's tasks, and refuses a file stamped with another
-template set. A record grades its trace, which holds a failed task's error,
-against the expert label.
+transcript. A resumed run counts only its plan's tasks, and refuses a file
+stamped with another template set. A record grades its trace, which holds a
+failed task's error, against the expert label.
 """
 from __future__ import annotations
 
@@ -210,20 +207,6 @@ class RunRecord:
             d["error"] = self.error
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        """Decode a record once check_record accepts it."""
-        check_record(d)
-        return cls.from_checked(d)
-
-    @classmethod
-    def from_checked(cls, d: dict) -> "RunRecord":
-        """Build the record of a dict that check_record accepted."""
-        return cls(
-            trace=ClassificationTrace.from_checked(d["trace"], d.get("error")),
-            ground_truth=_category(d["ground_truth"]),
-        )
-
 
 def _check_truth(ground_truth: CategoryCode) -> None:
     if ground_truth is CategoryCode.UNPARSED:
@@ -279,9 +262,10 @@ def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
     stream of lines that end only at "\n", not at the U+2028, U+2029 or
     U+0085 that JSON strings hold raw, and a last line without "\n", torn
     by a killed run, is skipped with a warning before it is decoded. Other
-    lines without a task key are skipped with a warning; a line that is not
-    UTF-8 raises RunError. A repeated key is yielded again, with a warning;
-    callers keep the later line.
+    lines that do not decode, nested too deep included, or have no task key
+    are skipped with a warning; a line that is not UTF-8 raises RunError. A
+    repeated key is yielded again, with a warning; callers keep the later
+    line.
     """
     seen: set[TaskKey] = set()
     try:
@@ -302,7 +286,7 @@ def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
                     hash(key)  # TypeError if a key part is unhashable
                 except UnicodeDecodeError as exc:
                     raise RunError(f"cannot read run file {path}: line {lineno}: {exc}")
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, RecursionError):
                     logger.warning(
                         "%s:%d: skipping malformed record line", path.name, lineno
                     )
@@ -323,7 +307,7 @@ def resume_scan(
 ) -> set[TaskKey]:
     """Keys of the records already in the run file; empty if there is none.
 
-    A line of another schema version raises RunError, as read_run_records
+    A line of another schema version raises RunError, as load_run_records
     refuses it. Given the plan's template_hash, so does a line stamped with
     another one: resuming would mix two template sets in one file.
     """
@@ -346,18 +330,20 @@ def resume_scan(
     return done
 
 
-def _checked_lines(path: Path) -> Iterator[tuple[RunRow, dict]]:
-    """(row, decoded line) of each record of a run file in line order, a
-    repeated key's again; read_run_records and load_run_records read this.
+def load_run_records(path: str | Path) -> list[RunRow]:
+    """The row of each task in a run file; the later line of a repeated key
+    wins, in first-seen key order. Each line is checked straight into its
+    row: no transcript is built.
 
     A line whose key decodes but that check_record refuses raises RunError:
     resume would skip that task, so dropping it would lose it for good. So
     does a record stamped with another template set than the first record's,
-    as its results would be averaged with results of other prompts. The
-    records before a refused line are yielded before it raises.
+    as its results would be averaged with results of other prompts.
     """
+    path = Path(path)
+    rows: dict[TaskKey, RunRow] = {}
     first: tuple[int, str] | None = None  # line and template_hash of the first
-    for lineno, _, d in _read_run_file(path):
+    for lineno, key, d in _read_run_file(path):
         try:
             row, template_hash = check_record(d)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -369,20 +355,8 @@ def _checked_lines(path: Path) -> Iterator[tuple[RunRow, dict]]:
                 f"{path}:{lineno}: template_hash {template_hash} differs from"
                 f" line {first[0]}'s {first[1]}; the run mixes template sets"
             )
-        yield row, d
-
-
-def read_run_records(path: str | Path) -> Iterator[RunRecord]:
-    """Each whole record of a run file in line order, a repeated key's
-    again; refuses a file as load_run_records does."""
-    for _, d in _checked_lines(Path(path)):
-        yield RunRecord.from_checked(d)
-
-
-def load_run_records(path: str | Path) -> list[RunRow]:
-    """The row of each task in a run file; the later line of a repeated key
-    wins. Each line is checked straight into its row: no transcript is built."""
-    return list({row.key: row for row, _ in _checked_lines(Path(path))}.values())
+        rows[key] = row
+    return list(rows.values())
 
 
 @dataclass(frozen=True)

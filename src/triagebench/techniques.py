@@ -39,7 +39,6 @@ from .backend import (
     ModelGroup,
     ModelSpec,
     Role,
-    Telemetry,
     check_content,
     truncate_to_budget,
 )
@@ -300,7 +299,7 @@ class ClassificationTrace:
                  sum([t.completion.telemetry.response_chars for t in turns]))
 
     def to_dict(self) -> dict:
-        """The trace as stored in a run file; from_dict reads it back.
+        """The trace as stored in a run file; check_trace checks it back.
 
         Enum fields are read through _value_: the value property costs about
         five times as much, and every task writes a dozen of them.
@@ -338,46 +337,6 @@ class ClassificationTrace:
             },
             "template_hash": self.template_hash,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict, error: str | None = None) -> "ClassificationTrace":
-        """Decode a trace, failed with error unless that is None, once
-        check_trace accepts it."""
-        check_trace(d, error)
-        return cls.from_checked(d, error)
-
-    @classmethod
-    def from_checked(cls, d: dict, error: str | None = None) -> "ClassificationTrace":
-        """Build the trace of a dict that check_trace accepted."""
-        turns = tuple(
-            TraceTurn(
-                sent=tuple(
-                    ChatMessage(_role(m["role"]), m["content"]) for m in t["sent"]
-                ),
-                completion=Completion(
-                    text=t["completion"]["text"],
-                    telemetry=Telemetry(
-                        latency_ms=tm["latency_ms"],
-                        response_chars=tm["response_chars"],
-                        prompt_tokens=tm.get("prompt_tokens"),
-                        output_tokens=tm.get("output_tokens"),
-                        server_eval_duration_ms=tm.get("server_eval_duration_ms"),
-                    ),
-                ),
-                parsed=_category(t["parsed"]),
-            )
-            for t in d["turns"]
-            for tm in (t["completion"]["telemetry"],)
-        )
-        return cls(
-            incident_id=d["incident_id"],
-            model=d["model"],
-            model_group=_group(d["model_group"]),
-            technique=_technique(d["technique"]),
-            turns=turns,
-            template_hash=d["template_hash"],
-            error=error,
-        )
 
 
 # Telemetry a server may leave out: null or missing, else a number.

@@ -16,7 +16,7 @@ from triagebench.backend import (
     ModelSpec,
     Telemetry,
 )
-from triagebench.runner import RunRecord
+from triagebench.runner import RunRecord, TaskKey, load_run_records
 from triagebench.taxonomy import Category, CategoryCode, Taxonomy, builtin_taxonomy
 from triagebench.techniques import (
     FIXED_ROUNDS,
@@ -26,6 +26,8 @@ from triagebench.techniques import (
     default_templates,
 )
 from triagebench.util import canonical_dumps
+
+from oracles import keyed_lines
 
 CODES = list(CategoryCode.taxonomy_codes())
 
@@ -146,6 +148,14 @@ def write_run_file(path: Path, records) -> Path:
         for record in records:
             fh.write(canonical_dumps(record.to_dict()) + "\n")
     return path
+
+
+def stored_lines(path: Path) -> dict[TaskKey, dict]:
+    """keyed_lines of a file that load_run_records accepts. A line is the
+    canonical JSON of RunRecord.to_dict(), so this is each task's whole
+    record as stored."""
+    load_run_records(path)
+    return keyed_lines(path)
 
 
 def corrupt_lines_2_and_3(path: Path) -> Path:

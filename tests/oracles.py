@@ -1,5 +1,5 @@
-"""Independent references: every metric from a run file, the reply parser,
-and classify.
+"""Independent references: every metric and every task's row from a run
+file, the reply parser, and classify.
 
 The metric reference deliberately shares no code with the package: plain
 loops over the raw JSON lines, Decimal for the percentage and fsum for the
@@ -44,17 +44,43 @@ def oracle_percent(numerator: int, denominator: int) -> float:
     return float(frac.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def read_run_lines(path: Path) -> list[dict]:
-    """Parse the run file the way the package promises to: duplicate task
-    keys resolve to the latest line."""
-    by_key: dict[tuple, dict] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
+def keyed_lines(path: Path) -> dict[tuple, dict]:
+    """Each task's decoded line, the later line of a repeated key winning,
+    in first-seen key order. A last line without its "\n", a line that is
+    not JSON and a line without a hashable task key are skipped."""
+    lines: dict[tuple, dict] = {}
+    for raw in path.read_bytes().split(b"\n")[:-1]:
+        try:
+            d = json.loads(raw)
+            t = d["trace"]
+            key = (t["model"], t["technique"], t["incident_id"])
+            hash(key)
+        except (ValueError, KeyError, TypeError, RecursionError):
             continue
-        d = json.loads(line)
+        lines[key] = d
+    return lines
+
+
+def oracle_rows(path: Path) -> list[tuple]:
+    """The ten RunRow fields of each task of keyed_lines, read with plain
+    dict access, the totals summed from the turns in turn order."""
+    rows = []
+    for (model, technique, incident_id), d in keyed_lines(path).items():
         t = d["trace"]
-        by_key[(t["model"], t["technique"], t["incident_id"])] = d
-    return list(by_key.values())
+        telemetry = [turn["completion"]["telemetry"] for turn in t["turns"]]
+        rows.append((
+            model,
+            technique,
+            incident_id,
+            t["model_group"],
+            CategoryCode(d["ground_truth"]),
+            CategoryCode(t["final"]),
+            d.get("error"),
+            sum([tm["latency_ms"] for tm in telemetry]),
+            sum([tm["response_chars"] for tm in telemetry]),
+            t["rounds_used"],
+        ))
+    return rows
 
 
 def _cell(rows: list[dict]) -> dict:
@@ -70,7 +96,7 @@ def _cell(rows: list[dict]) -> dict:
 
 
 def oracle_metrics(path: Path) -> dict:
-    rows = read_run_lines(path)
+    rows = list(keyed_lines(path).values())
 
     def group_by(keyfunc) -> dict:
         out: dict[str, list[dict]] = {}

@@ -201,6 +201,27 @@ class TestOllamaBackend:
         assert telemetry.output_tokens is None
         assert telemetry.server_eval_duration_ms is None
 
+    def test_reply_nested_too_deep_is_protocol_error(self, stub_server):
+        url, handler = stub_server
+        handler.responses.append((200, "[" * 100_000 + "]" * 100_000))
+        with pytest.raises(ProtocolError, match=r"malformed server reply: '\[\[\["):
+            OllamaBackend(url).complete(MODEL, MESSAGES, PARAMS)
+
+    @pytest.mark.parametrize(
+        "counter, field",
+        [("prompt_eval_count", "prompt_tokens"), ("eval_count", "output_tokens"),
+         ("total_duration", "server_eval_duration_ms")],
+    )
+    def test_counter_too_large_for_a_float_is_dropped(self, stub_server, counter, field):
+        url, handler = stub_server
+        body = json.loads(ok_body())
+        body[counter] = 10**400
+        handler.responses.append((200, json.dumps(body)))
+        telemetry = OllamaBackend(url).complete(MODEL, MESSAGES, PARAMS).telemetry
+        want = {"prompt_tokens": 42, "output_tokens": 7,
+                "server_eval_duration_ms": 1500.0, field: None}
+        assert {key: getattr(telemetry, key) for key in want} == want
+
     def test_5xx_retried_then_succeeds(self, stub_server):
         url, handler = stub_server
         handler.responses.extend([(500, "busy"), (200, ok_body("recovered"))])

@@ -29,7 +29,7 @@ from triagebench.cli import (
 )
 from triagebench.corpus import load_corpus
 from triagebench.demo import DEMO_MODEL_NAME, diff_against_golden, run_demo
-from triagebench.runner import RunPlan, RunRecord, load_run_records, read_run_records
+from triagebench.runner import RunPlan, RunRecord, load_run_records
 from triagebench.taxonomy import CategoryCode
 from triagebench.techniques import (
     TechniqueConfig,
@@ -38,7 +38,7 @@ from triagebench.techniques import (
     load_templates,
 )
 
-from helpers import corrupt_lines_2_and_3, make_trace
+from helpers import corrupt_lines_2_and_3, make_trace, stored_lines
 
 
 @pytest.fixture(autouse=True)
@@ -223,16 +223,16 @@ class TestConfigKeys:
             ["--config", str(ini), "run", "--backend", "scripted", "--out", str(out)]
         )
         assert rc == EXIT_OK
-        records = list(read_run_records(out))
-        assert Counter((r.trace.model, r.trace.technique.value) for r in records) == {
+        traces = [d["trace"] for d in stored_lines(out).values()]
+        assert Counter((t["model"], t["technique"]) for t in traces) == {
             (model, technique): 24
             for model in ("Llama 3.1 8B", "Qwen3 8B")
             for technique in ("ZSL", "PHP", "PRP")
         }
-        assert max(r.trace.rounds_used for r in records) == 2
+        assert max(t["rounds_used"] for t in traces) == 2
         custom = load_templates(templates).template_hash
         assert custom != default_templates().template_hash
-        assert {r.trace.template_hash for r in records} == {custom}
+        assert {t["template_hash"] for t in traces} == {custom}
         report = tmp_path / "report"
         assert cli.main(["report", str(out), "--out-dir", str(report)]) == EXIT_OK
         rows = (report / "metrics.csv").read_text(encoding="utf-8").splitlines()
@@ -820,6 +820,26 @@ class TestRunScripted:
         assert "Records: 37\n" in (out_dir / "metrics.md").read_text(encoding="utf-8")
         assert "torn.jsonl:38: ignoring torn trailing line" in caplog.text
 
+    def test_line_nested_too_deep_is_skipped_as_malformed(
+        self, tmp_path, capsys, caplog
+    ):
+        out = tmp_path / "run.jsonl"
+        args = ["run", "--backend", "scripted", "--techniques", "ZSL", "--out", str(out)]
+        assert cli.main(args) == EXIT_OK
+        records = len(out.read_bytes().splitlines())
+        clean = tmp_path / "clean"
+        assert cli.main(["report", str(out), "--out-dir", str(clean)]) == EXIT_OK
+        with out.open("a", encoding="utf-8") as fh:
+            fh.write('{"trace": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+        deep = tmp_path / "deep"
+        assert cli.main(["report", str(out), "--out-dir", str(deep)]) == EXIT_OK
+        metrics = [(d / "metrics.csv").read_bytes() for d in (clean, deep)]
+        assert metrics[0] == metrics[1]
+        assert f"run.jsonl:{records + 1}: skipping malformed record line" in caplog.text
+        capsys.readouterr()
+        assert cli.main([*args, "--resume"]) == EXIT_OK
+        assert f"0 of {records} tasks executed" in capsys.readouterr().out
+
     def test_resume_with_other_templates_exit_two_before_any_record(
         self, tmp_path, capsys
     ):
@@ -954,7 +974,7 @@ class TestRunScripted:
             assert cli.main([*args, str(out)]) == EXIT_OK
             lines = out.read_text(encoding="utf-8").splitlines()
             assert not any("error" in json.loads(line) for line in lines)
-            return {r.key: r.to_dict() for r in read_run_records(out)}
+            return stored_lines(out)
 
         in_run_order = run(tmp_path / "run_order.jsonl")
 
@@ -1065,18 +1085,39 @@ class TestRunRealBackend:
         self, tmp_path, capsys, stub_server
     ):
         url, handler = stub_server
-        # The third decodes to a lone surrogate, which no run file can hold.
+        # The third decodes to a lone surrogate, which no run file can hold;
+        # the fourth is nested too deep to decode.
         for content in (None, 12, "FINAL: CAT2 \ud83d"):
             handler.responses.append((200, json.dumps({"message": {"content": content}})))
-        rows = [GOOD_ROW, {**GOOD_ROW, "id": "a2"}, {**GOOD_ROW, "id": "a3"}]
+        handler.responses.append((200, "[" * 100_000 + "]" * 100_000))
+        rows = [GOOD_ROW, *({**GOOD_ROW, "id": f"a{n}"} for n in (2, 3, 4))]
         corpus = write_corpus(tmp_path / "c.jsonl", rows)
         out = tmp_path / "run.jsonl"
         rc = cli.main(["run", "--backend", url, "--models", "demo", "--techniques",
                        "ZSL", "--corpus", str(corpus), "--out", str(out)])
         assert rc == EXIT_OK
         errors = [r.error for r in load_run_records(out)]
-        assert len(errors) == 3
+        assert len(errors) == 4
         assert all("malformed server reply" in e for e in errors)
+
+    def test_counters_too_large_for_a_float_are_stored_as_null(
+        self, tmp_path, capsys, stub_server
+    ):
+        url, handler = stub_server
+        body = {"message": {"content": "FINAL: CAT2"}, "total_duration": 10**400,
+                "prompt_eval_count": 10**400, "eval_count": 10**400}
+        handler.responses.append((200, json.dumps(body)))
+        corpus = write_corpus(tmp_path / "c.jsonl", [GOOD_ROW])
+        out = tmp_path / "run.jsonl"
+        rc = cli.main(["run", "--backend", url, "--models", "demo", "--techniques",
+                       "ZSL", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == EXIT_OK
+        [d] = stored_lines(out).values()
+        assert "error" not in d
+        telemetry = d["trace"]["turns"][0]["completion"]["telemetry"]
+        assert telemetry["prompt_tokens"] is None
+        assert telemetry["output_tokens"] is None
+        assert telemetry["server_eval_duration_ms"] is None
 
     def test_error_reply_body_quoted_on_one_line(
         self, tmp_path, capsys, caplog, stub_server

@@ -26,9 +26,9 @@ from triagebench.runner import (
     RunError,
     RunPlan,
     RunRecord,
+    check_record,
     execute,
     load_run_records,
-    read_run_records,
     resume_scan,
 )
 from triagebench.taxonomy import CategoryCode
@@ -47,8 +47,10 @@ from helpers import (
     corrupt_lines_2_and_3,
     make_record,
     make_trace,
+    stored_lines,
     write_run_file,
 )
+from oracles import oracle_rows
 
 CORPUS = Corpus(
     records=tuple(
@@ -243,10 +245,10 @@ class TestGrade:
         assert replace(record, ground_truth=CategoryCode.CAT2).correct is True
         d = record.to_dict()
         assert d["correct"] is False
-        assert RunRecord.from_dict(d) == record
+        assert check_record(d) == (record.row(), record.trace.template_hash)
         for stored in (True, 0, "no", None):
             with pytest.raises(ValueError, match="correct is"):
-                RunRecord.from_dict({**d, "correct": stored})
+                check_record({**d, "correct": stored})
 
     def test_final_is_the_last_answer_or_unparsed_on_error(self):
         trace = make_trace(
@@ -259,10 +261,10 @@ class TestGrade:
         d = RunRecord(trace, CategoryCode.CAT3).to_dict()
         d["trace"]["final"] = "CAT3"
         with pytest.raises(ValueError, match="final is CAT3, but .* give CAT2"):
-            RunRecord.from_dict(d)
+            check_record(d)
         d["trace"]["final"], d["error"] = "CAT2", "down"
         with pytest.raises(ValueError, match="final is CAT2, but .* give UNPARSED"):
-            RunRecord.from_dict(d)
+            check_record(d)
         with pytest.raises(ValueError, match="needs a turn"):
             make_trace(rounds_used=0)
 
@@ -273,9 +275,9 @@ class TestGrade:
         assert record.error == "down"
         d = record.to_dict()
         assert (d["error"], "error" in d["trace"]) == ("down", False)
-        assert RunRecord.from_dict(d) == record
+        assert check_record(d) == (record.row(), record.trace.template_hash)
         with pytest.raises(TypeError, match="error must be str"):
-            RunRecord.from_dict({**d, "error": 7})
+            check_record({**d, "error": 7})
 
     @pytest.mark.parametrize(
         "technique, answers, error, refusal",
@@ -522,11 +524,7 @@ def test_resume_from_any_cut_matches_uninterrupted_run(parallelism, data):
         else:
             full_path = Path(tmp) / "full.jsonl"
             full_path.write_bytes(full)
-            by_key = [
-                {r.key: r for r in read_run_records(p)}
-                for p in (plan.output_path, full_path)
-            ]
-            assert by_key[0] == by_key[1]
+            assert stored_lines(plan.output_path) == stored_lines(full_path)
 
 
 # Telemetry numbers as a server may report them, NaN and infinities included.
@@ -615,7 +613,6 @@ class TestLoadRunRecords:
             encoding="utf-8",
         )
         assert load_run_records(path) == [late.row()]
-        assert list(read_run_records(path)) == [early, late]
 
     def test_row_holds_what_the_metrics_read(self):
         record = make_record(
@@ -633,20 +630,6 @@ class TestLoadRunRecords:
             )
             assert (row.key, row.correct) == (r.key, r.correct)
         assert failed.row().correct is False
-
-    def test_records_before_a_refused_line_are_read_first(self, tmp_path):
-        records = [make_record(incident_id=f"i{n}") for n in (1, 2)]
-        bad = records[1].to_dict()
-        bad["trace"]["final"] = "CAT99"
-        path = tmp_path / "run.jsonl"
-        path.write_text(
-            canonical_dumps(records[0].to_dict()) + "\n" + canonical_dumps(bad) + "\n",
-            encoding="utf-8",
-        )
-        reader = read_run_records(path)
-        assert next(reader) == records[0]
-        with pytest.raises(RunError, match=r"run\.jsonl:2: "):
-            next(reader)
 
     def test_missing_file_raises_run_error(self, tmp_path):
         with pytest.raises(RunError, match="cannot read run file"):
@@ -680,6 +663,7 @@ _UNKEYED = [
     "not json", "{", "[1, 2]", "null", '"text"', "7", '{"trace": 5}',
     '{"trace": {"model": "m-a", "technique": "ZSL"}}',
     '{"trace": {"model": ["m-a"], "technique": "ZSL", "incident_id": "i1"}}',
+    '{"trace": ' + "[" * 100_000 + "]" * 100_000 + "}",  # too deep to decode
 ]
 
 
@@ -803,7 +787,7 @@ def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
                 load_run_records(path)
             return
         rows = load_run_records(path)
-        records = {r.key: r.to_dict() for r in read_run_records(path)}
+        records = stored_lines(path)
         keys = resume_scan(path)
     assert keys == {r.key for r in rows} == set(records) == set(last_valid)
     for r in rows:
@@ -861,21 +845,16 @@ _JSON = st.recursive(
 )
 
 
-def _read_or_refusal(read, path):
-    try:
-        return read(path)
-    except RunError as exc:
-        return str(exc)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_both_readers_refuse_the_same_lines_or_give_the_same_rows(data):
+def test_load_run_records_refuses_the_mutated_line_or_gives_the_oracle_rows(data):
     """One value replaced, or one key or item deleted, anywhere in one line:
-    load_run_records and read_run_records refuse with one message, or give
-    the same rows, the later line of a repeated key winning."""
+    load_run_records refuses, naming that line, or gives the rows that a
+    plain reading of the file gives, the later line of a repeated key
+    winning."""
     lines = [r.to_dict() for r in _LINES]
-    d = lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    d = lines[index]
     *parents, last = data.draw(st.sampled_from(list(_node_paths(d))), label="path")
     for part in parents:
         d = d[part]
@@ -886,27 +865,30 @@ def test_both_readers_refuse_the_same_lines_or_give_the_same_rows(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.jsonl"
         path.write_text("".join(canonical_dumps(x) + "\n" for x in lines), "utf-8")
-        rows = _read_or_refusal(load_run_records, path)
-        records = _read_or_refusal(
-            lambda p: [r.row() for r in read_run_records(p)], path
-        )
-    if isinstance(rows, str) or isinstance(records, str):
-        assert rows == records
-    else:
-        assert rows == list({r.key: r for r in records}.values())
+        try:
+            rows = load_run_records(path)
+        except RunError as exc:
+            # A changed template_hash on line 1 is refused at line 2, naming it.
+            lineno = index + 1
+            assert str(exc).startswith(f"{path}:{lineno}: ") or (
+                f" line {lineno}'s " in str(exc)
+            )
+            return
+        assert rows == oracle_rows(path)
 
 
 def test_load_run_records_builds_no_transcript_object(tmp_path, monkeypatch):
     plan = plan_for(tmp_path, models=("m-a", "m-b"), techniques=tuple(TechniqueId))
     # Too few replies for the 30 tasks, so the last ones fail.
     replies = ["FINAL: CAT1", "FINAL: CAT2", "FINAL: CAT2", "maybe CAT3"] * 12
-    execute(plan, ScriptedBackend(replies))
+    records: list[RunRecord] = []
+    execute(plan, ScriptedBackend(replies),
+            on_record=lambda record, *_: records.append(record))
     path = plan.output_path
     with path.open("a", encoding="utf-8") as fh:
         fh.write(path.read_text(encoding="utf-8").splitlines()[0] + "\n")
-    records = list(read_run_records(path))
-    want = list({r.key: r.row() for r in records}.values())
-    assert (len(records), len(want)) == (31, 30)
+    want = [r.row() for r in records]
+    assert len(want) == 30
     assert any(row.error is not None for row in want)
 
     def refuse(self, *args, **kwargs):
@@ -916,7 +898,7 @@ def test_load_run_records_builds_no_transcript_object(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert load_run_records(path) == want
     with pytest.raises(AssertionError, match="built a"):
-        next(read_run_records(path))
+        Telemetry(0.0, 0)
 
 
 class TestParallel:
@@ -999,10 +981,7 @@ class TestParallel:
         else:
             assert backend.swaps <= 1 + 6 * (len(models) - 1) * (parallelism - 1)
 
-        def records(path):
-            return {r.key: r.to_dict() for r in read_run_records(path)}
-
-        assert records(plan.output_path) == records(serial.output_path)
+        assert stored_lines(plan.output_path) == stored_lines(serial.output_path)
 
     @pytest.mark.parametrize("parallelism", [2, 4])
     def test_failed_write_cancels_queued_tasks(self, tmp_path, parallelism):

@@ -29,6 +29,7 @@ from triagebench.techniques import (
     TechniqueId,
     TemplateError,
     TemplateSet,
+    check_trace,
     classify,
     default_templates,
     load_templates,
@@ -44,6 +45,15 @@ INCIDENT = IncidentRecord(
     text="A ransom note appeared after files were encrypted overnight.",
     ground_truth=CategoryCode.CAT2,
 )
+
+
+def checked(trace):
+    """What check_trace gives back for the stored form of trace."""
+    return (
+        trace.model, trace.technique, trace.incident_id, trace.model_group,
+        trace.final, trace.total_latency_ms, trace.total_response_chars,
+        trace.rounds_used, trace.template_hash,
+    )
 
 
 def run(technique, script, max_rounds=3, budget=8192):
@@ -477,10 +487,10 @@ class TestTraces:
         for total in (0.1 + 0.2 + 0.3, 0.6):
             d = trace.to_dict()
             d["telemetry_totals"]["total_latency_ms"] = total
-            assert ClassificationTrace.from_dict(d) == trace
+            assert check_trace(d) == checked(trace)
         d["telemetry_totals"]["total_latency_ms"] = 0.7
         with pytest.raises(ValueError, match="total_latency_ms is 0.7, but"):
-            ClassificationTrace.from_dict(d)
+            check_trace(d)
 
     def test_template_hash_recorded(self):
         trace, _ = run(TechniqueId.ZSL, ["FINAL: CAT2"])
@@ -493,16 +503,12 @@ class TestTraces:
     def test_model_group_required_on_load(self):
         d = run(TechniqueId.ZSL, ["FINAL: CAT2"])[0].to_dict()
         with pytest.raises(ValueError):
-            ClassificationTrace.from_dict({**d, "model_group": None})
+            check_trace({**d, "model_group": None})
         del d["model_group"]
         with pytest.raises(KeyError):
-            ClassificationTrace.from_dict(d)
+            check_trace(d)
 
-    def test_serialization_round_trip(self):
-        trace, _ = run(TechniqueId.PHP, ["FINAL: CAT1", "FINAL: CAT1"])
-        rebuilt = ClassificationTrace.from_dict(trace.to_dict())
-        assert canonical_dumps(rebuilt.to_dict()) == canonical_dumps(trace.to_dict())
-
+    def test_stored_turn_holds_every_telemetry_key(self):
         class ServerBackend:
             def complete(self, model, messages, params):
                 return Completion(
@@ -518,7 +524,7 @@ class TestTraces:
             GenerationParams(), TechniqueConfig(),
         )
         d = trace.to_dict()
-        assert ClassificationTrace.from_dict(d) == trace
+        assert check_trace(d) == checked(trace)
         assert d["turns"][1] == {
             "sent": [{"role": "user", "content": trace.turns[1].sent[0].content}],
             "completion": {
@@ -588,9 +594,9 @@ class TestFailedClassification:
         assert (trace.turns, trace.error, trace.final) == ((), "down", CategoryCode.UNPARSED)
         d = trace.to_dict()
         assert "error" not in d
-        assert ClassificationTrace.from_dict(d, "down") == trace
+        assert check_trace(d, "down") == checked(trace)
         with pytest.raises(ValueError, match="needs a turn"):
-            ClassificationTrace.from_dict(d)
+            check_trace(d)
 
 
 class _FailingBackend:
@@ -655,7 +661,7 @@ def test_classify_matches_engine_oracle(technique, max_rounds, replies, fail_at,
             TechniqueConfig(max_rounds=max_rounds),
         )
         # Its stored summary is the one its turns and error give on reading back.
-        assert ClassificationTrace.from_dict(trace.to_dict(), trace.error) == trace
+        assert check_trace(trace.to_dict(), trace.error) == checked(trace)
         outcomes.append(((trace.error, trace.to_dict()), backend.calls))
     (got, got_calls), (want, want_calls) = outcomes
     assert got == want
