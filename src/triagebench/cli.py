@@ -248,16 +248,22 @@ def cmd_anonymize(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
+def _shown(text: str) -> str:
+    """text as a progress line shows it: as is if printable, else its repr,
+    so a newline or other control in a name cannot start a second line."""
+    return text if text.isprintable() else repr(text)
+
+
 def _progress(record: RunRecord, completed: int, total: int) -> None:
     # One write per line: print writes the text and its end separately, two
-    # syscalls when stdout is unbuffered. _value_ as in ClassificationTrace.to_dict.
+    # syscalls when stdout is unbuffered. _value_ as in ClassificationTrace.to_json.
     trace = record.trace
     status = trace.final._value_
     if record.error is not None:
-        status = f"error ({record.error})"
+        status = f"error ({_shown(record.error)})"
     sys.stdout.write(
-        f"[{completed}/{total}] {trace.model} "
-        f"{trace.technique._value_} {trace.incident_id}: {status}\n"
+        f"[{completed}/{total}] {_shown(trace.model)} "
+        f"{trace.technique._value_} {_shown(trace.incident_id)}: {status}\n"
     )
     sys.stdout.flush()
 

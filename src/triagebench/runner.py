@@ -31,6 +31,7 @@ import os
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from json import loads
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Collection, Iterator, NamedTuple
 
@@ -53,7 +54,7 @@ from .techniques import (
     check_trace,
     classify,
 )
-from .util import canonical_dumps, enum_decoder, utf8_encodable
+from .util import enum_decoder, utf8_encodable
 
 logger = logging.getLogger(__name__)
 
@@ -196,16 +197,28 @@ class RunRecord:
             t.total_latency_ms, t.total_response_chars, t.rounds_used,
         )
 
+    def to_json(self) -> str:
+        """The record as one run-file line, without its "\n": the canonical
+        JSON of to_dict(), its keys laid out here in sorted order as
+        ClassificationTrace.to_json lays out the trace's. A failed task's
+        error is written here, beside the trace."""
+        error = self.trace.error
+        error = "" if error is None else f'"error":{encode_basestring(error)},'
+        return (
+            f'{{"correct":{"true" if self.correct else "false"},'
+            f'{error}"ground_truth":"{self.ground_truth._value_}",'
+            f'"schema_version":{RUN_SCHEMA_VERSION},"trace":{self.trace.to_json()}}}'
+        )
+
     def to_dict(self) -> dict:
-        d = {
-            "schema_version": RUN_SCHEMA_VERSION,
-            "trace": self.trace.to_dict(),
-            "ground_truth": self.ground_truth._value_,  # see trace.to_dict
-            "correct": self.correct,
-        }
-        if self.error is not None:
-            d["error"] = self.error
-        return d
+        """The record as stored in a run file, as plain JSON types."""
+        return loads(self.to_json())
+
+
+# execute serializes every record through this module global, which the
+# benchmark's tracer (perfbench/tracing.py) wraps to time the layer; it
+# returns the line as a str.
+canonical_dumps = RunRecord.to_json
 
 
 def _check_truth(ground_truth: CategoryCode) -> None:
@@ -441,7 +454,7 @@ def execute(
             nonlocal executed, failed, completed
             # Encode, then add the newline to the bytes: adding it to the
             # str first would copy a widened (UCS-2) string once more.
-            out.write(canonical_dumps(record.to_dict()).encode("utf-8") + b"\n")
+            out.write(canonical_dumps(record).encode("utf-8") + b"\n")
             out.flush()
             executed += 1
             completed += 1

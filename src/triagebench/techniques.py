@@ -20,6 +20,7 @@ exact wording it used.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 from bisect import bisect_right
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -44,7 +46,7 @@ from .backend import (
 )
 from .corpus import IncidentRecord
 from .taxonomy import ANSWER_CONTRACT, CategoryCode, Taxonomy, parse_category
-from .util import enum_decoder, sha256_hex
+from .util import enum_decoder, json_scalar, sha256_hex
 
 if TYPE_CHECKING:
     from importlib.abc import Traversable
@@ -298,45 +300,57 @@ class ClassificationTrace:
         setattr_(self, "total_response_chars",
                  sum([t.completion.telemetry.response_chars for t in turns]))
 
-    def to_dict(self) -> dict:
-        """The trace as stored in a run file; check_trace checks it back.
+    def to_json(self) -> str:
+        """The trace as stored in a run file, in canonical JSON; check_trace
+        checks it back. The error is not part of it: RunRecord writes it.
 
-        Enum fields are read through _value_: the value property costs about
-        five times as much, and every task writes a dozen of them.
+        The keys are laid out here in sorted order, the strings escaped with
+        encode_basestring and the other scalars written with json_scalar, so
+        the text is canonical_dumps of to_dict() without building the dict.
+        Enum fields are read through _value_ (the value property costs about
+        five times as much) and written unescaped, as no value of theirs
+        needs escaping.
         """
-        return {
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "incident_id": self.incident_id,
-            "model": self.model,
-            "model_group": self.model_group._value_,
-            "technique": self.technique._value_,
-            "turns": [
-                {
-                    "sent": [m.to_dict() for m in t.sent],
-                    "completion": {
-                        "text": t.completion.text,
-                        "telemetry": {
-                            "latency_ms": tm.latency_ms,
-                            "response_chars": tm.response_chars,
-                            "prompt_tokens": tm.prompt_tokens,
-                            "output_tokens": tm.output_tokens,
-                            "server_eval_duration_ms": tm.server_eval_duration_ms,
-                        },
-                    },
-                    "parsed": t.parsed._value_,
-                }
-                for t in self.turns
-                for tm in (t.completion.telemetry,)
-            ],
-            "final": self.final._value_,
-            "rounds_used": self.rounds_used,
-            "converged": self.converged,
-            "telemetry_totals": {
-                "total_latency_ms": self.total_latency_ms,
-                "total_response_chars": self.total_response_chars,
-            },
-            "template_hash": self.template_hash,
-        }
+        esc, num = encode_basestring, json_scalar
+        turns = []
+        for t in self.turns:
+            c = t.completion
+            tm = c.telemetry
+            sent = ",".join([
+                _system_json(m.content) if m.role is _SYSTEM
+                else '{"content":' + esc(m.content) + ',"role":"' + m.role._value_ + '"}'
+                for m in t.sent
+            ])
+            turns.append(
+                f'{{"completion":{{"telemetry":{{"latency_ms":{num(tm.latency_ms)},'
+                f'"output_tokens":{num(tm.output_tokens)},'
+                f'"prompt_tokens":{num(tm.prompt_tokens)},'
+                f'"response_chars":{num(tm.response_chars)},'
+                f'"server_eval_duration_ms":{num(tm.server_eval_duration_ms)}}},'
+                f'"text":{esc(c.text)}}},"parsed":"{t.parsed._value_}","sent":[{sent}]}}'
+            )
+        return (
+            f'{{"converged":{"true" if self.converged else "false"},'
+            f'"final":"{self.final._value_}","incident_id":{esc(self.incident_id)},'
+            f'"model":{esc(self.model)},"model_group":"{self.model_group._value_}",'
+            f'"rounds_used":{self.rounds_used},"schema_version":{TRACE_SCHEMA_VERSION},'
+            f'"technique":"{self.technique._value_}",'
+            f'"telemetry_totals":{{"total_latency_ms":{num(self.total_latency_ms)},'
+            f'"total_response_chars":{num(self.total_response_chars)}}},'
+            f'"template_hash":{esc(self.template_hash)},"turns":[{",".join(turns)}]}}'
+        )
+
+    def to_dict(self) -> dict:
+        """The trace as stored in a run file, as plain JSON types."""
+        return json.loads(self.to_json())
+
+
+@lru_cache(maxsize=64)
+def _system_json(content: str) -> str:
+    """A system message as to_json writes it. Every task of a technique
+    sends one system prompt, the same str each time (TemplateSet.system),
+    so it is escaped once and its hash, the cache key, is computed once."""
+    return f'{{"content":{encode_basestring(content)},"role":"system"}}'
 
 
 # Telemetry a server may leave out: null or missing, else a number.
@@ -416,7 +430,7 @@ def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> tuple[str, 
 
 
 # Read once: an Enum member lookup on its class costs a property call.
-_USER, _ASSISTANT = Role.USER, Role.ASSISTANT
+_SYSTEM, _USER, _ASSISTANT = Role.SYSTEM, Role.USER, Role.ASSISTANT
 
 
 def classify(

@@ -3,7 +3,9 @@ whole-file writes.
 
 Canonical JSON (sorted keys, compact separators, UTF-8, no ASCII escaping)
 is used everywhere a byte-identical artifact is promised: trace lines, run
-files, the demo golden file.
+files, the demo golden file. A writer that lays out its own JSON text writes
+strings with encode_basestring and other scalars with json_scalar, the
+functions the canonical encoder itself uses, so its bytes are the same.
 """
 from __future__ import annotations
 
@@ -30,6 +32,36 @@ _CANONICAL = json.JSONEncoder(
 def canonical_dumps(obj: Any) -> str:
     """Serialize to the canonical JSON form used for all durable artifacts."""
     return _CANONICAL.encode(obj)
+
+
+_INF = float("inf")
+
+
+def json_scalar(value: Any) -> str:
+    """A null, bool, int or float as canonical_dumps writes it.
+
+    As the C encoder does: null, true and false, then int.__repr__ for any
+    int and float.__repr__ for any float, NaN and the infinities spelled as
+    JavaScript does. Any other type raises TypeError, as canonical_dumps
+    does for a type it cannot write.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def sha256_hex(data: str | bytes) -> str:

@@ -146,14 +146,13 @@ def random_records(
 def write_run_file(path: Path, records) -> Path:
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(canonical_dumps(record.to_dict()) + "\n")
+            fh.write(record.to_json() + "\n")
     return path
 
 
 def stored_lines(path: Path) -> dict[TaskKey, dict]:
-    """keyed_lines of a file that load_run_records accepts. A line is the
-    canonical JSON of RunRecord.to_dict(), so this is each task's whole
-    record as stored."""
+    """keyed_lines of a file that load_run_records accepts. A line is
+    RunRecord.to_json(), so this is each task's whole record as stored."""
     load_run_records(path)
     return keyed_lines(path)
 

@@ -1,5 +1,5 @@
 """Independent references: every metric and every task's row from a run
-file, the reply parser, and classify.
+file, the reply parser, classify, and the stored form of a record.
 
 The metric reference deliberately shares no code with the package: plain
 loops over the raw JSON lines, Decimal for the percentage and fsum for the
@@ -8,7 +8,9 @@ compute_metrics exactly. The parser reference is the straightforward
 cascade that compiles one pattern per category name on every call. The
 classify reference is the engine code it replaced: a session object and one
 function per technique, over the package's own data types, templates,
-truncation and parser.
+truncation and parser. The record reference is the dict tree the run-file
+writer built before it laid out its lines itself: its canonical_dumps is
+the line RunRecord.to_json must write.
 """
 from __future__ import annotations
 
@@ -28,8 +30,10 @@ from triagebench.backend import (
     truncate_to_budget,
 )
 from triagebench.corpus import IncidentRecord
+from triagebench.runner import RUN_SCHEMA_VERSION, RunRecord
 from triagebench.taxonomy import CategoryCode, Taxonomy, parse_category
 from triagebench.techniques import (
+    TRACE_SCHEMA_VERSION,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
@@ -37,6 +41,57 @@ from triagebench.techniques import (
 )
 
 TAXONOMY_CODES = [f"CAT{k}" for k in range(1, 13)]
+
+
+def trace_dict(trace: ClassificationTrace) -> dict:
+    """The trace as a run file stores it, as a tree of plain JSON types."""
+    return {
+        "schema_version": TRACE_SCHEMA_VERSION,
+        "incident_id": trace.incident_id,
+        "model": trace.model,
+        "model_group": trace.model_group.value,
+        "technique": trace.technique.value,
+        "turns": [
+            {
+                "sent": [{"role": m.role.value, "content": m.content} for m in t.sent],
+                "completion": {
+                    "text": t.completion.text,
+                    "telemetry": {
+                        "latency_ms": tm.latency_ms,
+                        "response_chars": tm.response_chars,
+                        "prompt_tokens": tm.prompt_tokens,
+                        "output_tokens": tm.output_tokens,
+                        "server_eval_duration_ms": tm.server_eval_duration_ms,
+                    },
+                },
+                "parsed": t.parsed.value,
+            }
+            for t in trace.turns
+            for tm in (t.completion.telemetry,)
+        ],
+        "final": trace.final.value,
+        "rounds_used": trace.rounds_used,
+        "converged": trace.converged,
+        "telemetry_totals": {
+            "total_latency_ms": trace.total_latency_ms,
+            "total_response_chars": trace.total_response_chars,
+        },
+        "template_hash": trace.template_hash,
+    }
+
+
+def record_dict(record: RunRecord) -> dict:
+    """The record as a run file stores it: its trace, its grade and, for a
+    failed task, the error beside the trace."""
+    d = {
+        "schema_version": RUN_SCHEMA_VERSION,
+        "trace": trace_dict(record.trace),
+        "ground_truth": record.ground_truth.value,
+        "correct": record.correct,
+    }
+    if record.error is not None:
+        d["error"] = record.error
+    return d
 
 
 def oracle_percent(numerator: int, denominator: int) -> float:

@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import functools
+import hashlib
 import inspect
 import json
 import os
@@ -650,6 +651,42 @@ class TestProgress:
         cli._progress(RunRecord(trace, CategoryCode.CAT1), 2, 12000)
         assert out.calls == [line, None]
 
+    @pytest.mark.parametrize(
+        "model, incident_id, error, line",
+        [
+            ("m\nFAKE", "inc", None, "[2/12000] 'm\\nFAKE' ZSL inc: CAT1\n"),
+            ("m", "a\nFAKE [9/9] x", None, "[2/12000] m ZSL 'a\\nFAKE [9/9] x': CAT1\n"),
+            ("m", "a\u2028b", None, "[2/12000] m ZSL 'a\\u2028b': CAT1\n"),
+            ("m", "tab\there", None, "[2/12000] m ZSL 'tab\\there': CAT1\n"),
+            ("m", "inc", "down\r\nFAKE", "[2/12000] m ZSL inc: error ('down\\r\\nFAKE')\n"),
+        ],
+    )
+    def test_a_name_that_is_not_printable_is_shown_as_its_repr(
+        self, monkeypatch, model, incident_id, error, line
+    ):
+        trace = make_trace(incident_id=incident_id, model=model)
+        if error is not None:
+            trace = dataclasses.replace(trace, turns=(), error=error)
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._progress(RunRecord(trace, CategoryCode.CAT1), 2, 12000)
+        assert out.calls == [line, None]
+
+    def test_each_record_prints_one_line(self, tmp_path, capsys):
+        row = dict(GOOD_ROW, id="a\nFAKE [9/9] x")
+        corpus = write_corpus(tmp_path / "c.jsonl", [row, dict(GOOD_ROW, id="b")])
+        rc = cli.main([
+            "run", "--backend", "scripted", "--models", "demo",
+            "--techniques", "ZSL", "--corpus", str(corpus),
+            "--out", str(tmp_path / "run.jsonl"),
+        ])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "[1/2] demo ZSL 'a\\nFAKE [9/9] x': CAT2",
+            "[2/2] demo ZSL b: CAT2",
+            "2 of 2 tasks executed (0 resumed, 0 failed-as-recorded)",
+        ]
+
 
 class TestTracerSeams:
     """The benchmark's tracer (perfbench/tracing.py) wraps these names where
@@ -676,12 +713,16 @@ class TestTracerSeams:
         self, tmp_path, monkeypatch, capsys
     ):
         calls = Counter()
+        serialized = []
 
         def counted(name, fn):
             @functools.wraps(fn)
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                if name == "canonical_dumps":
+                    serialized.append(result)
+                return result
 
             return wrapper
 
@@ -715,6 +756,12 @@ class TestTracerSeams:
         # Once per record: classify it, serialize it, report its progress.
         for name in ("classify", "canonical_dumps", "_progress"):
             assert calls[name] == tasks, name
+        # The tracer counts the bytes of each serialized line as the str it
+        # returns, UTF-8 encoded, plus its "\n": that must be the line written.
+        assert all(type(line) is str for line in serialized)
+        assert b"".join(line.encode("utf-8") + b"\n" for line in serialized) == (
+            out.read_bytes()
+        )
         for name in ("task_keys", "execute", "load_corpus", "build_demo_script"):
             assert calls[name] == 1, name
 
@@ -1723,6 +1770,17 @@ class TestDemo:
             "plot_data.json",
         ]
         assert len(load_run_records(out_dir / "demo_run.jsonl")) == 120
+
+    def test_run_file_bytes_are_pinned(self, tmp_path):
+        # The demo's scripted latencies are 0.0, so its run file is the same
+        # on every Python; a writer that changes one byte of a line fails here.
+        out_dir = tmp_path / "demo-out"
+        assert cli.main(["demo", "--out-dir", str(out_dir)]) == EXIT_OK
+        data = (out_dir / "demo_run.jsonl").read_bytes()
+        assert len(data) == 393_330
+        assert hashlib.sha256(data).hexdigest() == (
+            "21bd3e81e4ae6618929df4e4a38075b2c55f048aae190d2a7adb8e0a7da4d157"
+        )
 
     def test_artifacts_take_the_umask_mode(self, tmp_path, umask_022):
         out_dir = tmp_path / "demo-out"

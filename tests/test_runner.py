@@ -7,7 +7,7 @@ from functools import cache, partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triagebench.backend import (
@@ -31,8 +31,9 @@ from triagebench.runner import (
     load_run_records,
     resume_scan,
 )
-from triagebench.taxonomy import CategoryCode
+from triagebench.taxonomy import CategoryCode, builtin_taxonomy
 from triagebench.techniques import (
+    FIXED_ROUNDS,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
@@ -50,7 +51,7 @@ from helpers import (
     stored_lines,
     write_run_file,
 )
-from oracles import oracle_rows
+from oracles import oracle_rows, record_dict
 
 CORPUS = Corpus(
     records=tuple(
@@ -598,6 +599,83 @@ def test_written_line_is_canonical_json_of_plain_types(texts, replies):
         d = record.to_dict()
         assert _plain(d)
         assert canonical_dumps(d) == line
+        assert record.to_json() == line == canonical_dumps(record_dict(record))
+
+
+# Characters a JSON writer must escape or must write raw, astral ones too.
+_tricky_char = st.sampled_from(
+    ['"', "\\", *map(chr, range(0x20)), "\x7f", "\x85", "\u2028", "\u2029",
+     "\u2014", "\U0001f512", "\U0010ffff"]
+)
+_tricky_text = st.text(_tricky_char | st.characters(), max_size=12)
+_tricky_nonempty = st.text(_tricky_char | st.characters(), min_size=1, max_size=12)
+# Every scalar kind a telemetry value may hold, with the floats whose repr
+# is hard: the smallest and a huge one, a negative zero, NaN and infinities.
+_tricky_number = (
+    st.sampled_from([True, False, 0, -7, 10**30, -0.0, 5e-324, 1e308,
+                     float("nan"), float("inf"), float("-inf")])
+    | st.integers()
+    | st.floats()
+)
+
+
+@st.composite
+def _drawn_records(draw) -> RunRecord:
+    """A record of any technique, failed or not, with 0 to 4 turns of
+    tricky strings and numbers."""
+    technique = draw(st.sampled_from(list(TechniqueId)))
+    error = draw(st.none() | _tricky_text)
+    fixed = FIXED_ROUNDS.get(technique)
+    if fixed is None:
+        n = draw(st.integers(0 if error is not None else 1, 4))
+    else:
+        n = fixed if error is None else draw(st.integers(0, fixed - 1))
+    system = _tricky_nonempty | st.just(
+        default_templates().system(technique, builtin_taxonomy())
+    )
+    message = st.builds(ChatMessage, st.just(Role.USER), _tricky_nonempty) | st.builds(
+        ChatMessage, st.just(Role.SYSTEM), system
+    ) | st.builds(ChatMessage, st.just(Role.ASSISTANT), _tricky_text)
+    turns = tuple(
+        TraceTurn(
+            tuple(draw(st.lists(message, max_size=3))),
+            Completion(
+                draw(_tricky_text),
+                Telemetry(
+                    draw(_tricky_number),
+                    draw(_tricky_number),
+                    draw(st.none() | _tricky_number),
+                    draw(st.none() | _tricky_number),
+                    draw(st.none() | _tricky_number),
+                ),
+            ),
+            draw(st.sampled_from(list(CategoryCode))),
+        )
+        for _ in range(n)
+    )
+    try:
+        trace = ClassificationTrace(
+            draw(_tricky_text), draw(_tricky_text),
+            draw(st.sampled_from(list(ModelGroup))), technique, turns,
+            draw(_tricky_text), error,
+        )
+    except ValueError:  # two PHP or PRP answers agreed before the last turn
+        assume(False)
+    return RunRecord(trace, draw(st.sampled_from(CODES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_drawn_records())
+def test_to_json_is_canonical_json_of_the_reference_dict(record):
+    assert record.to_json() == canonical_dumps(record_dict(record))
+
+
+def test_a_telemetry_value_json_cannot_write_fails_before_any_write(tmp_path):
+    plan = plan_for(tmp_path, techniques=(TechniqueId.ZSL,))
+    reply = Completion("FINAL: CAT1", Telemetry(1.0, 11, prompt_tokens="5"))
+    with pytest.raises(TypeError, match="str is not JSON serializable"):
+        execute(plan, DrawnBackend([reply]))
+    assert plan.output_path.read_bytes() == b""
 
 
 class TestLoadRunRecords:

@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -60,6 +62,32 @@ def test_canonical_dumps_is_json_dumps_sorted_compact_unescaped(value):
     assert canonical_dumps(value) == json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
+
+
+class _Int(int):
+    def __repr__(self) -> str:
+        return "not the int"
+
+
+class _Float(float):
+    def __repr__(self) -> str:
+        return "not the float"
+
+
+@given(
+    value=st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([10**30, -0.0, 5e-324, 1e308, float("nan"), float("-inf")])
+    | st.integers().map(_Int) | st.floats().map(_Float)
+    | st.sampled_from(list(IntEnum("Level", "LOW HIGH")))
+)
+def test_json_scalar_writes_what_canonical_dumps_writes(value):
+    assert util.json_scalar(value) == canonical_dumps(value)
+
+
+@pytest.mark.parametrize("value", ["5", b"5", Decimal("5"), [5], {"a": 5}, object()])
+def test_json_scalar_of_another_type_raises_type_error(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        util.json_scalar(value)
 
 
 @pytest.mark.parametrize("container", [dict, list])
