@@ -307,8 +307,10 @@ class OllamaBackend:
     """Live client for an Ollama-compatible /api/chat endpoint.
 
     Every request sends the GenerationParams' temperature, output limit
-    (num_predict) and seed as its options. Shareable across worker threads:
-    each thread keeps one keep-alive connection of its own. Transient
+    (num_predict) and seed as its options, and a context window (num_ctx)
+    of the input budget plus the output limit, so the server does not cut
+    a prompt that the harness fitted to its budget. Shareable across worker
+    threads: each thread keeps one keep-alive connection of its own. Transient
     failures (connection errors, timeouts, 5xx) are retried with the fixed
     backoff schedule before surfacing BackendUnavailableError. A base URL
     that is not http(s)://host[...] raises ValueError when the backend is
@@ -369,6 +371,7 @@ class OllamaBackend:
             "options": {
                 "temperature": params.temperature,
                 "num_predict": params.max_output_tokens,
+                "num_ctx": params.input_token_budget + params.max_output_tokens,
                 "seed": params.seed,
             },
         }

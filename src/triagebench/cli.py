@@ -313,7 +313,9 @@ def cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
         )
         if scripted:
             # Replies depend only on the task key, so resume scripts just the rest.
-            done = resume_scan(plan.output_path) if args.resume else frozenset()
+            done = (
+                resume_scan(plan.output_path, plan.header) if args.resume else frozenset()
+            )
             backend = ScriptedBackend(
                 build_demo_script(corpus, plan.run_order(done), config.max_rounds)
             )

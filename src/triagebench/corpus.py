@@ -8,8 +8,10 @@ may start with a byte-order mark.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -64,6 +66,20 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def digest(self) -> str:
+        """SHA-256 of what a task reads of each record: its id, text and
+        ground truth, in id order, so the order of the file does not count.
+
+        One string is joined and hashed; each id and text is JSON-escaped,
+        so no two corpora join to the same string.
+        """
+        esc = encode_basestring
+        joined = "".join(sorted([
+            f"{esc(r.id)}{esc(r.text)}{r.ground_truth._value_}\n" for r in self.records
+        ]))
+        # surrogatepass: a corpus built in code may hold a lone surrogate.
+        return hashlib.sha256(joined.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _record_from_mapping(row: dict, where: str) -> IncidentRecord:

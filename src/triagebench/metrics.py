@@ -3,8 +3,9 @@
 Accuracy is reported per technique, per model × technique, per group ×
 technique and per model, with a 12 × 13 confusion matrix (true category ×
 predicted category + UNPARSED) and per model × technique efficiency
-aggregates. Percentages round half-up to one decimal via exact Decimal
-arithmetic; means use math.fsum so results do not depend on record order.
+aggregates, whose p50 and p95 task latencies only metrics.md shows.
+Percentages round half-up to one decimal via exact Decimal arithmetic;
+means use math.fsum so results do not depend on record order.
 
 UNPARSED finals count as incorrect, matching the binary correct/incorrect
 presentation, and are additionally surfaced as an unparsed_percent column.
@@ -43,6 +44,13 @@ def round1_percent(numerator: int, denominator: int) -> float:
         raise MetricsError("denominator must be positive")
     frac = Decimal(numerator) * 100 / Decimal(denominator)
     return float(frac.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
+def nearest_rank(values: Sequence[float], q: int) -> float:
+    """The q-th percentile by nearest rank: the smallest of the values that
+    at least q % of them do not exceed."""
+    ordered = sorted(values)
+    return ordered[-(-q * len(ordered) // 100) - 1]
 
 
 def mean(values: Sequence[float]) -> float:
@@ -99,6 +107,9 @@ class MetricsReport:
     confusion: tuple[tuple[int, ...], ...]  # 12 true rows x 13 predicted cols
     efficiency: tuple[EfficiencyCell, ...]
     n_records: int
+    # "model|technique" -> (p50, p95) of its tasks' total_latency_ms; in
+    # metrics.md only, so the CSV, plot data and golden summary keep theirs.
+    latency_percentiles: dict[str, tuple[float, float]]
 
     def to_dict(self) -> dict:
         return {
@@ -161,15 +172,20 @@ def compute_metrics(rows: Sequence[RunRow]) -> MetricsReport:
         confusion[row_index[row.ground_truth]][col_index[row.final]] += 1
 
     efficiency = []
+    latency_percentiles = {}
     for key in sorted(by_model_technique):
         members = by_model_technique[key]
         model, technique = key.rsplit("|", 1)
+        latencies = [r.total_latency_ms for r in members]
+        latency_percentiles[key] = (
+            nearest_rank(latencies, 50), nearest_rank(latencies, 95)
+        )
         efficiency.append(
             EfficiencyCell(
                 model=model,
                 technique=technique,
                 n_records=len(members),
-                mean_latency_ms=mean([r.total_latency_ms for r in members]),
+                mean_latency_ms=mean(latencies),
                 mean_response_chars=mean(
                     [float(r.total_response_chars) for r in members]
                 ),
@@ -185,6 +201,7 @@ def compute_metrics(rows: Sequence[RunRow]) -> MetricsReport:
         confusion=tuple(tuple(row) for row in confusion),
         efficiency=tuple(efficiency),
         n_records=len(rows),
+        latency_percentiles=latency_percentiles,
     )
 
 
@@ -324,17 +341,21 @@ def render_markdown(
         ),
         (
             "Efficiency by model and technique",
-            ["Model", "Technique", "n", "Mean latency ms", "Mean reply chars", "Turns"],
+            ["Model", "Technique", "n", "Mean latency ms", "p50 latency ms",
+             "p95 latency ms", "Mean reply chars", "Turns"],
             [
                 [
                     e.model,
                     e.technique,
                     e.n_records,
                     f"{e.mean_latency_ms:.3f}",
+                    f"{p50:.3f}",
+                    f"{p95:.3f}",
                     f"{e.mean_response_chars:.1f}",
                     e.total_turns,
                 ]
                 for e in report.efficiency
+                for p50, p95 in [report.latency_percentiles[f"{e.model}|{e.technique}"]]
             ],
         ),
     ]

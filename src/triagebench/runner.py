@@ -13,15 +13,21 @@ line without one, and resume cuts it off and runs its task again. An interrupt
 or a failed write stops a parallel run once the tasks already started
 finish; tasks still queued are never sent to the backend. After an
 interrupt those tasks are written too, so resume re-runs only what never
-finished; after a failed write nothing is. resume_scan and
-load_run_records share one streaming line reader, so every task resume
-skips is one that load_run_records reads or refuses by line; both refuse a
-line of another schema version. load_run_records is the one record reader:
-check_record applies every rule of a record to its decoded line and reduces
-it to a RunRow, the few fields the metrics read, without building its
-transcript. A resumed run counts only its plan's tasks, and refuses a file
-stamped with another template set. A record grades its trace, which holds a
-failed task's error, against the expert label.
+finished; after a failed write nothing is.
+
+Run files are schema version 2. The first record written to a file also
+carries the run header (RunHeader): the plan's fingerprint and every
+technique's system prompt, which each record's system message refers to
+instead of holding it. A file that holds no record yet, or only a torn
+line, gets the header with its next record. load_run_records is the one
+record reader: check_record applies every rule of a record to its decoded
+line and reduces it to a RunRow, the few fields the metrics read, without
+building its transcript. resume_scan reads the file through the same
+checks, so resume and report refuse the same lines, by file:line; it also
+refuses a header other than the plan's, naming the fields that differ, and
+a version-1 file, which load_run_records still reads. A resumed run counts
+only its plan's tasks. A record grades its trace, which holds a failed
+task's error, against the expert label.
 """
 from __future__ import annotations
 
@@ -29,12 +35,14 @@ import logging
 import mmap
 import os
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from json import loads
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Collection, Iterator, NamedTuple
 
+from . import util
 from .backend import (
     Backend,
     BudgetTooSmallError,
@@ -47,18 +55,18 @@ from .backend import (
 from .corpus import Corpus
 from .taxonomy import CategoryCode, builtin_taxonomy
 from .techniques import (
-    TRACE_SCHEMA_VERSION,
+    FIXED_ROUNDS,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
     check_trace,
     classify,
 )
-from .util import enum_decoder, utf8_encodable
+from .util import enum_decoder, sha256_hex, typed, utf8_encodable
 
 logger = logging.getLogger(__name__)
 
-RUN_SCHEMA_VERSION = 1
+RUN_SCHEMA_VERSION = 2
 
 TaskKey = tuple[str, str, str]  # (model name, technique, incident id)
 
@@ -68,6 +76,64 @@ _category = enum_decoder(CategoryCode)
 
 class RunError(Exception):
     """Run-file or plan-level failure (not a single-task failure)."""
+
+
+@dataclass(frozen=True)
+class RunHeader:
+    """What every record of a run file shares, stored once, on its first line.
+
+    Every field but prompts is the run's fingerprint: the generation params
+    that reach the server (num_ctx is their sum of two), max_rounds, the
+    template set's hash, the hash of the taxonomy's prompt block (all the
+    prompts and the parser read of it) and the corpus digest. prompts holds
+    the system prompt of every technique in the template set.
+    """
+
+    temperature: float
+    max_output_tokens: int
+    input_token_budget: int
+    seed: int
+    max_rounds: int
+    template_hash: str
+    taxonomy_hash: str
+    corpus_digest: str
+    prompts: dict[str, str]  # technique -> its system prompt
+
+    def to_json(self) -> str:
+        """The header as the first line's "run" value, in canonical JSON."""
+        return util.canonical_dumps(asdict(self))
+
+    @classmethod
+    def from_dict(cls, d: object) -> RunHeader:
+        """A stored header, each field of its type and a nonempty prompt for
+        every technique."""
+        if type(d) is not dict:
+            raise TypeError(f"run must be dict, got {d!r}")
+        header = cls(**{
+            f.name: typed(d, f.name, *_HEADER_TYPES[f.name]) for f in fields(cls)
+        })
+        prompts = header.prompts
+        if sorted(prompts) != sorted(t.value for t in TechniqueId) or not all(
+            type(p) is str and p for p in prompts.values()
+        ):
+            raise ValueError("run prompts must map each technique to its prompt")
+        return header
+
+    def differences(self, other: RunHeader) -> list[str]:
+        """Each field whose value differs from other's, with both values."""
+        return [
+            f.name if f.name == "prompts" else f"{f.name} {mine!r} (plan: {theirs!r})"
+            for f in fields(self)
+            if (mine := getattr(self, f.name)) != (theirs := getattr(other, f.name))
+        ]
+
+
+_HEADER_TYPES = {
+    "temperature": (int, float), "max_output_tokens": (int,),
+    "input_token_budget": (int,), "seed": (int,), "max_rounds": (int,),
+    "template_hash": (str,), "taxonomy_hash": (str,), "corpus_digest": (str,),
+    "prompts": (dict,),
+}
 
 
 @dataclass(frozen=True)
@@ -101,9 +167,8 @@ class RunPlan:
         # would fail every task of that technique, so refuse it up front.
         budget = self.params.input_token_budget
         user = ChatMessage(Role.USER, "x" * (4 * budget + 1))
-        templates, taxonomy = self.technique_config.templates, builtin_taxonomy()
         for technique in self.techniques:
-            system = ChatMessage(Role.SYSTEM, templates.system(technique, taxonomy))
+            system = ChatMessage(Role.SYSTEM, self.header.prompts[technique.value])
             try:
                 truncate_to_budget([system, user], budget)
             except BudgetTooSmallError:
@@ -111,6 +176,18 @@ class RunPlan:
                     f"input_token_budget {budget} is too small for the"
                     f" {technique.value} system prompt"
                 ) from None
+
+    @cached_property
+    def header(self) -> RunHeader:
+        """The run header of this plan's run file."""
+        params, config, taxonomy = self.params, self.technique_config, builtin_taxonomy()
+        templates = config.templates
+        return RunHeader(
+            params.temperature, params.max_output_tokens, params.input_token_budget,
+            params.seed, config.max_rounds, templates.template_hash,
+            sha256_hex(taxonomy.prompt_block), self.corpus.digest(),
+            {t.value: templates.system(t, taxonomy) for t in TechniqueId},
+        )
 
     def task_keys(self) -> list[TaskKey]:
         """Every task in plan order: incident, then technique, then model.
@@ -197,22 +274,27 @@ class RunRecord:
             t.total_latency_ms, t.total_response_chars, t.rounds_used,
         )
 
-    def to_json(self) -> str:
-        """The record as one run-file line, without its "\n": the canonical
-        JSON of to_dict(), its keys laid out here in sorted order as
-        ClassificationTrace.to_json lays out the trace's. A failed task's
-        error is written here, beside the trace."""
-        error = self.trace.error
+    def to_json(self, header: RunHeader, carry: bool = False) -> str:
+        """The record as one line of the run file of header, without its
+        "\\n": the canonical JSON of to_dict(), its keys laid out here in
+        sorted order as ClassificationTrace.to_json lays out the trace's,
+        whose system message refers to the header's prompt of its technique.
+        The first record of a file carries the header (carry). A failed
+        task's error is written here, beside the trace."""
+        t = self.trace
+        error = t.error
         error = "" if error is None else f'"error":{encode_basestring(error)},'
+        run = f'"run":{header.to_json()},' if carry else ""
         return (
             f'{{"correct":{"true" if self.correct else "false"},'
-            f'{error}"ground_truth":"{self.ground_truth._value_}",'
-            f'"schema_version":{RUN_SCHEMA_VERSION},"trace":{self.trace.to_json()}}}'
+            f'{error}"ground_truth":"{self.ground_truth._value_}",{run}'
+            f'"schema_version":{RUN_SCHEMA_VERSION},'
+            f'"trace":{t.to_json(header.prompts[t.technique._value_])}}}'
         )
 
-    def to_dict(self) -> dict:
+    def to_dict(self, header: RunHeader, carry: bool = False) -> dict:
         """The record as stored in a run file, as plain JSON types."""
-        return loads(self.to_json())
+        return loads(self.to_json(header, carry))
 
 
 # execute serializes every record through this module global, which the
@@ -226,18 +308,32 @@ def _check_truth(ground_truth: CategoryCode) -> None:
         raise ValueError("ground_truth may not be UNPARSED")
 
 
-def check_record(d: dict) -> tuple[RunRow, str]:
-    """The row of a stored record and its template_hash, checked without
+def check_record(d: dict, header: RunHeader | None) -> tuple[RunRow, str]:
+    """The row of a stored record and its template hash, checked without
     building the record.
 
-    The record and its trace must carry this version's schema versions,
-    the trace must pass check_trace, the ground truth must be a category,
-    and a stored `correct` must be the one final and ground truth imply.
+    header is the run header of the record's file, or None for a version-1
+    file, whose records each hold their prompts and template_hash. The
+    record must carry its file's schema version and, past the first line,
+    no header; the trace must pass check_trace, and a PHP or PRP trace must
+    have at most the header's max_rounds turns; the ground truth must be a
+    category; and a stored `correct` must be the one final and ground truth
+    imply.
     """
-    _check_versions(d)
+    v1 = header is None
+    _check_version(d.get("schema_version"), 1 if v1 else RUN_SCHEMA_VERSION)
+    if v1:
+        _check_version(d["trace"].get("schema_version"), 1, "trace schema_version")
+    elif "run" in d:
+        raise ValueError("a run header on a record after the first")
     error = d.get("error")
     (model, technique, incident_id, group, final, total_latency_ms,
-     total_response_chars, rounds_used, template_hash) = check_trace(d["trace"], error)
+     total_response_chars, rounds_used) = check_trace(d["trace"], error, v1)
+    if not v1 and rounds_used > header.max_rounds and technique not in FIXED_ROUNDS:
+        raise ValueError(
+            f"turns is {rounds_used}, but {technique.value} runs at most"
+            f" max_rounds {header.max_rounds}"
+        )
     ground_truth = _category(d["ground_truth"])
     _check_truth(ground_truth)
     correct = final is ground_truth
@@ -250,18 +346,28 @@ def check_record(d: dict) -> tuple[RunRow, str]:
         model, technique._value_, incident_id, group._value_, ground_truth, final,
         error, total_latency_ms, total_response_chars, rounds_used,
     )
-    return row, template_hash
+    return row, d["trace"]["template_hash"] if v1 else header.template_hash
 
 
-def _check_versions(d: dict) -> None:
-    """A record and its trace must carry the schema versions written here."""
-    for name, found, version in (
-        ("schema_version", d.get("schema_version"), RUN_SCHEMA_VERSION),
-        ("trace schema_version", d["trace"].get("schema_version"),
-         TRACE_SCHEMA_VERSION),
-    ):
-        if type(found) is not int or found != version:
-            raise ValueError(f"{name} is {found!r}, but this version reads {version}")
+def _check_version(found: object, version: int, name: str = "schema_version") -> None:
+    if type(found) is not int or found != version:
+        raise ValueError(f"{name} is {found!r}, but this file is version {version}")
+
+
+def _header_of(d: dict) -> RunHeader | None:
+    """The run header that the first record of a file carries, taken out of
+    d; None if the record is of version 1, which has none."""
+    found = d.get("schema_version")
+    if type(found) is int and found == 1:
+        return None
+    if type(found) is not int or found != RUN_SCHEMA_VERSION:
+        raise ValueError(
+            f"schema_version is {found!r}, but this version reads 1 and"
+            f" {RUN_SCHEMA_VERSION}"
+        )
+    if "run" not in d:
+        raise ValueError("the first record carries no run header")
+    return RunHeader.from_dict(d.pop("run"))
 
 
 def _invalid(path: Path, lineno: int, exc: Exception) -> RunError:
@@ -315,61 +421,77 @@ def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
         raise RunError(f"cannot read run file {path}: {exc}") from exc
 
 
+def _checked_rows(
+    path: Path,
+) -> tuple[tuple[int, RunHeader | None, str] | None, dict[TaskKey, RunRow]]:
+    """The first record's line number, its file's header (None for a
+    version-1 file) and template hash, or None if the file holds no record;
+    and the row of each task, the later line of a repeated key winning, in
+    first-seen key order.
+
+    A line whose key decodes but that check_record refuses raises RunError
+    naming it: resume would skip that task, so dropping it would lose it
+    for good. So does a version-1 record stamped with another template set
+    than the first record's, as its results would be averaged with results
+    of other prompts.
+    """
+    rows: dict[TaskKey, RunRow] = {}
+    first: tuple[int, RunHeader | None, str] | None = None  # line, header, hash
+    for lineno, key, d in _read_run_file(path):
+        try:
+            header = _header_of(d) if first is None else first[1]
+            row, template_hash = check_record(d, header)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise _invalid(path, lineno, exc) from exc
+        if first is None:
+            first = (lineno, header, template_hash)
+        elif template_hash != first[2]:
+            raise RunError(
+                f"{path}:{lineno}: template_hash {template_hash} differs from"
+                f" line {first[0]}'s {first[2]}; the run mixes template sets"
+            )
+        rows[key] = row
+    return first, rows
+
+
 def resume_scan(
-    output_path: str | Path, *, template_hash: str | None = None
+    output_path: str | Path, header: RunHeader | None = None
 ) -> set[TaskKey]:
     """Keys of the records already in the run file; empty if there is none.
 
-    A line of another schema version raises RunError, as load_run_records
-    refuses it. Given the plan's template_hash, so does a line stamped with
-    another one: resuming would mix two template sets in one file.
+    The file is read with load_run_records' checks, so a line that the
+    report refuses is refused here too, by file:line. A version-1 file is
+    read-only, so it raises RunError. Given the plan's header, so does a
+    file whose header differs, naming the fields that differ: resuming
+    would mix records made with other settings, prompts or corpora.
     """
     path = Path(output_path)
     if not path.exists():
         return set()
-    done: set[TaskKey] = set()
-    for lineno, key, d in _read_run_file(path):
-        try:
-            _check_versions(d)
-        except ValueError as exc:
-            raise _invalid(path, lineno, exc) from exc
-        found = d["trace"].get("template_hash")
-        if template_hash is not None and found != template_hash:
+    first, rows = _checked_rows(path)
+    if first is not None:
+        lineno, found, _ = first
+        if found is None:
             raise RunError(
-                f"{path}:{lineno}: template_hash {found} differs from the"
-                f" plan's {template_hash}; resume would mix template sets"
+                f"{path}:{lineno}: schema_version 1 is read-only: report reads"
+                f" it, but resume appends only to a version {RUN_SCHEMA_VERSION} file"
             )
-        done.add(key)
-    return done
+        differences = [] if header is None else found.differences(header)
+        if differences:
+            raise RunError(
+                f"{path}:{lineno}: the run header differs from the plan's in"
+                f" {', '.join(differences)}; resume would mix runs"
+            )
+    return set(rows)
 
 
 def load_run_records(path: str | Path) -> list[RunRow]:
-    """The row of each task in a run file; the later line of a repeated key
-    wins, in first-seen key order. Each line is checked straight into its
-    row: no transcript is built.
-
-    A line whose key decodes but that check_record refuses raises RunError:
-    resume would skip that task, so dropping it would lose it for good. So
-    does a record stamped with another template set than the first record's,
-    as its results would be averaged with results of other prompts.
+    """The row of each task in a run file of version 2 or 1; the later line
+    of a repeated key wins, in first-seen key order. Each line is checked
+    straight into its row: no transcript is built. A line that
+    check_record refuses raises RunError naming it.
     """
-    path = Path(path)
-    rows: dict[TaskKey, RunRow] = {}
-    first: tuple[int, str] | None = None  # line and template_hash of the first
-    for lineno, key, d in _read_run_file(path):
-        try:
-            row, template_hash = check_record(d)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _invalid(path, lineno, exc) from exc
-        if first is None:
-            first = (lineno, template_hash)
-        elif template_hash != first[1]:
-            raise RunError(
-                f"{path}:{lineno}: template_hash {template_hash} differs from"
-                f" line {first[0]}'s {first[1]}; the run mixes template sets"
-            )
-        rows[key] = row
-    return list(rows.values())
+    return list(_checked_rows(Path(path))[1].values())
 
 
 @dataclass(frozen=True)
@@ -398,16 +520,16 @@ def execute(
     backend calls keep failing is recorded as a failed record (final
     UNPARSED, error note) and the run continues; only run-file I/O failures
     abort. With resume=True, keys already present in the output file are
-    skipped, and a line stamped with another template set is refused before
-    any task.
+    skipped, and a file that resume_scan refuses is refused before any
+    task. The first record written to a file that holds none carries the
+    plan's run header.
     """
     path = Path(plan.output_path)
+    header = plan.header
 
     done: set[TaskKey] = set()
     if resume:
-        done = resume_scan(
-            path, template_hash=plan.technique_config.templates.template_hash
-        )
+        done = resume_scan(path, header)
     elif path.exists() and path.stat().st_size > 0:
         raise RunError(
             f"output file {path} already exists; pass resume=True or use a fresh path"
@@ -450,12 +572,17 @@ def execute(
             if start < size:
                 out.truncate(start)
 
+        # done holds the key of every record in the file, so it is empty
+        # when the file holds none: only blank, malformed or torn lines.
+        carry = not done
+
         def write(record: RunRecord) -> None:
-            nonlocal executed, failed, completed
+            nonlocal executed, failed, completed, carry
             # Encode, then add the newline to the bytes: adding it to the
-            # str first would copy a widened (UCS-2) string once more.
-            out.write(canonical_dumps(record).encode("utf-8") + b"\n")
+            # str first would copy it once more.
+            out.write(canonical_dumps(record, header, carry).encode("utf-8") + b"\n")
             out.flush()
+            carry = False
             executed += 1
             completed += 1
             if record.error is not None:

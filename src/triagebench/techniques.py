@@ -15,8 +15,10 @@ convergence and totals from them, and refuses turns no run can give.
 
 The full conversation is resent each round (the chat endpoint is stateless)
 after passing through truncate_to_budget. Prompt text lives in external
-template files; the set's hash is recorded on every trace so a run pins the
-exact wording it used.
+template files. A trace is stored without its system prompt: the run file's
+header holds each technique's prompt and the template set's hash once, and
+a stored system message without content stands for its technique's prompt
+there (ClassificationTrace.to_json, check_trace).
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .backend import (
     Backend,
@@ -46,12 +48,10 @@ from .backend import (
 )
 from .corpus import IncidentRecord
 from .taxonomy import ANSWER_CONTRACT, CategoryCode, Taxonomy, parse_category
-from .util import enum_decoder, json_scalar, sha256_hex
+from .util import enum_decoder, json_scalar, sha256_hex, typed
 
 if TYPE_CHECKING:
     from importlib.abc import Traversable
-
-TRACE_SCHEMA_VERSION = 1
 
 
 class TechniqueId(str, Enum):
@@ -259,15 +259,6 @@ _group = enum_decoder(ModelGroup)
 _technique = enum_decoder(TechniqueId)
 
 
-def _typed(d: dict, key: str, *types: type) -> Any:
-    """d[key], if its exact type is one of types (so a bool is no int)."""
-    value = d[key]
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"{key} must be {names}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True, slots=True)
 class ClassificationTrace:
     """One task's turns, and the error that ended it early, if any."""
@@ -277,7 +268,6 @@ class ClassificationTrace:
     model_group: ModelGroup
     technique: TechniqueId
     turns: tuple[TraceTurn, ...]
-    template_hash: str
     error: str | None = None
     # Worked out from the turns and error (_summary), the totals with sum().
     final: CategoryCode = field(init=False)
@@ -300,9 +290,11 @@ class ClassificationTrace:
         setattr_(self, "total_response_chars",
                  sum([t.completion.telemetry.response_chars for t in turns]))
 
-    def to_json(self) -> str:
+    def to_json(self, prompt: str | None = None) -> str:
         """The trace as stored in a run file, in canonical JSON; check_trace
-        checks it back. The error is not part of it: RunRecord writes it.
+        checks it back. The error is not part of it: RunRecord writes it. A
+        system message that sends prompt, the run header's prompt of this
+        technique, is stored as {"role":"system"}, without its content.
 
         The keys are laid out here in sorted order, the strings escaped with
         encode_basestring and the other scalars written with json_scalar, so
@@ -317,7 +309,7 @@ class ClassificationTrace:
             c = t.completion
             tm = c.telemetry
             sent = ",".join([
-                _system_json(m.content) if m.role is _SYSTEM
+                '{"role":"system"}' if m.role is _SYSTEM and m.content == prompt
                 else '{"content":' + esc(m.content) + ',"role":"' + m.role._value_ + '"}'
                 for m in t.sent
             ])
@@ -330,27 +322,17 @@ class ClassificationTrace:
                 f'"text":{esc(c.text)}}},"parsed":"{t.parsed._value_}","sent":[{sent}]}}'
             )
         return (
-            f'{{"converged":{"true" if self.converged else "false"},'
-            f'"final":"{self.final._value_}","incident_id":{esc(self.incident_id)},'
+            f'{{"final":"{self.final._value_}","incident_id":{esc(self.incident_id)},'
             f'"model":{esc(self.model)},"model_group":"{self.model_group._value_}",'
-            f'"rounds_used":{self.rounds_used},"schema_version":{TRACE_SCHEMA_VERSION},'
-            f'"technique":"{self.technique._value_}",'
+            f'"rounds_used":{self.rounds_used},"technique":"{self.technique._value_}",'
             f'"telemetry_totals":{{"total_latency_ms":{num(self.total_latency_ms)},'
             f'"total_response_chars":{num(self.total_response_chars)}}},'
-            f'"template_hash":{esc(self.template_hash)},"turns":[{",".join(turns)}]}}'
+            f'"turns":[{",".join(turns)}]}}'
         )
 
-    def to_dict(self) -> dict:
+    def to_dict(self, prompt: str | None = None) -> dict:
         """The trace as stored in a run file, as plain JSON types."""
-        return json.loads(self.to_json())
-
-
-@lru_cache(maxsize=64)
-def _system_json(content: str) -> str:
-    """A system message as to_json writes it. Every task of a technique
-    sends one system prompt, the same str each time (TemplateSet.system),
-    so it is escaped once and its hash, the cache key, is computed once."""
-    return f'{{"content":{encode_basestring(content)},"role":"system"}}'
+        return json.loads(self.to_json(prompt))
 
 
 # Telemetry a server may leave out: null or missing, else a number.
@@ -358,17 +340,20 @@ _OPTIONAL_TELEMETRY = ("prompt_tokens", "output_tokens", "server_eval_duration_m
 
 
 def check_trace(
-    d: dict, error: str | None = None
-) -> tuple[str, TechniqueId, str, ModelGroup, CategoryCode, float, int, int, str]:
+    d: dict, error: str | None = None, v1: bool = False
+) -> tuple[str, TechniqueId, str, ModelGroup, CategoryCode, float, int, int]:
     """Every rule a stored trace must meet, checked without building it.
 
     In order: each turn's sent messages (role, str content, nonempty for
-    system and user), its completion text, telemetry and parsed answer;
-    the identity fields; the error and the turn shape (_summary); then the
-    stored final, rounds, convergence and totals must be what the turns
-    and error give. Returns (model, technique, incident_id, model_group,
-    final, total_latency_ms, total_response_chars, rounds_used,
-    template_hash), the totals summed over the turns as the trace sums them.
+    system and user; a system message without content stands for the run
+    header's prompt), its completion text, telemetry and parsed answer; the
+    identity fields; the error and the turn shape (_summary); then the
+    stored final, rounds and totals must be what the turns and error give.
+    A trace of a version-1 file holds every message's content, a str
+    template_hash and a converged flag that must agree too. Returns (model,
+    technique, incident_id, model_group, final, total_latency_ms,
+    total_response_chars, rounds_used), the totals summed over the turns as
+    the trace sums them.
     """
     answers: list[CategoryCode] = []
     latencies: list[float] = []
@@ -377,19 +362,20 @@ def check_trace(
         completion = t["completion"]
         tm = completion["telemetry"]
         for m in t["sent"]:
-            check_content(_role(m["role"]), _typed(m, "content", str))
-        _typed(completion, "text", str)
-        latencies.append(_typed(tm, "latency_ms", int, float))
-        chars.append(_typed(tm, "response_chars", int))
+            role = _role(m["role"])
+            if v1 or role is not _SYSTEM or "content" in m:
+                check_content(role, typed(m, "content", str))
+        typed(completion, "text", str)
+        latencies.append(typed(tm, "latency_ms", int, float))
+        chars.append(typed(tm, "response_chars", int))
         for key in _OPTIONAL_TELEMETRY:
             if tm.get(key) is not None:
-                _typed(tm, key, int, float)
+                typed(tm, key, int, float)
         answers.append(_category(t["parsed"]))
-    incident_id = _typed(d, "incident_id", str)
-    model = _typed(d, "model", str)
+    incident_id = typed(d, "incident_id", str)
+    model = typed(d, "model", str)
     group = _group(d["model_group"])
     technique = _technique(d["technique"])
-    template_hash = _typed(d, "template_hash", str)
     final, converged = _summary(technique, answers, error)
     rounds_used = len(answers)
     total_latency_ms, total_response_chars = sum(latencies), sum(chars)
@@ -398,14 +384,17 @@ def check_trace(
             f"final is {d['final']}, but its turns and error give {final.value}"
         )
     totals = d["telemetry_totals"]
-    for key, value, given in (
-        ("rounds_used", _typed(d, "rounds_used", int), rounds_used),
-        ("converged", _typed(d, "converged", bool), converged),
-        ("total_latency_ms", _typed(totals, "total_latency_ms", int, float),
+    checks = [
+        ("rounds_used", typed(d, "rounds_used", int), rounds_used),
+        ("total_latency_ms", typed(totals, "total_latency_ms", int, float),
          total_latency_ms),
-        ("total_response_chars", _typed(totals, "total_response_chars", int),
+        ("total_response_chars", typed(totals, "total_response_chars", int),
          total_response_chars),
-    ):
+    ]
+    if v1:
+        typed(d, "template_hash", str)
+        checks.append(("converged", typed(d, "converged", bool), converged))
+    for key, value, given in checks:
         # sum() rounds differently from Python 3.12 on, so a latency total
         # written by another version may differ in its last digit.
         if key == "total_latency_ms" and math.isclose(value, given):
@@ -414,7 +403,7 @@ def check_trace(
             raise ValueError(f"{key} is {value!r}, but the turns give {given!r}")
     return (
         model, technique, incident_id, group, final,
-        total_latency_ms, total_response_chars, rounds_used, template_hash,
+        total_latency_ms, total_response_chars, rounds_used,
     )
 
 
@@ -488,6 +477,5 @@ def classify(
     except BackendError as exc:
         error = str(exc)
     return ClassificationTrace(
-        incident.id, model.name, model.group, technique, tuple(turns),
-        templates.template_hash, error,
+        incident.id, model.name, model.group, technique, tuple(turns), error
     )

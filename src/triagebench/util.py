@@ -1,5 +1,5 @@
-"""Small shared helpers: canonical JSON, stable hashing, enum decoding and
-whole-file writes.
+"""Small shared helpers: canonical JSON, stable hashing, enum and typed-field
+decoding and whole-file writes.
 
 Canonical JSON (sorted keys, compact separators, UTF-8, no ASCII escaping)
 is used everywhere a byte-identical artifact is promised: trace lines, run
@@ -107,6 +107,15 @@ def enum_decoder(cls: type[E]) -> Callable[[Any], E]:
         return cls(value)
 
     return decode
+
+
+def typed(d: dict, key: str, *types: type) -> Any:
+    """d[key], if its exact type is one of types (so a bool is no int)."""
+    value = d[key]
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    return value
 
 
 def write_whole(target: Path, text: str, mode: int) -> None:

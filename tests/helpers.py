@@ -1,5 +1,5 @@
-"""Shared builders for tests: synthetic traces, records, run files and a
-backend wrapper that records calls."""
+"""Shared builders for tests: synthetic traces, records, run files, the run
+header of a default plan and a backend wrapper that records calls."""
 from __future__ import annotations
 
 import json
@@ -15,15 +15,17 @@ from triagebench.backend import (
     ModelGroup,
     ModelSpec,
     Telemetry,
+    resolve_model,
 )
-from triagebench.runner import RunRecord, TaskKey, load_run_records
+from triagebench.corpus import Corpus, IncidentRecord
+from triagebench.runner import RunHeader, RunPlan, RunRecord, TaskKey, load_run_records
 from triagebench.taxonomy import Category, CategoryCode, Taxonomy, builtin_taxonomy
 from triagebench.techniques import (
     FIXED_ROUNDS,
     ClassificationTrace,
+    TechniqueConfig,
     TechniqueId,
     TraceTurn,
-    default_templates,
 )
 from triagebench.util import canonical_dumps
 
@@ -93,7 +95,6 @@ def make_trace(
         model_group=group,
         technique=technique,
         turns=turns,
-        template_hash=default_templates().template_hash,
     )
 
 
@@ -143,18 +144,47 @@ def random_records(
     return records
 
 
-def write_run_file(path: Path, records) -> Path:
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_json() + "\n")
+def plan_header(corpus: Corpus | None = None, **params) -> RunHeader:
+    """The run header of a plan with the default settings but params, over
+    corpus (by default one record)."""
+    if corpus is None:
+        corpus = Corpus((IncidentRecord("inc-x", "report", CategoryCode.CAT1),))
+    return RunPlan(
+        models=(resolve_model("model-a"),),
+        techniques=(TechniqueId.ZSL,),
+        corpus=corpus,
+        params=GenerationParams(**params),
+        technique_config=TechniqueConfig(),
+        seed=0,
+        output_path=Path("unused"),
+    ).header
+
+
+HEADER = plan_header()
+
+
+def record_lines(records, header: RunHeader = HEADER) -> list[str]:
+    """The lines of a run file of header that holds records, without their
+    "\n"s: the first carries the header."""
+    return [record.to_json(header, n == 0) for n, record in enumerate(records)]
+
+
+def write_run_file(path: Path, records, header: RunHeader = HEADER) -> Path:
+    path.write_text(
+        "".join(line + "\n" for line in record_lines(records, header)), encoding="utf-8"
+    )
     return path
 
 
 def stored_lines(path: Path) -> dict[TaskKey, dict]:
-    """keyed_lines of a file that load_run_records accepts. A line is
-    RunRecord.to_json(), so this is each task's whole record as stored."""
+    """keyed_lines of a file that load_run_records accepts, without the run
+    header that the first carries. A line is RunRecord.to_json(), so this
+    is each task's whole record as stored."""
     load_run_records(path)
-    return keyed_lines(path)
+    lines = keyed_lines(path)
+    for d in lines.values():
+        d.pop("run", None)
+    return lines
 
 
 def corrupt_lines_2_and_3(path: Path) -> Path:

@@ -1,22 +1,25 @@
 """Independent references: every metric and every task's row from a run
-file, the reply parser, classify, and the stored form of a record.
+file, the reply parser, classify, and the stored forms of a record.
 
 The metric reference deliberately shares no code with the package: plain
 loops over the raw JSON lines, Decimal for the percentage and fsum for the
-means (the documented output contracts). Used to cross-check
-compute_metrics exactly. The parser reference is the straightforward
-cascade that compiles one pattern per category name on every call. The
-classify reference is the engine code it replaced: a session object and one
-function per technique, over the package's own data types, templates,
-truncation and parser. The record reference is the dict tree the run-file
-writer built before it laid out its lines itself: its canonical_dumps is
-the line RunRecord.to_json must write.
+means (the documented output contracts), and nearest-rank percentiles found
+by counting. Used to cross-check compute_metrics exactly. The parser
+reference is the straightforward cascade that compiles one pattern per
+category name on every call. The classify reference is the engine code it
+replaced: a session object and one function per technique, over the
+package's own data types, templates, truncation and parser. The record
+references are dict trees: record_dict is the version-2 line that
+RunRecord.to_json must write, record_dict_v1 the version-1 line the
+writer wrote before the run header, and v1_from_v2 rebuilds the second
+from the first and its file's header.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
+from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -30,10 +33,9 @@ from triagebench.backend import (
     truncate_to_budget,
 )
 from triagebench.corpus import IncidentRecord
-from triagebench.runner import RUN_SCHEMA_VERSION, RunRecord
+from triagebench.runner import RUN_SCHEMA_VERSION, RunHeader, RunRecord
 from triagebench.taxonomy import CategoryCode, Taxonomy, parse_category
 from triagebench.techniques import (
-    TRACE_SCHEMA_VERSION,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
@@ -43,17 +45,23 @@ from triagebench.techniques import (
 TAXONOMY_CODES = [f"CAT{k}" for k in range(1, 13)]
 
 
-def trace_dict(trace: ClassificationTrace) -> dict:
-    """The trace as a run file stores it, as a tree of plain JSON types."""
+def _message(m: ChatMessage, prompt: str | None) -> dict:
+    if m.role is Role.SYSTEM and m.content == prompt:
+        return {"role": "system"}
+    return {"role": m.role.value, "content": m.content}
+
+
+def trace_dict(trace: ClassificationTrace, prompt: str | None = None) -> dict:
+    """The trace as a version-2 run file stores it, as a tree of plain JSON
+    types: a system message that sends prompt is stored without content."""
     return {
-        "schema_version": TRACE_SCHEMA_VERSION,
         "incident_id": trace.incident_id,
         "model": trace.model,
         "model_group": trace.model_group.value,
         "technique": trace.technique.value,
         "turns": [
             {
-                "sent": [{"role": m.role.value, "content": m.content} for m in t.sent],
+                "sent": [_message(m, prompt) for m in t.sent],
                 "completion": {
                     "text": t.completion.text,
                     "telemetry": {
@@ -71,26 +79,73 @@ def trace_dict(trace: ClassificationTrace) -> dict:
         ],
         "final": trace.final.value,
         "rounds_used": trace.rounds_used,
-        "converged": trace.converged,
         "telemetry_totals": {
             "total_latency_ms": trace.total_latency_ms,
             "total_response_chars": trace.total_response_chars,
         },
-        "template_hash": trace.template_hash,
     }
 
 
-def record_dict(record: RunRecord) -> dict:
-    """The record as a run file stores it: its trace, its grade and, for a
-    failed task, the error beside the trace."""
+def record_dict(record: RunRecord, header: RunHeader, carry: bool = False) -> dict:
+    """The record as a version-2 run file of header stores it: its trace,
+    its grade, for a failed task the error beside the trace and, on the
+    first line (carry), the header with every field."""
     d = {
         "schema_version": RUN_SCHEMA_VERSION,
-        "trace": trace_dict(record.trace),
+        "trace": trace_dict(record.trace, header.prompts[record.trace.technique.value]),
         "ground_truth": record.ground_truth.value,
         "correct": record.correct,
     }
     if record.error is not None:
         d["error"] = record.error
+    if carry:
+        d["run"] = asdict(header)
+    return d
+
+
+def record_dict_v1(record: RunRecord, template_hash: str) -> dict:
+    """The record as a version-1 run file stored it: every message with its
+    content, and schema versions, template_hash and converged in the trace."""
+    trace = trace_dict(record.trace)
+    trace.update(
+        schema_version=1, template_hash=template_hash, converged=record.trace.converged
+    )
+    d = {
+        "schema_version": 1,
+        "trace": trace,
+        "ground_truth": record.ground_truth.value,
+        "correct": record.correct,
+    }
+    if record.error is not None:
+        d["error"] = record.error
+    return d
+
+
+def v1_from_v2(line: dict, header: dict) -> dict:
+    """A version-2 line rebuilt as the version-1 line of the same record,
+    from the header of its file: each system message without content gets
+    its technique's prompt back, and the trace its schema version, the
+    template hash and converged, worked out from its turns and error."""
+    d = json.loads(json.dumps(line))
+    d.pop("run", None)
+    trace = d["trace"]
+    prompt = header["prompts"][trace["technique"]]
+    for turn in trace["turns"]:
+        for m in turn["sent"]:
+            if m["role"] == "system" and "content" not in m:
+                m["content"] = prompt
+    answers = [turn["parsed"] for turn in trace["turns"]]
+    if trace["technique"] in ("PHP", "PRP"):
+        converged = (
+            "error" not in d and len(answers) >= 2
+            and answers[-1] == answers[-2] != "UNPARSED"
+        )
+    else:
+        converged = "error" not in d
+    trace.update(
+        schema_version=1, template_hash=header["template_hash"], converged=converged
+    )
+    d["schema_version"] = 1
     return d
 
 
@@ -186,6 +241,12 @@ def oracle_metrics(path: Path) -> dict:
             )
             / len(members),
             "total_turns": sum(d["trace"]["rounds_used"] for d in members),
+            "latency_percentiles": tuple(
+                _nearest_rank_by_count(
+                    [d["trace"]["telemetry_totals"]["total_latency_ms"] for d in members], q
+                )
+                for q in (50, 95)
+            ),
         }
 
     return {
@@ -201,6 +262,12 @@ def oracle_metrics(path: Path) -> dict:
         "efficiency": efficiency,
         "n_records": len(rows),
     }
+
+
+def _nearest_rank_by_count(values: list[float], q: int) -> float:
+    """The smallest value that at least q % of the values do not exceed,
+    found by counting, for each value, the values at or below it."""
+    return min(v for v in values if 100 * sum(w <= v for w in values) >= q * len(values))
 
 
 def assert_report_matches_oracle(report, path: Path) -> None:
@@ -243,6 +310,7 @@ def assert_report_matches_oracle(report, path: Path) -> None:
         assert cell.mean_latency_ms == want["mean_latency_ms"], key
         assert cell.mean_response_chars == want["mean_response_chars"], key
         assert cell.total_turns == want["total_turns"], key
+        assert report.latency_percentiles[key] == want["latency_percentiles"], key
 
 
 _FINAL_RE = re.compile(r"FINAL\s*:\s*\[?CAT\s?(\d{1,2})\]?", re.IGNORECASE)
@@ -360,7 +428,6 @@ class _Session:
             model_group=self.model.group,
             technique=self.technique,
             turns=tuple(self.turns),
-            template_hash=self.config.templates.template_hash,
             error=error,
         )
         telemetry = [t.completion.telemetry for t in self.turns]

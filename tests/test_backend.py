@@ -148,9 +148,11 @@ class TestOllamaBackend:
             {"role": "system", "content": "be terse"},
             {"role": "user", "content": "classify this"},
         ]
+        # The context window holds the input budget and the output limit.
         assert sent["options"] == {
             "temperature": 0.0,
             "num_predict": 1024,
+            "num_ctx": 8192 + 1024,
             "seed": 11,
         }
         assert completion.text == "FINAL: CAT1"
@@ -165,6 +167,14 @@ class TestOllamaBackend:
         handler.responses.append((200, ok_body()))
         OllamaBackend(url).complete(MODEL, MESSAGES, GenerationParams())
         assert handler.requests_seen[0]["options"]["seed"] == 0
+
+    def test_context_window_holds_the_budget_and_the_output_limit(self, stub_server):
+        url, handler = stub_server
+        handler.responses.append((200, ok_body()))
+        params = GenerationParams(input_token_budget=4096, max_output_tokens=512)
+        OllamaBackend(url).complete(MODEL, MESSAGES, params)
+        options = handler.requests_seen[0]["options"]
+        assert (options["num_ctx"], options["num_predict"]) == (4096 + 512, 512)
 
     def test_404_is_unknown_model(self, stub_server):
         url, handler = stub_server
@@ -418,7 +428,9 @@ class TestKeepAliveTransport:
             "model": "demo",
             "messages": [m.to_dict() for m in MESSAGES],
             "stream": False,
-            "options": {"temperature": 0.0, "num_predict": 1024, "seed": 11},
+            "options": {
+                "temperature": 0.0, "num_predict": 1024, "num_ctx": 9216, "seed": 11,
+            },
         }
         assert keepalive_server.posts == [
             ("application/json", json.dumps(payload, allow_nan=False).encode())

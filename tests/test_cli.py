@@ -38,8 +38,10 @@ from triagebench.techniques import (
     default_templates,
     load_templates,
 )
+from triagebench.util import canonical_dumps
 
 from helpers import corrupt_lines_2_and_3, make_trace, stored_lines
+from oracles import v1_from_v2
 
 
 @pytest.fixture(autouse=True)
@@ -233,7 +235,12 @@ class TestConfigKeys:
         assert max(t["rounds_used"] for t in traces) == 2
         custom = load_templates(templates).template_hash
         assert custom != default_templates().template_hash
-        assert {t["template_hash"] for t in traces} == {custom}
+        header = json.loads(out.read_text(encoding="utf-8").splitlines()[0])["run"]
+        assert {k: v for k, v in header.items() if k not in ("prompts", "corpus_digest",
+                                                             "taxonomy_hash")} == {
+            "temperature": 0.0, "max_output_tokens": 512, "input_token_budget": 4096,
+            "seed": 7, "max_rounds": 2, "template_hash": custom,
+        }
         report = tmp_path / "report"
         assert cli.main(["report", str(out), "--out-dir", str(report)]) == EXIT_OK
         rows = (report / "metrics.csv").read_text(encoding="utf-8").splitlines()
@@ -901,9 +908,9 @@ class TestRunScripted:
         assert rc == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {out}:1: template_hash {theirs.template_hash} differs from the"
-            f" plan's {load_templates(ours).template_hash}; resume would mix"
-            f" template sets\n"
+            f"error: {out}:1: the run header differs from the plan's in template_hash"
+            f" '{theirs.template_hash}' (plan: '{load_templates(ours).template_hash}');"
+            f" resume would mix runs\n"
         )
         assert captured.out == ""
         assert out.read_bytes() == before
@@ -1472,13 +1479,13 @@ class TestReport:
         # Line 2 of another version, line 3 of none: report and resume
         # both refuse line 2.
         rows = [json.loads(x) for x in scripted_run_file.read_text("utf-8").splitlines()]
-        rows[1]["schema_version"], rows[1]["trace"]["schema_version"] = 2, 7
-        del rows[2]["schema_version"], rows[2]["trace"]["schema_version"]
+        rows[1]["schema_version"] = 1
+        del rows[2]["schema_version"]
         text = "".join(json.dumps(r) + "\n" for r in rows)
         scripted_run_file.write_text(text, "utf-8")
         refusal = (
             f"error: {scripted_run_file}:2: invalid record: ValueError:"
-            " schema_version is 2, but this version reads 1\n"
+            " schema_version is 1, but this file is version 2\n"
         )
         rc = cli.main(["report", str(scripted_run_file), "--out-dir", str(tmp_path / "r")])
         assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
@@ -1568,16 +1575,12 @@ class TestReport:
                          id="model-int"),
             pytest.param(("trace", "incident_id"), 7, "incident_id must be str",
                          id="incident_id-int"),
-            pytest.param(("trace", "template_hash"), None, "template_hash must be str",
-                         id="template_hash-null"),
             pytest.param(("trace", "rounds_used"), "3", "rounds_used must be int",
                          id="rounds_used-str"),
             pytest.param(("trace", "rounds_used"), 2.5, "rounds_used must be int",
                          id="rounds_used-float"),
             pytest.param(("trace", "rounds_used"), True, "rounds_used must be int",
                          id="rounds_used-bool"),
-            pytest.param(("trace", "converged"), 1, "converged must be bool",
-                         id="converged-int"),
             pytest.param(("trace", "telemetry_totals", "total_latency_ms"), "x",
                          "total_latency_ms must be int or float", id="latency-str"),
             pytest.param(("trace", "telemetry_totals", "total_response_chars"), "x",
@@ -1595,6 +1598,14 @@ class TestReport:
             pytest.param(("trace", "turns", 0, "sent", 0),
                          lambda d: {"role": "assistant", "content": None},
                          "content must be str, got None", id="system-as-assistant-null"),
+            pytest.param(("trace", "turns", 0, "sent", 0),
+                         lambda d: {"role": "user"}, "KeyError: 'content'",
+                         id="system-reference-as-user"),
+            pytest.param(("trace", "turns", 0, "sent", 0, "content"), "",
+                         "system message content must be nonempty",
+                         id="system-content-empty"),
+            pytest.param(("run",), lambda d: {}, "a run header on a record after the first",
+                         id="second-header"),
             pytest.param(("trace", "turns", 0, "completion", "telemetry", "latency_ms"),
                          False, "latency_ms must be int or float, got False",
                          id="latency_ms-bool"),
@@ -1616,9 +1627,6 @@ class TestReport:
             # Line 2 is PHP, two turns, 0 ms, 86 reply characters.
             pytest.param(("trace", "rounds_used"), "plus1",
                          "rounds_used is 3, but the turns give 2", id="rounds_used-off"),
-            pytest.param(("trace", "converged"), "flip",
-                         "converged is False, but the turns give True",
-                         id="converged-off"),
             pytest.param(("trace", "telemetry_totals", "total_latency_ms"), "plus1",
                          "total_latency_ms is 1.0, but the turns give 0.0",
                          id="latency-off"),
@@ -1660,19 +1668,19 @@ class TestReport:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
-        "lineno, more_turns, converged, message",
+        "lineno, more_turns, message",
         [
             # Line 1 is ZSL, one turn; line 2 is PHP, two agreeing turns.
-            pytest.param(1, lambda turns: turns * 3, False,
+            pytest.param(1, lambda turns: turns * 3,
                          "turns is 3, but ZSL runs 1 without an error and fewer with one",
                          id="zsl-three-turns"),
-            pytest.param(2, lambda turns: turns + turns[-1:], True,
+            pytest.param(2, lambda turns: turns + turns[-1:],
                          "turns 1 and 2 agree, but PHP goes on to turn 3",
                          id="php-turn-after-agreeing"),
         ],
     )
     def test_turns_no_run_gives_exit_two(
-        self, scripted_run_file, tmp_path, capsys, lineno, more_turns, converged, message
+        self, scripted_run_file, tmp_path, capsys, lineno, more_turns, message
     ):
         lines = scripted_run_file.read_text(encoding="utf-8").splitlines()
         d = json.loads(lines[lineno - 1])
@@ -1681,7 +1689,6 @@ class TestReport:
         # is one no run gives.
         trace["turns"] = more_turns(trace["turns"])
         trace["rounds_used"] = len(trace["turns"])
-        trace["converged"] = converged
         trace["telemetry_totals"] = {
             f"total_{key}": sum(t["completion"]["telemetry"][key] for t in trace["turns"])
             for key in ("latency_ms", "response_chars")
@@ -1718,9 +1725,11 @@ class TestReport:
         assert rc == EXIT_FAILURE
         assert "no records" in capsys.readouterr().err
 
-    def test_mixed_template_sets_exit_two_naming_the_line(
+    def test_joined_run_files_exit_two_naming_the_second_header(
         self, scripted_run_file, tmp_path, capsys
     ):
+        # Each file's first line carries its header, so the lines of another
+        # run (here with another template set) start with a second one.
         templates = _tweaked_template_dir(tmp_path)
         other = tmp_path / "other.jsonl"
         rc = cli.main(
@@ -1731,16 +1740,75 @@ class TestReport:
         ours = scripted_run_file.read_bytes().splitlines(keepends=True)
         theirs = other.read_bytes().splitlines(keepends=True)
         mixed = tmp_path / "mixed.jsonl"
-        mixed.write_bytes(b"".join(ours[:3] + theirs[3:5]))
+        mixed.write_bytes(b"".join(ours[:3] + theirs[:2]))
         capsys.readouterr()
         rc = cli.main(["report", str(mixed), "--out-dir", str(tmp_path / "r")])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"error: {mixed}:4: template_hash {load_templates(templates).template_hash}"
-            f" differs from line 1's {default_templates().template_hash}; the run"
-            f" mixes template sets\n"
+            f"error: {mixed}:4: invalid record: ValueError: a run header on a"
+            f" record after the first\n"
         )
         assert not (tmp_path / "r").exists()
+
+    def test_more_turns_than_max_rounds_exit_two(self, tmp_path, capsys):
+        # A PHP run (max_rounds 3) whose line 2 has five turns that never
+        # agree, every other field kept consistent with them.
+        out = tmp_path / "run.jsonl"
+        args = ["run", "--backend", "scripted", "--techniques", "PHP", "--out", str(out)]
+        assert cli.main(args) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        d = json.loads(lines[1])
+        trace = d["trace"]
+        turn = trace["turns"][-1]
+        trace["turns"] = [
+            {**turn, "parsed": code,
+             "completion": {**turn["completion"], "text": f"FINAL: {code}"}}
+            for code in ("CAT10", "CAT11", "CAT7", "CAT11", "CAT7")
+        ]
+        for t in trace["turns"]:
+            t["completion"]["telemetry"] = {
+                **t["completion"]["telemetry"], "response_chars": len(t["completion"]["text"])
+            }
+        trace["rounds_used"], trace["final"] = 5, "CAT7"
+        trace["telemetry_totals"]["total_response_chars"] = sum(
+            len(t["completion"]["text"]) for t in trace["turns"]
+        )
+        d["correct"] = d["ground_truth"] == "CAT7"
+        lines[1] = json.dumps(d)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = out.read_bytes()
+        refusal = (
+            f"error: {out}:2: invalid record: ValueError: turns is 5, but PHP runs"
+            f" at most max_rounds 3\n"
+        )
+        capsys.readouterr()
+        rc = cli.main(["report", str(out), "--out-dir", str(tmp_path / "r")])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
+        rc = cli.main([*args, "--resume"])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
+        assert out.read_bytes() == before
+        # Read with a larger max_rounds, the same line is one a run gives.
+        lines[0] = lines[0].replace('"max_rounds":3', '"max_rounds":5')
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["report", str(out), "--out-dir", str(tmp_path / "r")]) == EXIT_OK
+
+    @pytest.mark.parametrize("flag, field", [
+        (["--temperature", "0.5"], "temperature 0.0 (plan: 0.5)"),
+        (["--seed", "3"], "seed 0 (plan: 3)"),
+        (["--max-rounds", "4"], "max_rounds 3 (plan: 4)"),
+    ])
+    def test_resume_with_other_settings_exit_two_naming_them(
+        self, scripted_run_file, capsys, flag, field
+    ):
+        before = scripted_run_file.read_bytes()
+        capsys.readouterr()
+        rc = cli.main(["run", "--backend", "scripted", "--techniques", "ZSL,PHP",
+                       "--out", str(scripted_run_file), "--resume", *flag])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, (
+            f"error: {scripted_run_file}:1: the run header differs from the plan's"
+            f" in {field}; resume would mix runs\n"
+        ))
+        assert scripted_run_file.read_bytes() == before
 
     def test_artifact_that_cannot_be_replaced_exit_one_naming_it(
         self, scripted_run_file, tmp_path, capsys
@@ -1752,6 +1820,47 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out_dir / 'metrics.csv'}: Is a directory\n"
         assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.csv"]
+
+
+V1_RUN = Path(__file__).parent / "data" / "run_v1_zsl_demo.jsonl"
+
+
+class TestVersion1RunFile:
+    """V1_RUN is `run --backend scripted --techniques ZSL` as written before
+    the run header: schema version 1, a whole system prompt on every line."""
+
+    ARGS = ["run", "--backend", "scripted", "--techniques", "ZSL"]
+
+    def test_report_writes_the_bytes_of_the_same_run_in_version_2(self, tmp_path):
+        v2 = tmp_path / "run.jsonl"
+        assert cli.main([*self.ARGS, "--out", str(v2)]) == EXIT_OK
+        for path, out_dir in ((V1_RUN, tmp_path / "v1"), (v2, tmp_path / "v2")):
+            assert cli.main(["report", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        for name in ("metrics.csv", "metrics.md", "plot_data.json"):
+            assert (tmp_path / "v1" / name).read_bytes() == (
+                tmp_path / "v2" / name
+            ).read_bytes(), name
+
+    def test_version_2_lines_rebuild_the_version_1_file(self, tmp_path):
+        v2 = tmp_path / "run.jsonl"
+        assert cli.main([*self.ARGS, "--out", str(v2)]) == EXIT_OK
+        lines = [json.loads(x) for x in v2.read_text(encoding="utf-8").splitlines()]
+        header = lines[0]["run"]
+        rebuilt = "".join(canonical_dumps(v1_from_v2(d, header)) + "\n" for d in lines)
+        assert rebuilt.encode("utf-8") == V1_RUN.read_bytes()
+        assert v2.stat().st_size < V1_RUN.stat().st_size / 1.9
+
+    def test_resume_exit_two_naming_schema_version_1(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"".join(V1_RUN.read_bytes().splitlines(keepends=True)[:10]))
+        before = path.read_bytes()
+        capsys.readouterr()
+        rc = cli.main([*self.ARGS, "--out", str(path), "--resume"])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, (
+            f"error: {path}:1: schema_version 1 is read-only: report reads it, but"
+            f" resume appends only to a version 2 file\n"
+        ))
+        assert path.read_bytes() == before
 
 
 class TestDemo:
@@ -1777,9 +1886,9 @@ class TestDemo:
         out_dir = tmp_path / "demo-out"
         assert cli.main(["demo", "--out-dir", str(out_dir)]) == EXIT_OK
         data = (out_dir / "demo_run.jsonl").read_bytes()
-        assert len(data) == 393_330
+        assert len(data) == 210_764
         assert hashlib.sha256(data).hexdigest() == (
-            "21bd3e81e4ae6618929df4e4a38075b2c55f048aae190d2a7adb8e0a7da4d157"
+            "404ca60220b65511f707efbb921d84e758bb64b1bbddf0a826368aadd661ed4c"
         )
 
     def test_artifacts_take_the_umask_mode(self, tmp_path, umask_022):

@@ -218,6 +218,22 @@ class TestRenderers:
                 assert set(pair) == {"correct_percent", "incorrect_percent"}
                 assert abs(pair["correct_percent"] + pair["incorrect_percent"] - 100.0) < 0.11
 
+    def test_latency_percentiles_by_nearest_rank_in_markdown_only(self):
+        latencies = [float(ms) for ms in (7, 1, 20, 4, 13, 2, 9, 16, 3, 11,
+                                          5, 18, 6, 15, 10, 8, 12, 19, 14, 17)]
+        rows = [
+            make_record(incident_id=f"i{n}", model="m", latency_ms=ms).row()
+            for n, ms in enumerate(latencies)
+        ]
+        report = compute_metrics(rows)
+        # 50 % of 20 tasks take at most the 10th smallest, 95 % the 19th.
+        assert report.latency_percentiles == {"m|ZSL": (10.0, 19.0)}
+        assert "| m | ZSL | 20 | 10.500 | 10.000 | 19.000 | 0.0 | 20 |" in (
+            render_markdown(report)
+        )
+        assert "latency_percentiles" not in report.to_dict()
+        assert "10.000" not in render_csv(report)
+
     def test_markdown_sections(self):
         rng = random.Random(9)
         report = compute_metrics([r.row() for r in random_records(rng, 60)])

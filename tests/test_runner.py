@@ -2,7 +2,7 @@ import json
 import tempfile
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -45,13 +45,15 @@ from triagebench.util import canonical_dumps
 
 from helpers import (
     CODES,
+    HEADER,
     corrupt_lines_2_and_3,
     make_record,
     make_trace,
+    record_lines,
     stored_lines,
     write_run_file,
 )
-from oracles import oracle_rows, record_dict
+from oracles import oracle_rows, record_dict, record_dict_v1, v1_from_v2
 
 CORPUS = Corpus(
     records=tuple(
@@ -73,6 +75,11 @@ SEPARATED = Corpus(
         for n, sep in enumerate(("\u2028", "\u2029", "\u0085"), start=1)
     )
 )
+
+
+# CORPUS with the same ids, one text edited or one label changed.
+EDITED = Corpus((replace(CORPUS.records[0], text="report 1 edited"), *CORPUS.records[1:]))
+RELABELED = Corpus((*CORPUS.records[:2], replace(CORPUS.records[2], ground_truth=CategoryCode.CAT9)))
 
 
 def _tweaked_templates() -> TemplateSet:
@@ -244,12 +251,12 @@ class TestGrade:
         record = RunRecord(make_trace(final=CategoryCode.CAT2), CategoryCode.CAT3)
         assert record.correct is False
         assert replace(record, ground_truth=CategoryCode.CAT2).correct is True
-        d = record.to_dict()
+        d = record.to_dict(HEADER)
         assert d["correct"] is False
-        assert check_record(d) == (record.row(), record.trace.template_hash)
+        assert check_record(d, HEADER) == (record.row(), HEADER.template_hash)
         for stored in (True, 0, "no", None):
             with pytest.raises(ValueError, match="correct is"):
-                check_record({**d, "correct": stored})
+                check_record({**d, "correct": stored}, HEADER)
 
     def test_final_is_the_last_answer_or_unparsed_on_error(self):
         trace = make_trace(
@@ -259,13 +266,13 @@ class TestGrade:
         failed = replace(trace, error="down")
         assert failed.final is CategoryCode.UNPARSED
         assert RunRecord(failed, CategoryCode.CAT2).correct is False
-        d = RunRecord(trace, CategoryCode.CAT3).to_dict()
+        d = RunRecord(trace, CategoryCode.CAT3).to_dict(HEADER)
         d["trace"]["final"] = "CAT3"
         with pytest.raises(ValueError, match="final is CAT3, but .* give CAT2"):
-            check_record(d)
+            check_record(d, HEADER)
         d["trace"]["final"], d["error"] = "CAT2", "down"
         with pytest.raises(ValueError, match="final is CAT2, but .* give UNPARSED"):
-            check_record(d)
+            check_record(d, HEADER)
         with pytest.raises(ValueError, match="needs a turn"):
             make_trace(rounds_used=0)
 
@@ -274,11 +281,11 @@ class TestGrade:
                          error="down")
         record = RunRecord(failed, CategoryCode.CAT1)
         assert record.error == "down"
-        d = record.to_dict()
+        d = record.to_dict(HEADER)
         assert (d["error"], "error" in d["trace"]) == ("down", False)
-        assert check_record(d) == (record.row(), record.trace.template_hash)
+        assert check_record(d, HEADER) == (record.row(), HEADER.template_hash)
         with pytest.raises(TypeError, match="error must be str"):
-            check_record({**d, "error": 7})
+            check_record({**d, "error": 7}, HEADER)
 
     @pytest.mark.parametrize(
         "technique, answers, error, refusal",
@@ -311,7 +318,7 @@ class TestGrade:
             model_group=ModelGroup.G1, technique=TechniqueId(technique),
             turns=tuple(TraceTurn((), Completion(c.value, Telemetry(0.0, 0)), c)
                         for c in codes),
-            template_hash="h", error=error,
+            error=error,
         )
         if refusal is None:
             assert build().final is (CategoryCode.UNPARSED if error else codes[-1])
@@ -369,23 +376,27 @@ class TestExecuteSerial:
 
 
 class TestResume:
-    @pytest.mark.parametrize("where, version", [
-        ("record", 2), ("trace", 7), ("record", None), ("trace", None),
-        ("record", True), ("trace", 1.0),
-    ])
-    def test_other_or_missing_schema_version_refused_by_line(
-        self, tmp_path, where, version
-    ):
+    @pytest.mark.parametrize("version", [1, 3, None, True, 2.0])
+    def test_other_or_missing_schema_version_refused_by_line(self, tmp_path, version):
         records = [make_record(incident_id=f"i{n}") for n in (1, 2, 3)]
         path = write_run_file(tmp_path / "run.jsonl", records)
         rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
-        d = rows[1] if where == "record" else rows[1]["trace"]
         if version is None:
-            del d["schema_version"]
+            del rows[1]["schema_version"]
         else:
-            d["schema_version"] = version
+            rows[1]["schema_version"] = version
         path.write_text("".join(canonical_dumps(r) + "\n" for r in rows), "utf-8")
-        refusal = "run\\.jsonl:2: invalid record: ValueError: .*schema_version is"
+        refusal = (
+            "run\\.jsonl:2: invalid record: ValueError: schema_version is"
+            " .*, but this file is version 2"
+        )
+        for read in (resume_scan, load_run_records):
+            with pytest.raises(RunError, match=refusal):
+                read(path)
+        # On the first line, the version says how to read the file.
+        rows[0]["schema_version"] = 7
+        path.write_text("".join(canonical_dumps(r) + "\n" for r in rows), "utf-8")
+        refusal = "run\\.jsonl:1: .* schema_version is 7, but this version reads 1 and 2"
         for read in (resume_scan, load_run_records):
             with pytest.raises(RunError, match=refusal):
                 read(path)
@@ -452,10 +463,13 @@ class TestResume:
         plan = plan_for(tmp_path)
         execute(plan, ConstantBackend())
         corrupt_lines_2_and_3(plan.output_path)
-        # Resume skips all three tasks, so the report must not drop two.
-        assert len(resume_scan(plan.output_path)) == 3
-        with pytest.raises(RunError, match=r"run\.jsonl:2: invalid record: ValueError"):
-            load_run_records(plan.output_path)
+        # Resume refuses the line the report refuses: skipping its task
+        # would leave a file that no report can read.
+        for read in (resume_scan, load_run_records):
+            with pytest.raises(RunError, match=r"run\.jsonl:2: invalid record: ValueError"):
+                read(plan.output_path)
+        with pytest.raises(RunError, match=r"run\.jsonl:2: invalid record"):
+            execute(plan, ConstantBackend(), resume=True)
 
     @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
     def test_resume_on_unreadable_run_file_raises_run_error(self, tmp_path, kind):
@@ -474,11 +488,123 @@ class TestResume:
         tweaked = replace(plan, technique_config=TechniqueConfig(templates=TWEAKED))
         backend = ConstantBackend()
         ours, theirs = TWEAKED.template_hash, default_templates().template_hash
-        refusal = f"run\\.jsonl:1: template_hash {theirs} differs from the plan's {ours}"
+        refusal = (
+            f"run\\.jsonl:1: the run header differs from the plan's in"
+            f" template_hash '{theirs}' \\(plan: '{ours}'\\); resume would mix runs"
+        )
         with pytest.raises(RunError, match=refusal):
             execute(tweaked, backend, resume=True)
         assert backend.calls == 0
         assert plan.output_path.read_bytes() == before
+
+    @pytest.mark.parametrize("change, fields", [
+        (dict(params=GenerationParams(temperature=0.5)), ["temperature"]),
+        (dict(params=GenerationParams(max_output_tokens=512)), ["max_output_tokens"]),
+        (dict(params=GenerationParams(input_token_budget=4096)), ["input_token_budget"]),
+        (dict(params=GenerationParams(seed=7, temperature=1.0)), ["temperature", "seed"]),
+        (dict(technique_config=TechniqueConfig(max_rounds=2)), ["max_rounds"]),
+        (dict(corpus=SEPARATED), ["corpus_digest"]),
+        (dict(corpus=EDITED), ["corpus_digest"]),
+        (dict(corpus=RELABELED), ["corpus_digest"]),
+    ])
+    def test_resume_with_another_fingerprint_refused_naming_the_fields(
+        self, tmp_path, change, fields
+    ):
+        plan = plan_for(tmp_path)
+        execute(plan, ConstantBackend())
+        before = plan.output_path.read_bytes()
+        backend = ConstantBackend()
+        with pytest.raises(RunError) as refused:
+            execute(replace(plan, **change), backend, resume=True)
+        message = str(refused.value)
+        assert message.startswith(
+            f"{plan.output_path}:1: the run header differs from the plan's in "
+        )
+        named = message.split(" in ", 1)[1].split("; ")[0].split(", ")
+        assert [part.split(" ")[0] for part in named] == fields
+        assert backend.calls == 0
+        assert plan.output_path.read_bytes() == before
+
+    def test_resume_with_other_run_settings_continues(self, tmp_path):
+        # Parallelism, the request timeout, models and techniques do not
+        # change a task's result, so they are no part of the fingerprint.
+        plan = plan_for(tmp_path, techniques=(TechniqueId.ZSL,))
+        execute(plan, ConstantBackend())
+        other = replace(
+            plan_for(tmp_path, models=("m-a", "m-b"),
+                     techniques=(TechniqueId.ZSL, TechniqueId.SHP), parallelism=2),
+            params=GenerationParams(request_timeout=5.0),
+        )
+        summary = execute(other, ConstantBackend(), resume=True)
+        assert (summary.skipped, summary.executed) == (3, 9)
+        assert len(load_run_records(plan.output_path)) == 12
+        # The corpus digest reads the incidents in id order, not file order.
+        assert plan_for(tmp_path, corpus=Corpus(CORPUS.records[::-1])).header == plan.header
+
+    def test_a_version_1_file_is_read_but_never_resumed(self, tmp_path):
+        records = [make_record(incident_id=f"i{n}") for n in (1, 2, 3)]
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(
+            canonical_dumps(record_dict_v1(r, HEADER.template_hash)) + "\n"
+            for r in records
+        ), "utf-8")
+        before = path.read_bytes()
+        assert load_run_records(path) == [r.row() for r in records]
+        refusal = "run\\.jsonl:1: schema_version 1 is read-only"
+        with pytest.raises(RunError, match=refusal):
+            resume_scan(path)
+        backend = ConstantBackend()
+        with pytest.raises(RunError, match=refusal):
+            execute(plan_for(tmp_path), backend, resume=True)
+        assert (backend.calls, path.read_bytes()) == (0, before)
+
+    @pytest.mark.parametrize("key, value, refusal", [
+        ("converged", False, "converged is False, but the turns give True"),
+        ("converged", 1, "converged must be bool"),
+        ("template_hash", None, "template_hash must be str"),
+        ("schema_version", 2, "trace schema_version is 2, but this file is version 1"),
+    ])
+    def test_a_version_1_record_keeps_the_version_1_rules(
+        self, tmp_path, key, value, refusal
+    ):
+        rows = [record_dict_v1(make_record(incident_id=f"i{n}"), HEADER.template_hash)
+                for n in (1, 2)]
+        rows[1]["trace"][key] = value
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(canonical_dumps(r) + "\n" for r in rows), "utf-8")
+        with pytest.raises(RunError, match=f"run\\.jsonl:2: invalid record: .*{refusal}"):
+            load_run_records(path)
+
+    def test_a_header_on_a_later_line_refused_by_line(self, tmp_path):
+        records = [make_record(incident_id=f"i{n}") for n in (1, 2, 3)]
+        lines = record_lines(records)
+        lines[2] = records[2].to_json(HEADER, carry=True)
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), "utf-8")
+        refusal = r"run\.jsonl:3: invalid record: ValueError: a run header on a record"
+        for read in (resume_scan, load_run_records):
+            with pytest.raises(RunError, match=refusal):
+                read(path)
+
+    def test_a_first_record_without_a_header_refused(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(make_record().to_json(HEADER) + "\n", "utf-8")
+        refusal = r"run\.jsonl:1: invalid record: ValueError: the first record carries no"
+        for read in (resume_scan, load_run_records):
+            with pytest.raises(RunError, match=refusal):
+                read(path)
+
+    @pytest.mark.parametrize("before", [b"", b"\n\n", b"not json\n"])
+    def test_the_first_record_of_a_file_carries_the_header(self, tmp_path, before):
+        # A file that holds no record gets the header with its next record,
+        # after whatever lines the readers skip.
+        plan = plan_for(tmp_path)
+        plan.output_path.write_bytes(before)
+        execute(plan, ConstantBackend(), resume=True)
+        lines = plan.output_path.read_bytes()[len(before):].splitlines()
+        assert [("run" in json.loads(line)) for line in lines] == [True, False, False]
+        assert json.loads(lines[0])["run"] == asdict(plan.header)
+        assert len(load_run_records(plan.output_path)) == 3
 
 
 @cache
@@ -495,13 +621,15 @@ def _cut_plan(directory: Path, parallelism: int) -> RunPlan:
 
 
 def _cut_offsets(parallelism: int) -> st.SearchStrategy[int]:
-    """Any offset, one inside a multi-byte character, or one just before a
-    line's "\n", which leaves a last line that is complete JSON."""
+    """Any offset, one inside the first line, which carries the run header,
+    one inside a multi-byte character, or one just before a line's "\n",
+    which leaves a last line that is complete JSON."""
     full = _finished_run(parallelism)
     inside = [i for i, b in enumerate(full) if 0x80 <= b < 0xC0]
     newlines = [i for i, b in enumerate(full) if b == 0x0A]
     return (
-        st.integers(0, len(full)) | st.sampled_from(inside) | st.sampled_from(newlines)
+        st.integers(0, len(full)) | st.integers(0, newlines[0])
+        | st.sampled_from(inside) | st.sampled_from(newlines)
     )
 
 
@@ -509,8 +637,9 @@ def _cut_offsets(parallelism: int) -> st.SearchStrategy[int]:
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_resume_from_any_cut_matches_uninterrupted_run(parallelism, data):
-    """A run killed at any byte resumes to the run that was never killed:
-    byte for byte when serial, record for record when parallel."""
+    """A run killed at any byte, inside the header on line 1 too, resumes to
+    the run that was never killed: byte for byte when serial, record for
+    record and with the same header when parallel."""
     full = _finished_run(parallelism)
     offset = data.draw(_cut_offsets(parallelism), label="offset")
     with tempfile.TemporaryDirectory() as tmp:
@@ -526,6 +655,8 @@ def test_resume_from_any_cut_matches_uninterrupted_run(parallelism, data):
             full_path = Path(tmp) / "full.jsonl"
             full_path.write_bytes(full)
             assert stored_lines(plan.output_path) == stored_lines(full_path)
+            line = plan.output_path.read_bytes().split(b"\n", 1)[0]
+            assert json.loads(line)["run"] == asdict(plan.header)
 
 
 # Telemetry numbers as a server may report them, NaN and infinities included.
@@ -578,7 +709,8 @@ def _plain(value) -> bool:
 )
 def test_written_line_is_canonical_json_of_plain_types(texts, replies):
     """Each line execute writes is json.dumps's canonical form of itself,
-    and every to_dict() holds plain JSON types only."""
+    the first carrying the header, and every to_dict() holds plain JSON
+    types only."""
     corpus = Corpus(
         records=tuple(
             IncidentRecord(id=f"i{n}-ü", text=text, ground_truth=CODES[n])
@@ -592,14 +724,17 @@ def test_written_line_is_canonical_json_of_plain_types(texts, replies):
         execute(plan, DrawnBackend(replies), on_record=lambda r, *_: records.append(r))
         lines = plan.output_path.read_bytes().decode("utf-8").split("\n")
     assert lines.pop() == "" and len(lines) == len(records)
-    for line, record in zip(lines, records):
+    header = plan.header
+    for n, (line, record) in enumerate(zip(lines, records)):
         assert line == json.dumps(
             json.loads(line), sort_keys=True, separators=(",", ":"), ensure_ascii=False
         )
-        d = record.to_dict()
+        d = record.to_dict(header, n == 0)
         assert _plain(d)
         assert canonical_dumps(d) == line
-        assert record.to_json() == line == canonical_dumps(record_dict(record))
+        assert record.to_json(header, n == 0) == line == canonical_dumps(
+            record_dict(record, header, n == 0)
+        )
 
 
 # Characters a JSON writer must escape or must write raw, astral ones too.
@@ -656,8 +791,7 @@ def _drawn_records(draw) -> RunRecord:
     try:
         trace = ClassificationTrace(
             draw(_tricky_text), draw(_tricky_text),
-            draw(st.sampled_from(list(ModelGroup))), technique, turns,
-            draw(_tricky_text), error,
+            draw(st.sampled_from(list(ModelGroup))), technique, turns, error,
         )
     except ValueError:  # two PHP or PRP answers agreed before the last turn
         assume(False)
@@ -665,9 +799,28 @@ def _drawn_records(draw) -> RunRecord:
 
 
 @settings(max_examples=300, deadline=None)
-@given(record=_drawn_records())
-def test_to_json_is_canonical_json_of_the_reference_dict(record):
-    assert record.to_json() == canonical_dumps(record_dict(record))
+@given(record=_drawn_records(), carry=st.booleans())
+def test_to_json_is_canonical_json_of_the_reference_dict(record, carry):
+    assert record.to_json(HEADER, carry) == canonical_dumps(
+        record_dict(record, HEADER, carry)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_drawn_records(), carry=st.booleans())
+def test_v2_line_and_its_header_rebuild_the_v1_line(record, carry):
+    """Version 2 drops no part of a record: the version-1 line that the
+    writer wrote before the header is rebuilt from the version-2 line and
+    its file's header, and both read back as the same row."""
+    line = record.to_dict(HEADER, carry)
+    v1 = record_dict_v1(record, HEADER.template_hash)
+    assert canonical_dumps(v1_from_v2(line, asdict(HEADER))) == canonical_dumps(v1)
+    line.pop("run", None)  # read off the first line before its record
+    try:
+        row = check_record(line, HEADER)
+    except (TypeError, ValueError, OverflowError):  # no run writes such turns
+        return
+    assert check_record(v1, None) == row
 
 
 def test_a_telemetry_value_json_cannot_write_fails_before_any_write(tmp_path):
@@ -684,12 +837,7 @@ class TestLoadRunRecords:
                             incident_id="dup", model="m", technique=TechniqueId.ZSL)
         late = make_record(truth=CategoryCode.CAT1, final=CategoryCode.CAT1,
                            incident_id="dup", model="m", technique=TechniqueId.ZSL)
-        path = tmp_path / "run.jsonl"
-        path.write_text(
-            canonical_dumps(early.to_dict()) + "\n"
-            + canonical_dumps(late.to_dict()) + "\n",
-            encoding="utf-8",
-        )
+        path = write_run_file(tmp_path / "run.jsonl", [early, late])
         assert load_run_records(path) == [late.row()]
 
     def test_row_holds_what_the_metrics_read(self):
@@ -713,18 +861,19 @@ class TestLoadRunRecords:
         with pytest.raises(RunError, match="cannot read run file"):
             load_run_records(tmp_path / "nope.jsonl")
 
-    def test_mixed_template_sets_refused_naming_the_first_line_that_differs(
+    def test_v1_mixed_template_sets_refused_naming_the_first_line_that_differs(
         self, tmp_path
     ):
-        ours = [make_record(incident_id="i1"), make_record(incident_id="i2")]
-        theirs = make_record(incident_id="i3")
-        theirs = replace(
-            theirs, trace=replace(theirs.trace, template_hash=TWEAKED.template_hash)
-        )
-        path = write_run_file(tmp_path / "run.jsonl", [*ours, theirs])
+        # A version-1 record holds its template_hash; one file holds one set.
+        records = [make_record(incident_id=f"i{n}") for n in (1, 2, 3)]
+        hashes = [HEADER.template_hash] * 2 + [TWEAKED.template_hash]
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(
+            canonical_dumps(record_dict_v1(r, h)) + "\n" for r, h in zip(records, hashes)
+        ), "utf-8")
         refusal = (
             f"run\\.jsonl:3: template_hash {TWEAKED.template_hash} differs from"
-            f" line 1's {ours[0].trace.template_hash}"
+            f" line 1's {HEADER.template_hash}"
         )
         with pytest.raises(RunError, match=refusal):
             load_run_records(path)
@@ -770,11 +919,11 @@ def _break_rounds(d):
 
 
 def _break_version(d):
-    d["schema_version"] = 2
+    d["schema_version"] = 3
 
 
-def _break_trace_version(d):
-    del d["trace"]["schema_version"]
+def _break_header(d):
+    d["run"] = 5  # on line 1 not a header, past it a header at all
 
 
 def _first_turn(d):
@@ -813,7 +962,7 @@ def _break_tokens(d):
 # Edits that keep the task key but stop the line decoding as a record.
 _BREAKS = [
     _break_final, _break_group, _break_truth, _break_totals, _break_turns,
-    _break_rounds, _break_version, _break_trace_version, _break_text,
+    _break_rounds, _break_version, _break_header, _break_text,
     _break_content, _break_content_list, _break_assistant_null, _break_latency,
     _break_chars, _break_tokens,
 ]
@@ -830,9 +979,11 @@ _line = st.one_of(
 @given(st.lists(_line, max_size=12), st.none() | st.floats(0.0, 0.99))
 def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
     """Every task that resume skips is counted by the report, or the report
-    refuses the file and names the first line it cannot count."""
+    and resume both refuse the file and name the first line the report
+    cannot count. The first keyed line carries the header."""
     texts, last_valid, first_invalid = [], {}, None
     for lineno, (kind, *args) in enumerate(lines, start=1):
+        carry = not last_valid and first_invalid is None
         if kind == "record":
             (model, technique, incident), final = args
             record = make_record(
@@ -840,12 +991,12 @@ def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
                 model=model, technique=technique, incident_id=incident,
             )
             last_valid[record.key] = record
-            texts.append(canonical_dumps(record.to_dict()))
+            texts.append(record.to_json(HEADER, carry))
         elif kind == "invalid":
             (model, technique, incident), brk = args
             d = make_record(
                 model=model, technique=technique, incident_id=incident
-            ).to_dict()
+            ).to_dict(HEADER, carry)
             brk(d)
             first_invalid = first_invalid or lineno
             texts.append(canonical_dumps(d))
@@ -853,7 +1004,7 @@ def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
             texts.append(args[0])
     text = "".join(t + "\n" for t in texts)
     if torn_at is not None:
-        whole = canonical_dumps(make_record(incident_id="torn").to_dict())
+        whole = make_record(incident_id="torn").to_json(HEADER, not texts)
         text += whole[: int(len(whole) * torn_at)]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -861,20 +1012,23 @@ def test_load_run_records_refuses_or_agrees_with_resume_scan(lines, torn_at):
         path.write_text(text, encoding="utf-8")
         if first_invalid is not None:
             refusal = f"run\\.jsonl:{first_invalid}: invalid record"
-            with pytest.raises(RunError, match=refusal):
-                load_run_records(path)
+            for read in (load_run_records, resume_scan):
+                with pytest.raises(RunError, match=refusal):
+                    read(path)
             return
         rows = load_run_records(path)
         records = stored_lines(path)
-        keys = resume_scan(path)
+        keys = resume_scan(path, HEADER)
     assert keys == {r.key for r in rows} == set(records) == set(last_valid)
     for r in rows:
         assert r == last_valid[r.key].row()
-        assert records[r.key] == last_valid[r.key].to_dict()
+        assert records[r.key] == last_valid[r.key].to_dict(HEADER)
 
 
-def _spoken_record(incident_id, technique, answers, error=None):
-    """A record whose turns send messages and carry every telemetry key."""
+def _spoken_record(incident_id, technique, answers, error=None, system=None):
+    """A record whose turns send messages and carry every telemetry key; its
+    system message sends system, by default the header's prompt."""
+    system = HEADER.prompts[technique.value] if system is None else system
     turns = tuple(
         TraceTurn(
             sent,
@@ -883,21 +1037,19 @@ def _spoken_record(incident_id, technique, answers, error=None):
         )
         for n, answer in enumerate(answers)
         for sent in (
-            (ChatMessage(Role.SYSTEM, "sys"), ChatMessage(Role.USER, "u"))
+            (ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, "u"))
             if n == 0 else (ChatMessage(Role.USER, "again"),),
         )
     )
-    trace = ClassificationTrace(
-        incident_id, "m-a", ModelGroup.G1, technique, turns,
-        default_templates().template_hash, error,
-    )
+    trace = ClassificationTrace(incident_id, "m-a", ModelGroup.G1, technique, turns, error)
     return RunRecord(trace, CategoryCode.CAT2)
 
 
-# Lines 1 and 4 share a key, so the later line wins; line 2 is a failed task.
+# Lines 1 and 4 share a key, so the later line wins; line 2 is a failed task
+# whose system message is not the header's, so it holds its content.
 _LINES = (
     _spoken_record("i1", TechniqueId.PHP, [CategoryCode.CAT2, CategoryCode.CAT2]),
-    _spoken_record("i2", TechniqueId.PRP, [CategoryCode.CAT3], error="down"),
+    _spoken_record("i2", TechniqueId.PRP, [CategoryCode.CAT3], error="down", system="sys"),
     make_record(model="m-a", technique=TechniqueId.HTP, incident_id="i3"),
     _spoken_record("i1", TechniqueId.PHP, [CategoryCode.CAT4, CategoryCode.CAT4]),
 )
@@ -923,14 +1075,26 @@ _JSON = st.recursive(
 )
 
 
+def _keyed(d) -> bool:
+    """The decoded line has a hashable task key."""
+    try:
+        t = d["trace"]
+        hash((t["model"], t["technique"], t["incident_id"]))
+    except (KeyError, TypeError):
+        return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_load_run_records_refuses_the_mutated_line_or_gives_the_oracle_rows(data):
-    """One value replaced, or one key or item deleted, anywhere in one line:
-    load_run_records refuses, naming that line, or gives the rows that a
-    plain reading of the file gives, the later line of a repeated key
-    winning."""
-    lines = [r.to_dict() for r in _LINES]
+    """One value replaced, or one key or item deleted, anywhere in one line,
+    the header on line 1 included: load_run_records refuses, naming that
+    line, or gives the rows that a plain reading of the file gives, the
+    later line of a repeated key winning. A line 1 left without a task key
+    is skipped, and line 2 is then refused as a first record without a
+    header."""
+    lines = [json.loads(line) for line in record_lines(_LINES)]
     index = data.draw(st.integers(0, len(lines) - 1), label="line")
     d = lines[index]
     *parents, last = data.draw(st.sampled_from(list(_node_paths(d))), label="path")
@@ -946,11 +1110,11 @@ def test_load_run_records_refuses_the_mutated_line_or_gives_the_oracle_rows(data
         try:
             rows = load_run_records(path)
         except RunError as exc:
-            # A changed template_hash on line 1 is refused at line 2, naming it.
             lineno = index + 1
-            assert str(exc).startswith(f"{path}:{lineno}: ") or (
-                f" line {lineno}'s " in str(exc)
-            )
+            if lineno == 1 and not _keyed(lines[0]):
+                lineno, refusal = 2, "the first record carries no run header"
+                assert refusal in str(exc)
+            assert str(exc).startswith(f"{path}:{lineno}: ")
             return
         assert rows == oracle_rows(path)
 
@@ -964,7 +1128,7 @@ def test_load_run_records_builds_no_transcript_object(tmp_path, monkeypatch):
             on_record=lambda record, *_: records.append(record))
     path = plan.output_path
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(path.read_text(encoding="utf-8").splitlines()[0] + "\n")
+        fh.write(records[0].to_json(plan.header) + "\n")
     want = [r.row() for r in records]
     assert len(want) == 30
     assert any(row.error is not None for row in want)

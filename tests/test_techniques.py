@@ -52,7 +52,7 @@ def checked(trace):
     return (
         trace.model, trace.technique, trace.incident_id, trace.model_group,
         trace.final, trace.total_latency_ms, trace.total_response_chars,
-        trace.rounds_used, trace.template_hash,
+        trace.rounds_used,
     )
 
 
@@ -492,9 +492,18 @@ class TestTraces:
         with pytest.raises(ValueError, match="total_latency_ms is 0.7, but"):
             check_trace(d)
 
-    def test_template_hash_recorded(self):
+    def test_system_prompt_stored_as_a_reference_to_the_header(self):
         trace, _ = run(TechniqueId.ZSL, ["FINAL: CAT2"])
-        assert trace.template_hash == default_templates().template_hash
+        prompt = default_templates().system(TechniqueId.ZSL, builtin_taxonomy())
+        d = trace.to_dict(prompt)
+        assert d["turns"][0]["sent"][0] == {"role": "system"}
+        assert check_trace(d) == checked(trace)
+        # Another prompt is stored whole; a version-1 trace holds every one.
+        assert trace.to_dict("other")["turns"][0]["sent"][0] == {
+            "role": "system", "content": prompt,
+        }
+        with pytest.raises(KeyError, match="content"):
+            check_trace(d, v1=True)
 
     def test_model_group_recorded(self):
         trace, _ = run(TechniqueId.ZSL, ["FINAL: CAT2"])
