@@ -20,14 +20,18 @@ carries the run header (RunHeader): the plan's fingerprint and every
 technique's system prompt, which each record's system message refers to
 instead of holding it. A file that holds no record yet, or only a torn
 line, gets the header with its next record. load_run_records is the one
-record reader: check_record applies every rule of a record to its decoded
-line and reduces it to a RunRow, the few fields the metrics read, without
-building its transcript. resume_scan reads the file through the same
-checks, so resume and report refuse the same lines, by file:line; it also
-refuses a header other than the plan's, naming the fields that differ, and
-a version-1 file, which load_run_records still reads. A resumed run counts
-only its plan's tasks. A record grades its trace, which holds a failed
-task's error, against the expert label.
+record reader: one loop (_checked_rows) reads each line, decodes it with
+one JSONDecoder's raw_decode (json.loads takes a line whose object does
+not end right before its "\n"), keys it and checks it. check_record
+applies every rule of a record to its decoded line and reduces it to a
+RunRow, the few fields the metrics read, without building its transcript;
+a PHP or PRP record must have the turns a run of the header's max_rounds
+gives. resume_scan reads the file through the same loop, so resume and
+report refuse the same lines, by file:line; it also refuses a header
+other than the plan's, naming the fields that differ, and a version-1
+file, which load_run_records still reads. A resumed run counts only its
+plan's tasks. A record grades its trace, which holds a failed task's
+error, against the expert label.
 """
 from __future__ import annotations
 
@@ -37,10 +41,10 @@ import os
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from json import loads
+from json import JSONDecoder, loads
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Collection, Iterator, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from . import util
 from .backend import (
@@ -55,7 +59,6 @@ from .backend import (
 from .corpus import Corpus
 from .taxonomy import CategoryCode, builtin_taxonomy
 from .techniques import (
-    FIXED_ROUNDS,
     ClassificationTrace,
     TechniqueConfig,
     TechniqueId,
@@ -72,6 +75,8 @@ TaskKey = tuple[str, str, str]  # (model name, technique, incident id)
 
 
 _category = enum_decoder(CategoryCode)
+_CATEGORIES = {m.value: m for m in CategoryCode}
+_UNPARSED = CategoryCode.UNPARSED
 
 
 class RunError(Exception):
@@ -315,10 +320,10 @@ def check_record(d: dict, header: RunHeader | None) -> tuple[RunRow, str]:
     header is the run header of the record's file, or None for a version-1
     file, whose records each hold their prompts and template_hash. The
     record must carry its file's schema version and, past the first line,
-    no header; the trace must pass check_trace, and a PHP or PRP trace must
-    have at most the header's max_rounds turns; the ground truth must be a
-    category; and a stored `correct` must be the one final and ground truth
-    imply.
+    no header; the trace must pass check_trace, which holds a PHP or PRP
+    trace to the turns a run of the header's max_rounds gives; the ground
+    truth must be a category; and a stored `correct` must be the one final
+    and ground truth imply.
     """
     v1 = header is None
     _check_version(d.get("schema_version"), 1 if v1 else RUN_SCHEMA_VERSION)
@@ -328,14 +333,16 @@ def check_record(d: dict, header: RunHeader | None) -> tuple[RunRow, str]:
         raise ValueError("a run header on a record after the first")
     error = d.get("error")
     (model, technique, incident_id, group, final, total_latency_ms,
-     total_response_chars, rounds_used) = check_trace(d["trace"], error, v1)
-    if not v1 and rounds_used > header.max_rounds and technique not in FIXED_ROUNDS:
-        raise ValueError(
-            f"turns is {rounds_used}, but {technique.value} runs at most"
-            f" max_rounds {header.max_rounds}"
-        )
-    ground_truth = _category(d["ground_truth"])
-    _check_truth(ground_truth)
+     total_response_chars, rounds_used) = check_trace(
+        d["trace"], error, v1, None if v1 else header.max_rounds
+    )
+    truth = d["ground_truth"]
+    ground_truth = (
+        _CATEGORIES[truth] if type(truth) is str and truth in _CATEGORIES
+        else _category(truth)
+    )
+    if ground_truth is _UNPARSED:
+        _check_truth(ground_truth)
     correct = final is ground_truth
     if d["correct"] is not correct:
         raise ValueError(
@@ -374,51 +381,9 @@ def _invalid(path: Path, lineno: int, exc: Exception) -> RunError:
     return RunError(f"{path}:{lineno}: invalid record: {type(exc).__name__}: {exc}")
 
 
-def _read_run_file(path: Path) -> Iterator[tuple[int, TaskKey, dict]]:
-    """(line number, task key, decoded line) for each line whose key decodes.
-
-    A line is a record only once its "\n" is written: the file is read as a
-    stream of lines that end only at "\n", not at the U+2028, U+2029 or
-    U+0085 that JSON strings hold raw, and a last line without "\n", torn
-    by a killed run, is skipped with a warning before it is decoded. Other
-    lines that do not decode, nested too deep included, or have no task key
-    are skipped with a warning; a line that is not UTF-8 raises RunError. A
-    repeated key is yielded again, with a warning; callers keep the later
-    line.
-    """
-    seen: set[TaskKey] = set()
-    try:
-        with path.open("rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    continue
-                if not raw.endswith(b"\n"):
-                    logger.warning(
-                        "%s:%d: ignoring torn trailing line (crash artifact)",
-                        path.name, lineno,
-                    )
-                    continue
-                try:
-                    d = loads(raw.decode("utf-8"))
-                    trace = d["trace"]
-                    key = (trace["model"], trace["technique"], trace["incident_id"])
-                    hash(key)  # TypeError if a key part is unhashable
-                except UnicodeDecodeError as exc:
-                    raise RunError(f"cannot read run file {path}: line {lineno}: {exc}")
-                except (ValueError, KeyError, TypeError, RecursionError):
-                    logger.warning(
-                        "%s:%d: skipping malformed record line", path.name, lineno
-                    )
-                    continue
-                if key in seen:
-                    logger.warning(
-                        "%s:%d: duplicate record for %s; later line wins",
-                        path.name, lineno, key,
-                    )
-                seen.add(key)
-                yield lineno, key, d
-    except OSError as exc:
-        raise RunError(f"cannot read run file {path}: {exc}") from exc
+# The one decoder of run-file lines. Its raw_decode skips the two scans for
+# whitespace that loads makes around the object.
+_raw_decode = JSONDecoder().raw_decode
 
 
 def _checked_rows(
@@ -427,7 +392,15 @@ def _checked_rows(
     """The first record's line number, its file's header (None for a
     version-1 file) and template hash, or None if the file holds no record;
     and the row of each task, the later line of a repeated key winning, in
-    first-seen key order.
+    first-seen key order. One loop reads, decodes, keys and checks each line.
+
+    A line is a record only once its "\n" is written: the file is read as a
+    stream of lines that end only at "\n", not at the U+2028, U+2029 or
+    U+0085 that JSON strings hold raw, and a last line without "\n", torn
+    by a killed run, is skipped with a warning before it is decoded. Other
+    lines that do not decode, nested too deep included, or have no task key
+    are skipped with a warning; a line that is not UTF-8 raises RunError. A
+    repeated key is checked again, with a warning.
 
     A line whose key decodes but that check_record refuses raises RunError
     naming it: resume would skip that task, so dropping it would lose it
@@ -437,20 +410,59 @@ def _checked_rows(
     """
     rows: dict[TaskKey, RunRow] = {}
     first: tuple[int, RunHeader | None, str] | None = None  # line, header, hash
-    for lineno, key, d in _read_run_file(path):
-        try:
-            header = _header_of(d) if first is None else first[1]
-            row, template_hash = check_record(d, header)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _invalid(path, lineno, exc) from exc
-        if first is None:
-            first = (lineno, header, template_hash)
-        elif template_hash != first[2]:
-            raise RunError(
-                f"{path}:{lineno}: template_hash {template_hash} differs from"
-                f" line {first[0]}'s {first[2]}; the run mixes template sets"
-            )
-        rows[key] = row
+    try:
+        with path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if raw.isspace():
+                    continue
+                if not raw.endswith(b"\n"):
+                    logger.warning(
+                        "%s:%d: ignoring torn trailing line (crash artifact)",
+                        path.name, lineno,
+                    )
+                    continue
+                try:
+                    text = raw.decode("utf-8")
+                    # A line whose JSON value does not start at its first
+                    # character and end right before its "\n" (whitespace
+                    # around it, "\r\n", extra data, no value) goes to
+                    # loads, so every line is read or skipped as loads has it.
+                    try:
+                        d, end = _raw_decode(text)
+                    except ValueError:
+                        end = 0
+                    if end != len(text) - 1:
+                        d = loads(text)
+                    trace = d["trace"]
+                    key = (trace["model"], trace["technique"], trace["incident_id"])
+                    repeated = key in rows  # TypeError if a key part is unhashable
+                except UnicodeDecodeError as exc:
+                    raise RunError(f"cannot read run file {path}: line {lineno}: {exc}")
+                except (ValueError, KeyError, TypeError, RecursionError):
+                    logger.warning(
+                        "%s:%d: skipping malformed record line", path.name, lineno
+                    )
+                    continue
+                if repeated:
+                    logger.warning(
+                        "%s:%d: duplicate record for %s; later line wins",
+                        path.name, lineno, key,
+                    )
+                try:
+                    header = _header_of(d) if first is None else first[1]
+                    row, template_hash = check_record(d, header)
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise _invalid(path, lineno, exc) from exc
+                if first is None:
+                    first = (lineno, header, template_hash)
+                elif template_hash != first[2]:
+                    raise RunError(
+                        f"{path}:{lineno}: template_hash {template_hash} differs from"
+                        f" line {first[0]}'s {first[2]}; the run mixes template sets"
+                    )
+                rows[key] = row
+    except OSError as exc:
+        raise RunError(f"cannot read run file {path}: {exc}") from exc
     return first, rows
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .backend import (
     Backend,
@@ -210,12 +210,14 @@ class TraceTurn:
     parsed: CategoryCode
 
 
+# Read once: an Enum member lookup on its class costs a property call.
+_SYSTEM, _USER, _ASSISTANT = Role.SYSTEM, Role.USER, Role.ASSISTANT
+_UNPARSED = CategoryCode.UNPARSED
+
+
 def _agreed(answers: Sequence[CategoryCode]) -> bool:
     """The last two answers are equal and not UNPARSED: PHP and PRP stop."""
-    return (
-        len(answers) >= 2
-        and answers[-1] is answers[-2] is not CategoryCode.UNPARSED
-    )
+    return len(answers) >= 2 and answers[-1] is answers[-2] is not _UNPARSED
 
 
 def _summary(
@@ -242,21 +244,30 @@ def _summary(
                 f" {fixed} without an error and fewer with one"
             )
     else:
-        for n in range(2, len(answers) + 1):
-            if _agreed(answers[:n]) and (failed or n < len(answers)):
+        # Turns n - 1 and n may agree only as the last two of a task that
+        # did not fail.
+        last = len(answers) if failed else len(answers) - 1
+        for n in range(2, last + 1):
+            if _agreed(answers[n - 2:n]):
                 rest = "records an error" if failed else f"goes on to turn {n + 1}"
                 raise ValueError(
                     f"turns {n - 1} and {n} agree, but {technique.value} {rest}"
                 )
-    final = CategoryCode.UNPARSED if failed else answers[-1]
+    final = _UNPARSED if failed else answers[-1]
     return final, (not failed if fixed else _agreed(answers))
 
 
-# Decoders of the enum fields of a stored trace.
+# Decoders of the enum fields of a stored trace. check_trace looks a str
+# value up in its value -> member dict and calls the decoder only on a miss,
+# which raises its error.
 _role = enum_decoder(Role)
 _category = enum_decoder(CategoryCode)
 _group = enum_decoder(ModelGroup)
 _technique = enum_decoder(TechniqueId)
+_ROLES = {m.value: m for m in Role}
+_CATEGORIES = {m.value: m for m in CategoryCode}
+_GROUPS = {m.value: m for m in ModelGroup}
+_TECHNIQUES = {m.value: m for m in TechniqueId}
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,10 +348,12 @@ class ClassificationTrace:
 
 # Telemetry a server may leave out: null or missing, else a number.
 _OPTIONAL_TELEMETRY = ("prompt_tokens", "output_tokens", "server_eval_duration_ms")
+_NUMBER = (int, float)  # exact types: a bool is no number
+_OPTIONAL_NUMBER = (type(None), int, float)
 
 
 def check_trace(
-    d: dict, error: str | None = None, v1: bool = False
+    d: dict, error: str | None = None, v1: bool = False, max_rounds: int | None = None
 ) -> tuple[str, TechniqueId, str, ModelGroup, CategoryCode, float, int, int]:
     """Every rule a stored trace must meet, checked without building it.
 
@@ -350,10 +363,15 @@ def check_trace(
     identity fields; the error and the turn shape (_summary); then the
     stored final, rounds and totals must be what the turns and error give.
     A trace of a version-1 file holds every message's content, a str
-    template_hash and a converged flag that must agree too. Returns (model,
-    technique, incident_id, model_group, final, total_latency_ms,
-    total_response_chars, rounds_used), the totals summed over the turns as
-    the trace sums them.
+    template_hash and a converged flag that must agree too. Given the run's
+    max_rounds, a PHP or PRP trace must have a number of turns a run of it
+    gives (_check_max_rounds). Returns (model, technique, incident_id,
+    model_group, final, total_latency_ms, total_response_chars,
+    rounds_used), the totals summed over the turns as the trace sums them.
+
+    A value of the expected type is checked here with type() and a dict
+    lookup; typed, check_content and the enum decoders are called only for
+    any other, to raise their errors.
     """
     answers: list[CategoryCode] = []
     latencies: list[float] = []
@@ -362,49 +380,106 @@ def check_trace(
         completion = t["completion"]
         tm = completion["telemetry"]
         for m in t["sent"]:
-            role = _role(m["role"])
+            role = m["role"]
+            role = _ROLES[role] if type(role) is str and role in _ROLES else _role(role)
             if v1 or role is not _SYSTEM or "content" in m:
-                check_content(role, typed(m, "content", str))
-        typed(completion, "text", str)
-        latencies.append(typed(tm, "latency_ms", int, float))
-        chars.append(typed(tm, "response_chars", int))
+                content = m.get("content")
+                if type(content) is not str or not content:
+                    check_content(role, typed(m, "content", str))
+        if type(completion["text"]) is not str:
+            typed(completion, "text", str)
+        latency = tm["latency_ms"]
+        if type(latency) not in _NUMBER:
+            typed(tm, "latency_ms", int, float)
+        latencies.append(latency)
+        response_chars = tm["response_chars"]
+        if type(response_chars) is not int:
+            typed(tm, "response_chars", int)
+        chars.append(response_chars)
         for key in _OPTIONAL_TELEMETRY:
-            if tm.get(key) is not None:
+            if type(tm.get(key)) not in _OPTIONAL_NUMBER:
                 typed(tm, key, int, float)
-        answers.append(_category(t["parsed"]))
-    incident_id = typed(d, "incident_id", str)
-    model = typed(d, "model", str)
-    group = _group(d["model_group"])
-    technique = _technique(d["technique"])
+        parsed = t["parsed"]
+        answers.append(
+            _CATEGORIES[parsed] if type(parsed) is str and parsed in _CATEGORIES
+            else _category(parsed)
+        )
+    incident_id = d["incident_id"]
+    if type(incident_id) is not str:
+        typed(d, "incident_id", str)
+    model = d["model"]
+    if type(model) is not str:
+        typed(d, "model", str)
+    group = d["model_group"]
+    group = _GROUPS[group] if type(group) is str and group in _GROUPS else _group(group)
+    technique = d["technique"]
+    technique = (
+        _TECHNIQUES[technique] if type(technique) is str and technique in _TECHNIQUES
+        else _technique(technique)
+    )
     final, converged = _summary(technique, answers, error)
     rounds_used = len(answers)
     total_latency_ms, total_response_chars = sum(latencies), sum(chars)
-    if _category(d["final"]) is not final:
+    stored = d["final"]
+    if stored != final._value_ and _category(stored) is not final:
         raise ValueError(
             f"final is {d['final']}, but its turns and error give {final.value}"
         )
+    # Each stored value's type first, then each against what the turns give.
     totals = d["telemetry_totals"]
-    checks = [
-        ("rounds_used", typed(d, "rounds_used", int), rounds_used),
-        ("total_latency_ms", typed(totals, "total_latency_ms", int, float),
-         total_latency_ms),
-        ("total_response_chars", typed(totals, "total_response_chars", int),
-         total_response_chars),
-    ]
+    stored_rounds = d["rounds_used"]
+    if type(stored_rounds) is not int:
+        typed(d, "rounds_used", int)
+    stored_latency = totals["total_latency_ms"]
+    if type(stored_latency) not in _NUMBER:
+        typed(totals, "total_latency_ms", int, float)
+    stored_chars = totals["total_response_chars"]
+    if type(stored_chars) is not int:
+        typed(totals, "total_response_chars", int)
     if v1:
         typed(d, "template_hash", str)
-        checks.append(("converged", typed(d, "converged", bool), converged))
-    for key, value, given in checks:
-        # sum() rounds differently from Python 3.12 on, so a latency total
-        # written by another version may differ in its last digit.
-        if key == "total_latency_ms" and math.isclose(value, given):
-            continue
-        if value != given:
-            raise ValueError(f"{key} is {value!r}, but the turns give {given!r}")
+        typed(d, "converged", bool)
+    if stored_rounds != rounds_used:
+        _differs("rounds_used", stored_rounds, rounds_used)
+    # sum() rounds differently from Python 3.12 on, so a latency total
+    # written by another version may differ in its last digit.
+    if not math.isclose(stored_latency, total_latency_ms) and (
+        stored_latency != total_latency_ms
+    ):
+        _differs("total_latency_ms", stored_latency, total_latency_ms)
+    if stored_chars != total_response_chars:
+        _differs("total_response_chars", stored_chars, total_response_chars)
+    if v1 and d["converged"] != converged:
+        _differs("converged", d["converged"], converged)
+    if max_rounds is not None and technique not in FIXED_ROUNDS:
+        _check_max_rounds(technique, rounds_used, error, converged, max_rounds)
     return (
         model, technique, incident_id, group, final,
         total_latency_ms, total_response_chars, rounds_used,
     )
+
+
+def _differs(key: str, value: object, given: object) -> NoReturn:
+    raise ValueError(f"{key} is {value!r}, but the turns give {given!r}")
+
+
+def _check_max_rounds(
+    technique: TechniqueId, turns: int, error: str | None, converged: bool,
+    max_rounds: int,
+) -> None:
+    """Refuses turns that no PHP or PRP run of max_rounds gives: more than
+    max_rounds; without an error, fewer unless the last two answers agree
+    (converged), the only early stop; with an error, max_rounds, as the
+    request that failed would have been one round more."""
+    if turns > max_rounds:
+        rule = f"runs at most max_rounds {max_rounds}"
+    elif error is not None and turns == max_rounds:
+        rule = f"records an error only before max_rounds {max_rounds}"
+    elif error is None and turns < max_rounds and not converged:
+        rule = f"stops before max_rounds {max_rounds} only once two answers agree"
+    else:
+        return
+    raise ValueError(f"turns is {turns}, but {technique.value} {rule}")
 
 
 def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> tuple[str, str]:
@@ -416,10 +491,6 @@ def _round_fields(technique: TechniqueId, turns: list[TraceTurn]) -> tuple[str, 
     if technique is TechniqueId.SHP:
         return turns[-1].completion.text, ""
     return "", ""
-
-
-# Read once: an Enum member lookup on its class costs a property call.
-_SYSTEM, _USER, _ASSISTANT = Role.SYSTEM, Role.USER, Role.ASSISTANT
 
 
 def classify(

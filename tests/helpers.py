@@ -62,6 +62,10 @@ def renamed(names: list[str]) -> Taxonomy:
     )
 
 
+# HEADER's max_rounds: the turns of a PHP or PRP trace are those a run of it gives.
+MAX_ROUNDS = TechniqueConfig().max_rounds
+
+
 def make_trace(
     incident_id: str = "inc-x",
     model: str = "model-a",
@@ -71,18 +75,37 @@ def make_trace(
     rounds_used: int | None = None,
     latency_ms: float = 0.0,
     response_chars: int = 0,
+    error: str | None = None,
 ) -> ClassificationTrace:
-    """Trace of a task that did not fail, enough for grading and metrics.
+    """Trace of a task as a run of MAX_ROUNDS gives it, enough for grading
+    and metrics; failed with error unless that is None.
 
     It has rounds_used turns: by default a fixed technique's FIXED_ROUNDS,
-    else 1. Answers alternate between final and another code, ending on
-    final, so PHP and PRP never agree before their last turn. The first
-    turn carries all the latency and reply characters.
+    else MAX_ROUNDS. Answers alternate between final and another code,
+    ending on final, so PHP and PRP never agree, except that a PHP or PRP
+    trace of fewer turns without an error ends on final twice: it stopped
+    because two answers agreed. The first turn carries all the latency and
+    reply characters. Turns no such run gives raise ValueError.
     """
     if rounds_used is None:
-        rounds_used = FIXED_ROUNDS.get(technique, 1)
+        rounds_used = FIXED_ROUNDS.get(technique, MAX_ROUNDS)
     other = CategoryCode.CAT2 if final is CategoryCode.CAT1 else CategoryCode.CAT1
     answers = [final if (rounds_used - k) % 2 else other for k in range(rounds_used)]
+    if technique not in FIXED_ROUNDS:
+        # Only two agreeing answers stop PHP and PRP early, and a failed
+        # request is one round more than the turns kept.
+        stops_early = error is None and rounds_used < MAX_ROUNDS
+        if (
+            rounds_used > MAX_ROUNDS
+            or (error is not None and rounds_used == MAX_ROUNDS)
+            or (stops_early and (rounds_used < 2 or final is CategoryCode.UNPARSED))
+        ):
+            raise ValueError(
+                f"no run gives {rounds_used} {technique.value} turns ending on"
+                f" {final.value} with error {error!r}"
+            )
+        if stops_early:
+            answers = answers[1:] + [final]
     first = Telemetry(latency_ms, response_chars)
     telemetry = [first] + [Telemetry(0.0, 0)] * rounds_used
     turns = tuple(
@@ -95,6 +118,7 @@ def make_trace(
         model_group=group,
         technique=technique,
         turns=turns,
+        error=error,
     )
 
 
@@ -115,7 +139,8 @@ def random_records(
         ("model-c", ModelGroup.G2),
     ),
 ) -> list[RunRecord]:
-    """Records with unique task keys and varied outcomes and telemetry."""
+    """Records with unique task keys and varied outcomes and telemetry, each
+    one a run of MAX_ROUNDS gives."""
     techniques = list(TechniqueId)
     records = []
     for i in range(n):
@@ -127,7 +152,9 @@ def random_records(
             else CODES[rng.randrange(len(CODES))]
         )
         technique = techniques[rng.randrange(len(techniques))]
-        rounds = rng.randint(1, 3)
+        # PHP and PRP stop at turn 2 only on two agreeing answers, which an
+        # UNPARSED final is not.
+        rounds = 3 if final is CategoryCode.UNPARSED else rng.randint(2, 3)
         records.append(
             make_record(
                 truth=truth,

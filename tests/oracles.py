@@ -171,6 +171,34 @@ def keyed_lines(path: Path) -> dict[tuple, dict]:
     return lines
 
 
+def oracle_warnings(path: Path) -> list[tuple[int, str]]:
+    """(line number, text) of each warning a reading of the run file gives,
+    in line order: a last line without its "\n" is torn, a line that
+    json.loads cannot read into a hashable task key is malformed, and a key
+    of an earlier line is a duplicate. A blank line gives none."""
+    warnings: list[tuple[int, str]] = []
+    seen: set[tuple] = set()
+    raws = path.read_bytes().split(b"\n")
+    for lineno, raw in enumerate(raws, start=1):
+        where = f"{path.name}:{lineno}"
+        if not raw.strip():
+            continue
+        if lineno == len(raws):
+            warnings.append((lineno, f"{where}: ignoring torn trailing line (crash artifact)"))
+            continue
+        try:
+            t = json.loads(raw.decode("utf-8"))["trace"]
+            key = (t["model"], t["technique"], t["incident_id"])
+            hash(key)
+        except (ValueError, KeyError, TypeError, RecursionError):
+            warnings.append((lineno, f"{where}: skipping malformed record line"))
+            continue
+        if key in seen:
+            warnings.append((lineno, f"{where}: duplicate record for {key}; later line wins"))
+        seen.add(key)
+    return warnings
+
+
 def oracle_rows(path: Path) -> list[tuple]:
     """The ten RunRow fields of each task of keyed_lines, read with plain
     dict access, the totals summed from the turns in turn order."""

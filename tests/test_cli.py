@@ -709,8 +709,10 @@ class TestTracerSeams:
         (runner, "classify"),
         (runner, "canonical_dumps"),
         (runner.RunPlan, "task_keys"),
+        (runner, "resume_scan"),
         (ScriptedBackend, "complete"),
         (cli, "execute"),
+        (cli, "load_run_records"),
         (cli, "load_corpus"),
         (cli, "build_demo_script"),
         (cli, "_progress"),
@@ -739,16 +741,14 @@ class TestTracerSeams:
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("".join(demo.read_text("utf-8").splitlines(True)[:4]), "utf-8")
         out = tmp_path / "run.jsonl"
-        rc = cli.main(
-            [
-                "run", "--backend", "scripted",
-                "--models", "demo,m2",
-                "--techniques", "ZSL,PHP,SHP,HTP,PRP",
-                "--corpus", str(corpus),
-                "--out", str(out),
-            ]
-        )
-        assert rc == EXIT_OK
+        args = [
+            "run", "--backend", "scripted",
+            "--models", "demo,m2",
+            "--techniques", "ZSL,PHP,SHP,HTP,PRP",
+            "--corpus", str(corpus),
+            "--out", str(out),
+        ]
+        assert cli.main(args) == EXIT_OK
         capsys.readouterr()
         rows = load_run_records(out)
         tasks = len(rows)
@@ -771,6 +771,16 @@ class TestTracerSeams:
         )
         for name in ("task_keys", "execute", "load_corpus", "build_demo_script"):
             assert calls[name] == 1, name
+        # Each run-file reader once per call of its layer: resume_scan per
+        # execute(resume=True), load_run_records per report; a new run
+        # reads no file.
+        assert calls["resume_scan"] == calls["load_run_records"] == 0
+        calls.clear()
+        assert cli.main([*args, "--resume"]) == EXIT_OK
+        assert calls["resume_scan"] == calls["execute"] == 1
+        assert calls["load_run_records"] == 0
+        assert cli.main(["report", str(out), "--out-dir", str(tmp_path / "r")]) == EXIT_OK
+        assert calls["load_run_records"] == calls["resume_scan"] == 1
 
 
 class TestRunScripted:
@@ -1787,10 +1797,68 @@ class TestReport:
         rc = cli.main([*args, "--resume"])
         assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
         assert out.read_bytes() == before
-        # Read with a larger max_rounds, the same line is one a run gives.
+        # Read with a larger max_rounds, the same line is one a run gives, but
+        # a three-turn line that never agrees (line 6, the first) is not.
         lines[0] = lines[0].replace('"max_rounds":3', '"max_rounds":5')
         out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = cli.main(["report", str(out), "--out-dir", str(tmp_path / "r")])
+        assert (rc, capsys.readouterr().err) == (
+            EXIT_USAGE,
+            f"error: {out}:6: invalid record: ValueError: turns is 3, but PHP stops"
+            f" before max_rounds 5 only once two answers agree\n",
+        )
+        out.write_text("\n".join(lines[:5]) + "\n", encoding="utf-8")
         assert cli.main(["report", str(out), "--out-dir", str(tmp_path / "r")]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "technique, edit, message",
+        [
+            # Line 2 of either run has three turns that never agree.
+            pytest.param("PHP", "cut", "turns is 1, but PHP stops before max_rounds 3"
+                         " only once two answers agree", id="php-one-turn"),
+            pytest.param("PHP", "error", "turns is 3, but PHP records an error only"
+                         " before max_rounds 3", id="php-error-after-max-rounds"),
+            pytest.param("PRP", "cut", "turns is 2, but PRP stops before max_rounds 3"
+                         " only once two answers agree", id="prp-two-turns"),
+            pytest.param("PRP", "error", "turns is 3, but PRP records an error only"
+                         " before max_rounds 3", id="prp-error-after-max-rounds"),
+        ],
+    )
+    def test_turns_short_of_max_rounds_or_failed_after_it_exit_two(
+        self, tmp_path, capsys, technique, edit, message
+    ):
+        # A scripted run (max_rounds 3) whose line 2 is cut short of
+        # max_rounds without two agreeing answers, or records an error after
+        # its third turn; every other field is kept consistent with the edit.
+        out = tmp_path / "run.jsonl"
+        args = ["run", "--backend", "scripted", "--techniques", technique,
+                "--out", str(out)]
+        assert cli.main(args) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        d = json.loads(lines[1])
+        trace = d["trace"]
+        assert trace["rounds_used"] == 3
+        if edit == "cut":
+            trace["turns"] = trace["turns"][:1 if technique == "PHP" else 2]
+            trace["final"] = trace["turns"][-1]["parsed"]
+        else:
+            d["error"], trace["final"] = "backend down", "UNPARSED"
+        trace["rounds_used"] = len(trace["turns"])
+        trace["telemetry_totals"]["total_response_chars"] = sum(
+            t["completion"]["telemetry"]["response_chars"] for t in trace["turns"]
+        )
+        d["correct"] = d["ground_truth"] == trace["final"]
+        lines[1] = json.dumps(d)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = out.read_bytes()
+        refusal = f"error: {out}:2: invalid record: ValueError: {message}\n"
+        capsys.readouterr()
+        rc = cli.main(["report", str(out), "--out-dir", str(tmp_path / "r")])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
+        assert not (tmp_path / "r").exists()
+        rc = cli.main([*args, "--resume"])
+        assert (rc, capsys.readouterr().err) == (EXIT_USAGE, refusal)
+        assert out.read_bytes() == before
 
     @pytest.mark.parametrize("flag, field", [
         (["--temperature", "0.5"], "temperature 0.0 (plan: 0.5)"),

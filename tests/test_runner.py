@@ -7,7 +7,7 @@ from functools import cache, partial
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from triagebench.backend import (
@@ -53,7 +53,13 @@ from helpers import (
     stored_lines,
     write_run_file,
 )
-from oracles import oracle_rows, record_dict, record_dict_v1, v1_from_v2
+from oracles import (
+    oracle_rows,
+    oracle_warnings,
+    record_dict,
+    record_dict_v1,
+    v1_from_v2,
+)
 
 CORPUS = Corpus(
     records=tuple(
@@ -260,10 +266,14 @@ class TestGrade:
 
     def test_final_is_the_last_answer_or_unparsed_on_error(self):
         trace = make_trace(
-            technique=TechniqueId.PHP, final=CategoryCode.CAT2, rounds_used=2
+            technique=TechniqueId.PHP, final=CategoryCode.CAT2, rounds_used=3
         )
         assert trace.final is CategoryCode.CAT2
-        failed = replace(trace, error="down")
+        failed = make_trace(
+            technique=TechniqueId.PHP, final=CategoryCode.CAT2, rounds_used=2,
+            error="down",
+        )
+        assert failed.turns[-1].parsed is CategoryCode.CAT2
         assert failed.final is CategoryCode.UNPARSED
         assert RunRecord(failed, CategoryCode.CAT2).correct is False
         d = RunRecord(trace, CategoryCode.CAT3).to_dict(HEADER)
@@ -277,8 +287,7 @@ class TestGrade:
             make_trace(rounds_used=0)
 
     def test_error_is_the_traces_and_written_beside_it(self):
-        failed = replace(make_trace(technique=TechniqueId.PRP, rounds_used=1),
-                         error="down")
+        failed = make_trace(technique=TechniqueId.PRP, rounds_used=1, error="down")
         record = RunRecord(failed, CategoryCode.CAT1)
         assert record.error == "down"
         d = record.to_dict(HEADER)
@@ -311,20 +320,65 @@ class TestGrade:
         # A fixed technique runs its rounds, fewer if it fails; PHP and PRP
         # stop once two answers agree ("0" is UNPARSED, which never agrees).
         # The trace itself refuses any other turns.
-        codes = [CategoryCode.UNPARSED if k == "0" else CategoryCode(f"CAT{k}")
-                 for k in answers.split()]
-        build = partial(
-            ClassificationTrace, incident_id="i", model="m",
-            model_group=ModelGroup.G1, technique=TechniqueId(technique),
-            turns=tuple(TraceTurn((), Completion(c.value, Telemetry(0.0, 0)), c)
-                        for c in codes),
-            error=error,
-        )
+        build = partial(_answered_trace, technique, answers, error)
         if refusal is None:
-            assert build().final is (CategoryCode.UNPARSED if error else codes[-1])
+            trace = build()
+            assert trace.final is (CategoryCode.UNPARSED if error else trace.turns[-1].parsed)
         else:
             with pytest.raises(ValueError, match=refusal):
                 build()
+
+    @pytest.mark.parametrize(
+        "technique, answers, error, refusal",
+        [
+            ("PHP", "1", None,
+             "turns is 1, but PHP stops before max_rounds 3 only once two answers agree"),
+            ("PRP", "1 2", None,
+             "turns is 2, but PRP stops before max_rounds 3 only once two answers agree"),
+            ("PHP", "0 0", None, "turns is 2, but PHP stops before max_rounds 3"),
+            ("PRP", "1 2 3", "down",
+             "turns is 3, but PRP records an error only before max_rounds 3"),
+            ("PHP", "1 2 1", "down", "turns is 3, but PHP records an error only"),
+            ("PHP", "1 2 3 4", None, "turns is 4, but PHP runs at most max_rounds 3"),
+            ("PHP", "1 2 3 4", "down", "turns is 4, but PHP runs at most max_rounds 3"),
+            ("PHP", "1 1", None, None),
+            ("PRP", "2 1 1", None, None),
+            ("PRP", "1 2 3", None, None),
+            ("PHP", "0 0 0", None, None),
+            ("PHP", "1 2", "down", None),
+            ("PRP", "", "down", None),
+        ],
+    )
+    def test_php_and_prp_turns_are_ones_a_run_of_max_rounds_gives(
+        self, technique, answers, error, refusal
+    ):
+        # The trace does not know max_rounds, so it builds each of these;
+        # the record is checked against its file's header (max_rounds 3).
+        # A version-1 file holds no max_rounds, so its lines are not.
+        record = RunRecord(_answered_trace(technique, answers, error), CategoryCode.CAT1)
+        expected = (record.row(), HEADER.template_hash)
+        if refusal is None:
+            assert check_record(record.to_dict(HEADER), HEADER) == expected
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                check_record(record.to_dict(HEADER), HEADER)
+        v1 = record_dict_v1(record, HEADER.template_hash)
+        assert check_record(v1, None) == expected
+
+
+def _answered_trace(
+    technique: str, answers: str, error: str | None
+) -> ClassificationTrace:
+    """A trace whose turns gave answers ("1" is CAT1, "0" UNPARSED)."""
+    codes = [CategoryCode.UNPARSED if k == "0" else CategoryCode(f"CAT{k}")
+             for k in answers.split()]
+    return ClassificationTrace(
+        incident_id="i", model="m", model_group=ModelGroup.G1,
+        technique=TechniqueId(technique),
+        turns=tuple(TraceTurn((), Completion(c.value, Telemetry(0.0, 0)), c)
+                    for c in codes),
+        error=error,
+    )
 
 
 class TestExecuteSerial:
@@ -841,18 +895,18 @@ class TestLoadRunRecords:
         assert load_run_records(path) == [late.row()]
 
     def test_row_holds_what_the_metrics_read(self):
-        record = make_record(
+        task = dict(
             truth=CategoryCode.CAT3, final=CategoryCode.CAT3, incident_id="i9",
             model="m", group=ModelGroup.G2, technique=TechniqueId.PHP,
-            rounds_used=3, latency_ms=12.5, response_chars=40,
+            rounds_used=2, latency_ms=12.5, response_chars=40,
         )
-        t = record.trace
-        failed = RunRecord(replace(t, error="down"), CategoryCode.CAT3)
+        record = make_record(**task)
+        failed = make_record(**task, error="down")
         for r in (record, failed):
             row = r.row()
             assert row == (
                 "m", "PHP", "i9", "G2", CategoryCode.CAT3, r.trace.final,
-                r.trace.error, 12.5, 40, 3,
+                r.trace.error, 12.5, 40, 2,
             )
             assert (row.key, row.correct) == (r.key, r.correct)
         assert failed.row().correct is False
@@ -1117,6 +1171,65 @@ def test_load_run_records_refuses_the_mutated_line_or_gives_the_oracle_rows(data
             assert str(exc).startswith(f"{path}:{lineno}: ")
             return
         assert rows == oracle_rows(path)
+
+
+# One line of a valid file changed so that json.loads reads the same record
+# (JSON whitespace around it, a "\r\n" ending) or no record (other
+# characters before it, extra data after it, another top-level value).
+_RESHAPED = {
+    "space before": lambda line: " " + line,
+    "tab before": lambda line: "\t" + line,
+    "CR before": lambda line: "\r" + line,
+    "space after": lambda line: line + " ",
+    "tab after": lambda line: line + "\t",
+    "CRLF ending": lambda line: line + "\r",
+    "U+000C before": lambda line: "\x0c" + line,
+    "U+00A0 before": lambda line: "\xa0" + line,
+    "U+2028 before": lambda line: "\u2028" + line,
+    "word after": lambda line: line + " x",
+    "object after": lambda line: line + "{}",
+    "array": lambda line: "[" + line + "]",
+    "number": lambda line: "7",
+}
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    index=st.integers(0, len(_LINES) - 1),
+    reshape=st.sampled_from(sorted(_RESHAPED)),
+    torn=st.booleans(),
+)
+def test_a_reshaped_line_is_read_or_skipped_as_json_loads_has_it(
+    caplog, index, reshape, torn
+):
+    """A line that the reader's fast decode cannot read whole goes to
+    json.loads: load_run_records gives the rows of a plain reading of the
+    file, or, when line 1 is no longer a record, refuses line 2 as a first
+    record without a header; and it warns of each torn, malformed and
+    repeated line as that reading does, up to the line it refuses."""
+    caplog.clear()
+    lines = record_lines(_LINES)
+    lines[index] = _RESHAPED[reshape](lines[index])
+    text = "".join(line + "\n" for line in lines) + (lines[2] if torn else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        warnings = oracle_warnings(path)
+        try:
+            rows = load_run_records(path)
+        except RunError as exc:
+            assert index == 0 and str(exc) == (
+                f"{path}:2: invalid record: ValueError: the first record carries"
+                f" no run header"
+            )
+            warnings = [(n, w) for n, w in warnings if n <= 2]
+        else:
+            assert rows == oracle_rows(path)
+    logged = [r.getMessage() for r in caplog.records if r.name == "triagebench.runner"]
+    assert logged == [w for _, w in warnings]
 
 
 def test_load_run_records_builds_no_transcript_object(tmp_path, monkeypatch):
